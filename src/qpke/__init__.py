@@ -31,7 +31,6 @@ from .symspace import (
     eigendecompose,
     holevo_bound_loose,
     holevo_bound_tight,
-    jacobi_eigh,
     mixture_density,
     one_way_condition,
     prior_density,

@@ -3,7 +3,8 @@
 Subcommands: ``prior``, ``figure``, ``security``, ``montecarlo``, ``check-all``.
 Tables are written as CSV (default) or JSON; any violated inequality check is
 reported as a JSON list on stderr and turns the exit code to 1.  Usage errors
-exit with 2.  Column schemas are documented in docs/formats.md.
+and an unwritable ``--out`` exit with 2.  Column schemas are documented in
+docs/formats.md.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ def _parse_int_list(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"reversed range {part!r} in {text!r}")
+            values.extend(range(lo, hi + 1))
         else:
             values.append(int(part))
     out = sorted(set(values))
@@ -485,7 +488,11 @@ def main(argv=None) -> int:
     except (ValueError, bayes.ImpossibleOutcomeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_rows(rows, fields, args.format, args.out)
+    try:
+        _write_rows(rows, fields, args.format, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if violations:
         print(json.dumps({"violations": violations}), file=sys.stderr)
         return 1

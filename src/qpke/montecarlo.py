@@ -36,6 +36,9 @@ class TrialConfig:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
+        if self.attack == "bayes-projective":
+            # the attack's likelihood tables grow as 2**n; bound n before any work
+            bayes._check_n(self.params.n)
 
 
 @dataclass(frozen=True)

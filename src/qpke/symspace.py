@@ -79,22 +79,17 @@ class SymmetricDensityOperator:
 def mixture_density(weights: np.ndarray, tau: int, n: int) -> SymmetricDensityOperator:
     """Density operator of tau copies mixed over key values with the given weights.
 
-    ``weights`` is a probability vector over Z_{2**n}.  Entries are accumulated
-    with pairwise summation over the 2**n key values to limit round-off.
+    ``weights`` is a probability vector over Z_{2**n}; the matrix is the
+    weighted Gram matrix A^T diag(weights) A of the state components, formed
+    by one matrix product and symmetrized exactly.
     """
     _check_ranges(tau, n)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (1 << n,):
         raise ValueError(f"weights must have shape ({1 << n},), got {weights.shape}")
     comps = symmetric_state_components(tau, n)
-    dim = tau + 1
-    mat = np.empty((dim, dim))
-    for l in range(dim):
-        wl = weights * comps[:, l]
-        for lp in range(l, dim):
-            # np.sum uses pairwise accumulation
-            mat[l, lp] = mat[lp, l] = np.sum(wl * comps[:, lp])
-    return SymmetricDensityOperator(tau, mat)
+    mat = (comps * weights[:, None]).T @ comps
+    return SymmetricDensityOperator(tau, (mat + mat.T) / 2.0)
 
 
 def prior_density(tau: int, n: int) -> SymmetricDensityOperator:
@@ -109,70 +104,6 @@ def _check_ranges(tau: int, n: int) -> None:
         raise ValueError(f"copy count must lie in [1, {MAX_TAU}], got {tau}")
     if not 1 <= n <= MAX_N:
         raise ValueError(f"resolution exponent must lie in [1, {MAX_N}], got {n}")
-
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps annihilate every off-diagonal pair in turn until the off-diagonal
-    Frobenius norm drops below ``tol``.
-
-    Returns
-    -------
-    (values, vectors) : eigenvalues in descending order and the matching
-        orthonormal eigenvectors as columns.
-
-    Raises
-    ------
-    RuntimeError
-        If the off-diagonal norm has not converged after ``max_sweeps`` sweeps.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise ValueError("matrix must be symmetric")
-    dim = a.shape[0]
-    vecs = np.eye(dim)
-    if dim == 1:
-        return a.diagonal().copy(), vecs
-
-    diag_mask = ~np.eye(dim, dtype=bool)
-    for _ in range(max_sweeps):
-        # norm of the off-diagonal part, measured directly (a difference of
-        # squared sums would hit a sqrt(eps) cancellation floor)
-        off = math.sqrt(np.sum(a[diag_mask] ** 2))
-        if off < tol:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if abs(apq) < tol / (dim * dim):
-                    continue
-                # classic two-sided Givens rotation (Rutishauser angle choice)
-                diff = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, diff) / (abs(diff) + math.hypot(1.0, diff))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-    else:
-        raise RuntimeError(f"Jacobi diagonalization did not converge in {max_sweeps} sweeps")
-
-    values = a.diagonal().copy()
-    order = np.argsort(values)[::-1]
-    return values[order], vecs[:, order]
 
 
 @dataclass(frozen=True)
@@ -192,9 +123,9 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", vals)
 
 
-def eigendecompose(rho: SymmetricDensityOperator, tol: float = 1e-12) -> Spectrum:
-    """Full spectrum of a density operator via cyclic Jacobi diagonalization."""
-    values, _ = jacobi_eigh(rho.matrix, tol=tol)
+def eigendecompose(rho: SymmetricDensityOperator) -> Spectrum:
+    """Full spectrum of a density operator via LAPACK's symmetric eigensolver."""
+    values = np.linalg.eigvalsh(rho.matrix)[::-1]
     rank = int(np.sum(values > RANK_RTOL * max(values[0], 0.0)))
     return Spectrum(values, rank)
 

@@ -1,5 +1,6 @@
 """Command-line surface: table schemas, formats, exit codes, inequality checks."""
 
+import argparse
 import csv
 import io
 import json
@@ -25,6 +26,27 @@ def test_parse_int_list():
     assert _parse_int_list("2,4,8") == [2, 4, 8]
     assert _parse_int_list("1-4") == [1, 2, 3, 4]
     assert _parse_int_list("1,3-5") == [1, 3, 4, 5]
+    assert _parse_int_list("4-4") == [4]
+    with pytest.raises(argparse.ArgumentTypeError):
+        _parse_int_list("5-1,2")
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["security", "--epsilon", "0.03125", "--out", str(target)], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_bayes_montecarlo_rejects_large_n(capsys):
+    code, out, err = run_cli(
+        ["montecarlo", "--attack", "bayes-projective", "--n", "40", "--trials", "1000"], capsys
+    )
+    assert code == 2
+    assert "error" in err
+    assert out == ""
 
 
 def test_security_table(capsys):

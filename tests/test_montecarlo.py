@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qpke import montecarlo
+from qpke import bayes, montecarlo
 from qpke.bayes import codeword_success, mean_success
 from qpke.montecarlo import (
     EstimateWithError,
@@ -31,6 +31,11 @@ def test_trial_config_validation():
         TrialConfig(params, "unknown-attack", 10, 0)
     with pytest.raises(ValueError):
         TrialConfig(params, "symmetry-test", 0, 0)
+    large = ProtocolParams(n=bayes.MAX_N + 1, N=1, T=1, s=1)
+    with pytest.raises(ValueError):
+        TrialConfig(large, "bayes-projective", 10, 0)
+    # the symmetry-test attack builds no 2**n tables and keeps its range
+    TrialConfig(large, "symmetry-test", 10, 0)
 
 
 def test_estimate_with_error_validation():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qpke.symspace import (
@@ -15,13 +16,14 @@ from qpke.symspace import (
     eigendecompose,
     holevo_bound_loose,
     holevo_bound_tight,
-    jacobi_eigh,
     mixture_density,
     one_way_condition,
     prior_density,
     shannon_entropy,
     von_neumann_entropy,
 )
+
+from oracles import jacobi_eigh, mixture_density_loop
 
 
 def delta_mixture(k, tau, n):
@@ -252,3 +254,50 @@ def test_spectrum_validation():
 def test_mixture_weights_validation():
     with pytest.raises(ValueError):
         mixture_density(np.ones(3), 2, 2)  # wrong length for n=2
+
+
+@st.composite
+def random_mixtures(draw):
+    tau = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 8))
+    raw = draw(
+        st.lists(
+            st.floats(0.0, 1.0, allow_subnormal=False),
+            min_size=1 << n,
+            max_size=1 << n,
+        ).filter(lambda w: sum(w) > 0.0)
+    )
+    weights = np.array(raw) / np.sum(raw)
+    return tau, n, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_mixtures())
+def test_mixture_matches_loop_oracle(mixture):
+    tau, n, weights = mixture
+    matrix = mixture_density(weights, tau, n).matrix
+    assert np.array_equal(matrix, matrix.T)
+    # entries are dot products of 2**n terms whose absolute values sum to at
+    # most 1; the matrix product accumulates them in a different order than
+    # the pairwise loop, so allow the standard 2**n * eps dot-product bound
+    tol = max(1e-15, (1 << n) * np.finfo(float).eps)
+    assert np.max(np.abs(matrix - mixture_density_loop(weights, tau, n))) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_mixtures())
+def test_eigendecompose_matches_jacobi_oracle(mixture):
+    tau, n, weights = mixture
+    rho = mixture_density(weights, tau, n)
+    values, _ = jacobi_eigh(rho.matrix)
+    assert np.max(np.abs(eigendecompose(rho).eigenvalues - values)) <= 1e-10
+
+
+def test_critical_n_is_bit_length():
+    # equally spaced nodes integrate the degree-tau trigonometric entries
+    # exactly once 2**n > tau, so the prior stops changing at n = bit_length
+    for tau in range(1, 64):
+        assert critical_n(tau) == tau.bit_length()
+    # at tau = 64 the aliased term at n = 6 is ~2**-127, below the search
+    # tolerance, so the search reports 6 where the exact value is 7
+    assert critical_n(64) == 6
