@@ -6,8 +6,9 @@ key values by Bayes' rule.  The posterior yields an estimated Bloch vector,
 the measurement basis for the cipher qubit, and from there per-bit and
 per-codeword success probabilities together with their closed-form bounds.
 
-All grid computations sum exactly over Z_{2**n}; cost is O(2**n * T**2), so
-the resolution exponent is capped at n = 14 here.
+The bases are measured independently, so the outcome likelihood factors as
+P_z[t0z, k] * P_x[t0x, k]: every exact sum over Z_{2**n} and the outcome grid
+is a matrix product of the two (T+1, 2**n) tables, in O(T * 2**n) memory.
 """
 
 from __future__ import annotations
@@ -108,13 +109,30 @@ def _binomial_pmf_rows(T: int, p0: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _likelihood_grid(T: int, n: int) -> np.ndarray:
-    """Joint outcome likelihoods, shape (T+1, T+1, 2**n): [t0z, t0x, k]."""
+    """Per-basis likelihoods [P_z, P_x][count, k], shape (2, T+1, 2**n); L[a, b, k] = P_z[a, k] P_x[b, k]."""
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     p0z, p0x = _prob0_tables(n)
-    pz = _binomial_pmf_rows(T, p0z)
-    px = _binomial_pmf_rows(T, p0x)
-    grid = pz[:, None, :] * px[None, :, :]
+    grid = np.stack([_binomial_pmf_rows(T, p0z), _binomial_pmf_rows(T, p0x)])
     grid.flags.writeable = False
     return grid
+
+
+def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """E_z, E_x, |E| and the directed flags of every outcome pair, each of shape (T+1, T+1).
+
+    E = sum_k L (cos k*theta, sin k*theta); a pair is directed when it is possible
+    and its posterior-mean Bloch vector E / sum_k L is not degenerate.
+    """
+    pz, px = _likelihood_grid(T, n)
+    angles = np.arange(1 << n) * elementary_angle(n)
+    totals = pz @ px.T
+    est_z = (pz * np.cos(angles)) @ px.T
+    est_x = (pz * np.sin(angles)) @ px.T
+    norms = np.hypot(est_z, est_x)
+    directed = totals > 0.0
+    directed[directed] = norms[directed] / totals[directed] >= DEGENERATE_NORM
+    return est_z, est_x, norms, directed
 
 
 def likelihood(outcome: MeasurementOutcome, k: int, T: int, n: int) -> float:
@@ -123,13 +141,12 @@ def likelihood(outcome: MeasurementOutcome, k: int, T: int, n: int) -> float:
     Product of two binomial likelihoods, one per measurement basis.
     """
     _check_n(n)
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
     if outcome.t0z > T or outcome.t0x > T:
         raise ValueError(f"outcome counts exceed T={T}: {outcome}")
     if not 0 <= k < (1 << n):
         raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
-    return float(_likelihood_grid(T, n)[outcome.t0z, outcome.t0x, k])
+    pz, px = _likelihood_grid(T, n)
+    return float(pz[outcome.t0z, k] * px[outcome.t0x, k])
 
 
 def evidence(outcome: MeasurementOutcome, T: int, n: int) -> float:
@@ -137,7 +154,8 @@ def evidence(outcome: MeasurementOutcome, T: int, n: int) -> float:
     _check_n(n)
     if outcome.t0z > T or outcome.t0x > T:
         raise ValueError(f"outcome counts exceed T={T}: {outcome}")
-    return float(np.mean(_likelihood_grid(T, n)[outcome.t0z, outcome.t0x, :]))
+    pz, px = _likelihood_grid(T, n)
+    return float(np.mean(pz[outcome.t0z] * px[outcome.t0x]))
 
 
 @dataclass(frozen=True)
@@ -172,7 +190,8 @@ def posterior(outcome: MeasurementOutcome, T: int, n: int) -> PosteriorDistribut
     _check_n(n)
     if outcome.t0z > T or outcome.t0x > T:
         raise ValueError(f"outcome counts exceed T={T}: {outcome}")
-    row = _likelihood_grid(T, n)[outcome.t0z, outcome.t0x, :]
+    pz, px = _likelihood_grid(T, n)
+    row = pz[outcome.t0z] * px[outcome.t0x]
     total = np.sum(row)
     if total <= 0.0:
         raise ImpossibleOutcomeError(f"outcome {outcome} has zero evidence at T={T}, n={n}")
@@ -186,20 +205,16 @@ def information_gain(T: int, n: int) -> float:
     [0, n], and is 0 for T = 0.
     """
     _check_n(n)
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    grid = _likelihood_grid(T, n)
-    q = grid.mean(axis=2)
-    size = 1 << n
-    gain = float(n)
-    for iz in range(T + 1):
-        for ix in range(T + 1):
-            if q[iz, ix] <= 0.0:
-                continue
-            p = grid[iz, ix, :] / (size * q[iz, ix])
-            mask = p > 0.0
-            gain += q[iz, ix] * float(np.sum(p[mask] * np.log2(p[mask])))
-    return gain
+    # the posterior entropy of (a, b) is log2(Q) - sum_k L log2(L) / Q with
+    # Q = sum_k L, and log2(L) splits into one log table per basis
+    pz, px = _likelihood_grid(T, n)
+    plogp = _xlog2x(pz) @ px.T + pz @ _xlog2x(px).T
+    return float(n + (np.sum(plogp) - np.sum(_xlog2x(pz @ px.T))) / (1 << n))
+
+
+def _xlog2x(p: np.ndarray) -> np.ndarray:
+    """Elementwise p * log2(p), with 0 * log2(0) = 0."""
+    return p * np.log2(np.where(p > 0.0, p, 1.0))
 
 
 def posterior_density(tau: int, post: PosteriorDistribution) -> SymmetricDensityOperator:
@@ -246,48 +261,35 @@ def success_given_outcome(k: int, post: PosteriorDistribution) -> float:
     return 0.5 + (est.z * math.cos(angle) + est.x * math.sin(angle)) / (2.0 * est.norm)
 
 
-def _success_table(T: int, n: int) -> np.ndarray:
-    """Per-key success probabilities, shape (2**n,), averaged over the outcome grid."""
-    grid = _likelihood_grid(T, n)
-    size = 1 << n
-    angles = np.arange(size) * elementary_angle(n)
-    cos_a = np.cos(angles)
-    sin_a = np.sin(angles)
-    flat = grid.reshape(-1, size)
-    totals = flat.sum(axis=1)
-    est_z = flat @ cos_a
-    est_x = flat @ sin_a
-    norms = np.hypot(est_z, est_x)
-    possible = totals > 0.0
-    est_z[possible] /= totals[possible]
-    est_x[possible] /= totals[possible]
-    norms[possible] /= totals[possible]
-    directed = possible & (norms >= DEGENERATE_NORM)
-    success = np.full((flat.shape[0], size), 0.5)
-    success[directed] = 0.5 + (
-        np.outer(est_z[directed], cos_a) + np.outer(est_x[directed], sin_a)
-    ) / (2.0 * norms[directed][:, None])
-    return np.einsum("ok,ok->k", flat, success)
-
-
 def success_given_key(k: int, T: int, n: int) -> float:
     """Per-key bit-recovery probability: outcome-weighted success of the estimate basis."""
     _check_n(n)
     if not 0 <= k < (1 << n):
         raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
-    return float(_success_table(T, n)[k])
+    return float(success_by_key(T, n)[k])
 
 
 def success_by_key(T: int, n: int) -> np.ndarray:
-    """Per-key bit-recovery probabilities for every key value (copy of the internal table)."""
+    """Per-key bit-recovery probabilities for every key value, averaged over the outcome grid.
+
+    sum_{a,b} L[a, b, k] (1/2 + U[a, b] . (cos k*theta, sin k*theta)), with
+    U = E / (2|E|) on directed pairs and 0 elsewhere, factors per Bloch
+    component into sum_a P_z[a, k] (U P_x)[a, k].
+    """
     _check_n(n)
-    return _success_table(T, n).copy()
+    pz, px = _likelihood_grid(T, n)
+    est_z, est_x, norms, directed = _bloch_sums(T, n)
+    scale = np.divide(0.5, norms, out=np.zeros_like(norms), where=directed)
+    toward = np.einsum("ak,cak->ck", pz, np.stack([est_z * scale, est_x * scale]) @ px)
+    angles = np.arange(1 << n) * elementary_angle(n)
+    return 0.5 * pz.sum(axis=0) * px.sum(axis=0) + np.cos(angles) * toward[0] + np.sin(angles) * toward[1]
 
 
 def mean_success(T: int, n: int) -> float:
-    """Bit-recovery probability averaged over the uniform key ensemble."""
+    """Bit-recovery probability averaged over the uniform key ensemble, 1/2 + 2**-(n+1) sum_directed |E|."""
     _check_n(n)
-    return float(np.mean(_success_table(T, n)))
+    _, _, norms, directed = _bloch_sums(T, n)
+    return float(0.5 + np.sum(norms[directed]) / (1 << (n + 1)))
 
 
 def bound_U(T: int) -> float:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bayes
-from .protocol import ProtocolParams, QubitAngle, elementary_angle
+from .protocol import ProtocolParams, QubitAngle
 from .symmetry import average_success_symmetry
 
 ATTACKS = ("bayes-projective", "symmetry-test")
@@ -77,14 +77,9 @@ def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> tuple[np.nd
 @lru_cache(maxsize=16)
 def _estimate_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Estimated basis angle and degeneracy flag per outcome pair, shapes (T+1, T+1)."""
-    grid = bayes._likelihood_grid(T, n)
-    angles = np.arange(1 << n) * elementary_angle(n)
-    est_z = grid @ np.cos(angles)
-    est_x = grid @ np.sin(angles)
-    norm = np.hypot(est_z, est_x)
-    totals = grid.sum(axis=2)
+    est_z, est_x, _, directed = bayes._bloch_sums(T, n)
     est_angle = np.arctan2(est_x, est_z)
-    degenerate = norm < bayes.DEGENERATE_NORM * np.maximum(totals, 1e-300)
+    degenerate = ~directed
     est_angle.flags.writeable = False
     degenerate.flags.writeable = False
     return est_angle, degenerate

@@ -15,6 +15,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+#: key integers are drawn as int64, so Z_{2**n} must fit below 2**63
+MAX_N = 63
+
 
 def elementary_angle(n: int) -> float:
     """Elementary rotation step pi / 2**(n-1) between adjacent key states."""
@@ -30,7 +33,7 @@ class ProtocolParams:
     Parameters
     ----------
     n : int
-        Angle-resolution exponent; key integers live in Z_{2**n}.
+        Angle-resolution exponent; key integers live in Z_{2**n}, 1 <= n <= 63.
     N : int
         Number of qubits in the public key.
     T : int
@@ -45,8 +48,8 @@ class ProtocolParams:
     s: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must lie in [1, {MAX_N}], got {self.n}")
         if self.s < 1 or self.N < self.s:
             raise ValueError(f"need N >= s >= 1, got N={self.N}, s={self.s}")
         if self.T < 1:

@@ -1,16 +1,24 @@
-"""Reference implementations kept as test oracles for the fast symspace kernels.
+"""Reference implementations kept as test oracles for the fast library kernels.
 
 ``mixture_density_loop`` accumulates every density-matrix entry separately
 with pairwise summation over the key values, and ``jacobi_eigh`` diagonalizes
 by cyclic Jacobi rotations.  Both are slow, independent of BLAS/LAPACK, and
 used only to check the library's matrix-product mixture and its LAPACK
 eigensolver.
+
+``likelihood_tensor`` materializes the full (T+1, T+1, 2**n) joint
+likelihood of the Bayes attack; the functions after it reduce that tensor
+directly (per-key success, information gain by a loop over outcome pairs,
+Monte Carlo estimate tables) to check the library's factored per-basis
+matrix products.  Their memory grows as T**2 * 2**n, so use small (T, n).
 """
 
 import math
 
 import numpy as np
 
+from qpke.bayes import DEGENERATE_NORM, _binomial_pmf_rows, _prob0_tables
+from qpke.protocol import elementary_angle
 from qpke.symspace import symmetric_state_components
 
 
@@ -90,3 +98,63 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) ->
     values = a.diagonal().copy()
     order = np.argsort(values)[::-1]
     return values[order], vecs[:, order]
+
+
+def likelihood_tensor(T: int, n: int) -> np.ndarray:
+    """Joint outcome likelihoods, shape (T+1, T+1, 2**n): [t0z, t0x, k]."""
+    p0z, p0x = _prob0_tables(n)
+    pz = _binomial_pmf_rows(T, p0z)
+    px = _binomial_pmf_rows(T, p0x)
+    return pz[:, None, :] * px[None, :, :]
+
+
+def success_table_tensor(T: int, n: int) -> np.ndarray:
+    """Per-key success probabilities, shape (2**n,), from the full outcome-by-key success matrix."""
+    grid = likelihood_tensor(T, n)
+    size = 1 << n
+    angles = np.arange(size) * elementary_angle(n)
+    cos_a = np.cos(angles)
+    sin_a = np.sin(angles)
+    flat = grid.reshape(-1, size)
+    totals = flat.sum(axis=1)
+    est_z = flat @ cos_a
+    est_x = flat @ sin_a
+    norms = np.hypot(est_z, est_x)
+    possible = totals > 0.0
+    est_z[possible] /= totals[possible]
+    est_x[possible] /= totals[possible]
+    norms[possible] /= totals[possible]
+    directed = possible & (norms >= DEGENERATE_NORM)
+    success = np.full((flat.shape[0], size), 0.5)
+    success[directed] = 0.5 + (
+        np.outer(est_z[directed], cos_a) + np.outer(est_x[directed], sin_a)
+    ) / (2.0 * norms[directed][:, None])
+    return np.einsum("ok,ok->k", flat, success)
+
+
+def information_gain_loop(T: int, n: int) -> float:
+    """n minus the evidence-weighted posterior entropy, one outcome pair at a time."""
+    grid = likelihood_tensor(T, n)
+    q = grid.mean(axis=2)
+    size = 1 << n
+    gain = float(n)
+    for iz in range(T + 1):
+        for ix in range(T + 1):
+            if q[iz, ix] <= 0.0:
+                continue
+            p = grid[iz, ix, :] / (size * q[iz, ix])
+            mask = p > 0.0
+            gain += q[iz, ix] * float(np.sum(p[mask] * np.log2(p[mask])))
+    return gain
+
+
+def estimate_tables_tensor(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Estimated basis angle and degeneracy flag per outcome pair, shapes (T+1, T+1)."""
+    grid = likelihood_tensor(T, n)
+    angles = np.arange(1 << n) * elementary_angle(n)
+    est_z = grid @ np.cos(angles)
+    est_x = grid @ np.sin(angles)
+    norm = np.hypot(est_z, est_x)
+    totals = grid.sum(axis=2)
+    degenerate = norm < DEGENERATE_NORM * np.maximum(totals, 1e-300)
+    return np.arctan2(est_x, est_z), degenerate

@@ -2,12 +2,14 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpke import bayes
+from oracles import estimate_tables_tensor, information_gain_loop, likelihood_tensor, success_table_tensor
+from qpke import bayes, montecarlo
 from qpke.bayes import (
     ImpossibleOutcomeError,
     MeasurementOutcome,
@@ -167,6 +169,14 @@ def test_posteriors_average_back_to_uniform_prior():
 def test_information_gain_examples():
     assert information_gain(1, 1) == pytest.approx(1.0, abs=1e-12)
     assert information_gain(0, 5) == 0.0
+
+
+def test_scalar_results_are_builtin_floats():
+    out = MeasurementOutcome(1, 2)
+    assert type(likelihood(out, 3, 2, 4)) is float
+    assert type(evidence(out, 2, 4)) is float
+    assert type(information_gain(2, 4)) is float
+    assert type(mean_success(2, 4)) is float
 
 
 def test_information_gain_within_bounds():
@@ -349,8 +359,74 @@ def test_module_resolution_cap():
         mean_success(2, 15)
 
 
+@pytest.mark.parametrize("reduce", [information_gain, mean_success, success_by_key])
+def test_negative_T_rejected(reduce):
+    with pytest.raises(ValueError, match="T must be >= 0"):
+        reduce(-1, 4)
+
+
 def test_posterior_distribution_validation():
     with pytest.raises(ValueError):
         PosteriorDistribution(np.array([0.7, 0.7]), MeasurementOutcome(0, 0), 1, 1)
     with pytest.raises(ValueError):
         PosteriorDistribution(np.array([0.5, 0.5, 0.0]), MeasurementOutcome(0, 0), 1, 1)
+
+
+# small grids for the direct sums, plus T past LOG_SPACE_T for the log-space PMFs
+grid_sizes = st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=8)),
+    st.tuples(st.sampled_from([31, 40]), st.integers(min_value=1, max_value=6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_sizes)
+def test_posterior_and_evidence_match_tensor_oracle_exactly(size):
+    T, n = size
+    tensor = likelihood_tensor(T, n)
+    for a in range(T + 1):
+        for b in range(T + 1):
+            out = MeasurementOutcome(a, b)
+            row = tensor[a, b]
+            assert evidence(out, T, n) == float(np.mean(row))
+            if np.sum(row) > 0.0:
+                assert np.array_equal(posterior(out, T, n).probabilities, row / np.sum(row))
+            else:
+                with pytest.raises(ImpossibleOutcomeError):
+                    posterior(out, T, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_sizes)
+def test_grid_reductions_match_tensor_oracle(size):
+    T, n = size
+    expected = success_table_tensor(T, n)
+    assert np.max(np.abs(success_by_key(T, n) - expected)) <= 1e-12
+    assert abs(mean_success(T, n) - float(np.mean(expected))) <= 1e-12
+    assert abs(information_gain(T, n) - information_gain_loop(T, n)) <= 1e-12
+    _, degenerate = montecarlo._estimate_tables(T, n)
+    assert np.array_equal(degenerate, estimate_tables_tensor(T, n)[1])
+
+
+@pytest.mark.parametrize("T, n", [(16, 14), (32, 12)])
+@pytest.mark.parametrize(
+    "reduce",
+    [success_by_key, mean_success, information_gain, montecarlo._estimate_tables],
+    ids=["success_by_key", "mean_success", "information_gain", "estimate_tables"],
+)
+def test_grid_reductions_memory_ceiling(reduce, T, n):
+    # eight (T+1) x 2**n float arrays; a joint (T+1)**2 x 2**n tensor alone
+    # would exceed this 2.1x (T = 16) and 4.1x (T = 32)
+    table_bytes = (T + 1) * (1 << n) * 8
+    bayes._prob0_tables.cache_clear()
+    bayes._likelihood_grid.cache_clear()
+    montecarlo._estimate_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        reduce(T, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two per-basis tables are built inside the call, so they must show
+    assert peak >= 2 * table_bytes
+    assert peak <= 8 * table_bytes

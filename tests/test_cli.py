@@ -49,6 +49,15 @@ def test_bayes_montecarlo_rejects_large_n(capsys):
     assert out == ""
 
 
+def test_montecarlo_rejects_n_above_63(capsys):
+    code, out, err = run_cli(
+        ["montecarlo", "--attack", "symmetry-test", "--n", "64", "--trials", "1000"], capsys
+    )
+    assert code == 2
+    assert err == "error: n must lie in [1, 63], got 64\n"
+    assert out == ""
+
+
 def test_security_table(capsys):
     code, out, err = run_cli(["security", "--epsilon", "0.03125", "--T", "2,4"], capsys)
     assert code == 0

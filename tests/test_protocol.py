@@ -43,6 +43,10 @@ def test_params_validation():
         ProtocolParams(n=1, N=1, T=1, s=2)  # N < s
     with pytest.raises(ValueError):
         ProtocolParams(n=1, N=1, T=0, s=1)
+    # key integers are int64 draws: n = 63 is the largest resolution
+    ProtocolParams(n=63, N=1, T=1, s=1)
+    with pytest.raises(ValueError, match=r"\[1, 63\]"):
+        ProtocolParams(n=64, N=1, T=1, s=1)
 
 
 def test_params_derived():
