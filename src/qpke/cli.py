@@ -1,10 +1,11 @@
 """Command-line surface: parameter sweeps, preset result tables, and inequality checks.
 
 Subcommands: ``prior``, ``figure``, ``security``, ``montecarlo``, ``check-all``.
-Tables are written as CSV (default) or JSON; any violated inequality check is
-reported as a JSON list on stderr and turns the exit code to 1.  Usage errors
-and an unwritable ``--out`` exit with 2.  Column schemas are documented in
-docs/formats.md.
+Each command returns its table as columns; ``_write_rows`` writes it as CSV
+(default) or JSON, ``CHUNK_ROWS`` rows at a time.  Any violated inequality
+check is reported as a JSON list on stderr and turns the exit code to 1.  Usage
+errors and an unwritable ``--out`` exit with 2, any other failure with 3.
+Column schemas are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -42,6 +43,30 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+#: data rows formatted and written at a time; bounds the text held in memory
+CHUNK_ROWS = 4096
+
+
+class Table:
+    """A result table: one column per field, in schema order.
+
+    ``columns`` maps each field name to its column, a 1-D numpy array or a
+    list; all columns have the same length, and ``len()`` is the number of
+    data rows.
+    """
+
+    def __init__(self, columns: dict):
+        self.fields = list(columns)
+        self.columns = list(columns.values())
+        lengths = {len(column) for column in self.columns}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+        self.rows = lengths.pop() if lengths else 0
+
+    def __len__(self) -> int:
+        return self.rows
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -52,76 +77,96 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(rows: list[dict], fieldnames: list[str], fmt: str, out_path: str | None) -> None:
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: _fmt(row.get(key, "")) for key in fieldnames})
-        text = buffer.getvalue()
-    else:
-        native = []
-        for row in rows:
-            native.append(
-                {
-                    key: (
-                        bool(v) if isinstance(v, (bool, np.bool_))
-                        else int(v) if isinstance(v, (int, np.integer))
-                        else float(v) if isinstance(v, (float, np.floating))
-                        else v
-                    )
-                    for key, v in ((key, row.get(key, "")) for key in fieldnames)
-                }
-            )
-        text = json.dumps(native, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _native(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
+def _csv_cells(column) -> list[str]:
+    """CSV text of every cell, chosen once per column for numeric arrays."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
+    if kind in "iu":
+        return list(map(str, column.tolist()))
+    if kind == "f":
+        return [format(v, ".12g") for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
+def _json_cells(column) -> list:
+    """Native Python values for ``json``: bool, int, float or the cell itself."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return column.tolist()
+    return [_native(v) for v in column]
+
+
+def _write_rows(table: Table, fmt: str, out_path: str | None) -> None:
+    """Write ``table`` to ``out_path`` (stdout if None) as CSV or JSON, CHUNK_ROWS rows at a time."""
+    out = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
+    try:
+        if fmt == "csv":
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(table.fields)
+            for start in range(0, len(table), CHUNK_ROWS):
+                stop = start + CHUNK_ROWS
+                writer.writerows(zip(*(_csv_cells(column[start:stop]) for column in table.columns)))
+                out.write(buffer.getvalue())
+                buffer.seek(0)
+                buffer.truncate()
+            out.write(buffer.getvalue())
+        else:
+            # each chunk is one json.dumps list with its brackets cut off, so the
+            # joined text is that of one json.dumps over all rows
+            out.write("[")
+            for start in range(0, len(table), CHUNK_ROWS):
+                stop = start + CHUNK_ROWS
+                cells = zip(*(_json_cells(column[start:stop]) for column in table.columns))
+                text = json.dumps([dict(zip(table.fields, row)) for row in cells], indent=2)
+                out.write(("," if start else "") + text[1:-2])
+            out.write("\n]\n" if len(table) else "]\n")
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _spectrum_str(values: np.ndarray) -> str:
     return ";".join(format(float(v), ".12g") for v in values)
 
 
-def cmd_prior(args) -> tuple[list[dict], list[str], list[dict]]:
-    rows, violations = [], []
+def cmd_prior(args) -> tuple[Table, list[dict]]:
     critical = {tau: symspace.critical_n(tau) for tau in args.tau}
-    for tau in args.tau:
-        for n in args.n:
-            rho = symspace.prior_density(tau, n)
-            spectrum = symspace.eigendecompose(rho)
-            entropy = symspace.shannon_entropy(np.clip(spectrum.eigenvalues, 0.0, None))
-            loose = symspace.holevo_bound_loose(tau)
-            n_c = critical[tau]
-            rows.append(
-                {
-                    "tau": tau,
-                    "n": n,
-                    "entropy_bits": entropy,
-                    "rank": spectrum.rank,
-                    "n_critical": n_c if n_c is not None else "unresolved",
-                    "at_or_above_critical": n_c is not None and n >= n_c,
-                    "bound_loose_bits": loose,
-                    "bound_tight_bits": symspace.holevo_bound_tight(tau),
-                    "spectrum": _spectrum_str(spectrum.eigenvalues),
-                }
-            )
-            if entropy > loose + 1e-9:
-                violations.append(
-                    {"check": "entropy-dimension-bound", "tau": tau, "n": n, "entropy": entropy, "bound": loose}
-                )
-    fields = [
-        "tau", "n", "entropy_bits", "rank", "n_critical", "at_or_above_critical",
-        "bound_loose_bits", "bound_tight_bits", "spectrum",
+    pairs = [(tau, n) for tau in args.tau for n in args.n]
+    spectra = [symspace.eigendecompose(symspace.prior_density(tau, n)) for tau, n in pairs]
+    entropy = [symspace.shannon_entropy(np.clip(s.eigenvalues, 0.0, None)) for s in spectra]
+    loose = [symspace.holevo_bound_loose(tau) for tau, _ in pairs]
+    violations = [
+        {"check": "entropy-dimension-bound", "tau": tau, "n": n, "entropy": e, "bound": b}
+        for (tau, n), e, b in zip(pairs, entropy, loose)
+        if e > b + 1e-9
     ]
-    return rows, fields, violations
+    table = Table({
+        "tau": [tau for tau, _ in pairs],
+        "n": [n for _, n in pairs],
+        "entropy_bits": entropy,
+        "rank": [s.rank for s in spectra],
+        "n_critical": [critical[tau] if critical[tau] is not None else "unresolved" for tau, _ in pairs],
+        "at_or_above_critical": [critical[tau] is not None and n >= critical[tau] for tau, n in pairs],
+        "bound_loose_bits": loose,
+        "bound_tight_bits": [symspace.holevo_bound_tight(tau) for tau, _ in pairs],
+        "spectrum": [_spectrum_str(s.eigenvalues) for s in spectra],
+    })
+    return table, violations
 
 
 def _figure1(args):
-    rows, violations = [], []
+    grids, posteriors, violations = [], [], []
     for T, events in sorted(FIGURE1_EVENTS.items()):
         for t0z in events:
             for t0x in range(T + 1):
@@ -135,73 +180,85 @@ def _figure1(args):
                     violations.append(
                         {"check": "posterior-normalization", "T": T, "t0z": t0z, "t0x": t0x, "sum": total}
                     )
-                for k, p in enumerate(post.probabilities):
-                    rows.append({"T": T, "t0z": t0z, "t0x": t0x, "k": k, "posterior": float(p)})
-    return rows, ["T", "t0z", "t0x", "k", "posterior"], violations
+                grids.append((T, t0z, t0x))
+                posteriors.append(post.probabilities)
+    size = 1 << args.n
+    labels = np.repeat(np.array(grids), size, axis=0)
+    table = Table({
+        "T": labels[:, 0],
+        "t0z": labels[:, 1],
+        "t0x": labels[:, 2],
+        "k": np.tile(np.arange(size), len(grids)),
+        "posterior": np.concatenate(posteriors),
+    })
+    return table, violations
 
 
 def _figure2(args):
-    rows, violations = [], []
-    for T in range(1, 9):
-        copies = 2 * T
-        gain = bayes.information_gain(T, args.n)
-        bound = symspace.holevo_bound_tight(copies)
-        gap = bound - gain
-        rows.append(
-            {
-                "copies": copies,
-                "prior_entropy_bits": float(args.n),
-                "holevo_tight_bits": bound,
-                "information_gain_bits": gain,
-                "gap_bits": gap,
-            }
-        )
-        if gap <= 0.0:
-            violations.append({"check": "information-gain-below-bound", "copies": copies, "gap": gap})
-    fields = ["copies", "prior_entropy_bits", "holevo_tight_bits", "information_gain_bits", "gap_bits"]
-    return rows, fields, violations
+    copies = [2 * T for T in range(1, 9)]
+    gain = [bayes.information_gain(T, args.n) for T in range(1, 9)]
+    bound = [symspace.holevo_bound_tight(c) for c in copies]
+    gap = [b - g for b, g in zip(bound, gain)]
+    violations = [
+        {"check": "information-gain-below-bound", "copies": c, "gap": d} for c, d in zip(copies, gap) if d <= 0.0
+    ]
+    table = Table({
+        "copies": copies,
+        "prior_entropy_bits": [float(args.n)] * len(copies),
+        "holevo_tight_bits": bound,
+        "information_gain_bits": gain,
+        "gap_bits": gap,
+    })
+    return table, violations
 
 
 def _figure3(args):
-    rows = []
-    for T in args.T:
-        success = bayes.success_by_key(T, args.n)
-        for k, p in enumerate(success):
-            rows.append({"T": T, "k": k, "success": float(p)})
-    return rows, ["T", "k", "success"], []
+    size = 1 << args.n
+    success = [bayes.success_by_key(T, args.n) for T in args.T]
+    table = Table({
+        "T": np.repeat(args.T, size),
+        "k": np.tile(np.arange(size), len(args.T)),
+        "success": np.concatenate(success),
+    })
+    return table, []
 
 
 def _figure4(args):
-    rows, violations = [], []
-    for T in args.T:
-        mean = bayes.mean_success(T, args.n)
-        optimal = bayes.optimal_collective(T)
-        row = {"T": T, "mean_success": mean, "optimal_collective": optimal, "upper_bound": ""}
-        if T > 1:
-            bound = bayes.bound_U(T)
-            row["upper_bound"] = bound
-            if mean > bound + 1e-9:
-                violations.append({"check": "mean-success-bound", "T": T, "mean": mean, "bound": bound})
-        if mean > optimal + 1e-9:
-            violations.append({"check": "mean-below-optimal", "T": T, "mean": mean, "optimal": optimal})
-        rows.append(row)
-    return rows, ["T", "mean_success", "optimal_collective", "upper_bound"], violations
+    mean = [bayes.mean_success(T, args.n) for T in args.T]
+    optimal = [bayes.optimal_collective(T) for T in args.T]
+    bound = [bayes.bound_U(T) if T > 1 else "" for T in args.T]
+    violations = []
+    for T, m, o, b in zip(args.T, mean, optimal, bound):
+        if T > 1 and m > b + 1e-9:
+            violations.append({"check": "mean-success-bound", "T": T, "mean": m, "bound": b})
+        if m > o + 1e-9:
+            violations.append({"check": "mean-below-optimal", "T": T, "mean": m, "optimal": o})
+    table = Table({"T": args.T, "mean_success": mean, "optimal_collective": optimal, "upper_bound": bound})
+    return table, violations
 
 
 def _figure5(args):
-    rows, violations = [], []
-    for T in args.T:
-        per_bit = bayes.mean_success(T, args.n)
-        for s in range(1, args.s + 1):
-            success = bayes.codeword_success(per_bit, s)
-            bound = bayes.codeword_bound(T, s)
-            rows.append({"T": T, "s": s, "success": success, "upper_bound": bound})
-            if success > bound + 1e-10:
-                violations.append({"check": "codeword-bound", "T": T, "s": s, "success": success, "bound": bound})
-    return rows, ["T", "s", "success", "upper_bound"], violations
+    if args.s < 1:
+        raise ValueError(f"codeword length --s must be >= 1, got {args.s}")
+    pairs = [(T, s) for T in args.T for s in range(1, args.s + 1)]
+    per_bit = {T: bayes.mean_success(T, args.n) for T in args.T}
+    success = [bayes.codeword_success(per_bit[T], s) for T, s in pairs]
+    bound = [bayes.codeword_bound(T, s) for T, s in pairs]
+    violations = [
+        {"check": "codeword-bound", "T": T, "s": s, "success": p, "bound": b}
+        for (T, s), p, b in zip(pairs, success, bound)
+        if p > b + 1e-10
+    ]
+    table = Table({
+        "T": [T for T, _ in pairs],
+        "s": [s for _, s in pairs],
+        "success": success,
+        "upper_bound": bound,
+    })
+    return table, violations
 
 
-def cmd_figure(args) -> tuple[list[dict], list[str], list[dict]]:
+def cmd_figure(args) -> tuple[Table, list[dict]]:
     builders = {1: _figure1, 2: _figure2, 3: _figure3, 4: _figure4, 5: _figure5}
     if args.id not in builders:
         raise ValueError(f"figure id must be 1..5, got {args.id}")
@@ -210,29 +267,26 @@ def cmd_figure(args) -> tuple[list[dict], list[str], list[dict]]:
     return builders[args.id](args)
 
 
-def cmd_security(args) -> tuple[list[dict], list[str], list[dict]]:
-    rows, violations = [], []
-    for T in args.T:
-        s_exact, s_simple = bayes.required_codeword_length(args.epsilon, T)
-        forward = symmetry.forward_search_length(args.epsilon, T)
-        ratio = s_simple / forward if forward else math.nan
-        rows.append(
-            {
-                "epsilon": args.epsilon,
-                "T": T,
-                "s_exact": s_exact,
-                "s_simple": s_simple,
-                "forward_search": forward,
-                "simple_to_forward_ratio": ratio,
-            }
-        )
-        if s_simple < s_exact:
-            violations.append({"check": "simple-dominates-exact", "T": T, "s_exact": s_exact, "s_simple": s_simple})
-    fields = ["epsilon", "T", "s_exact", "s_simple", "forward_search", "simple_to_forward_ratio"]
-    return rows, fields, violations
+def cmd_security(args) -> tuple[Table, list[dict]]:
+    lengths = [bayes.required_codeword_length(args.epsilon, T) for T in args.T]
+    forward = [symmetry.forward_search_length(args.epsilon, T) for T in args.T]
+    violations = [
+        {"check": "simple-dominates-exact", "T": T, "s_exact": s_exact, "s_simple": s_simple}
+        for T, (s_exact, s_simple) in zip(args.T, lengths)
+        if s_simple < s_exact
+    ]
+    table = Table({
+        "epsilon": [args.epsilon] * len(args.T),
+        "T": args.T,
+        "s_exact": [s_exact for s_exact, _ in lengths],
+        "s_simple": [s_simple for _, s_simple in lengths],
+        "forward_search": forward,
+        "simple_to_forward_ratio": [s_simple / f if f else math.nan for (_, s_simple), f in zip(lengths, forward)],
+    })
+    return table, violations
 
 
-def cmd_montecarlo(args) -> tuple[list[dict], list[str], list[dict]]:
+def cmd_montecarlo(args) -> tuple[Table, list[dict]]:
     if args.trials < 100:
         print(f"warning: {args.trials} trials gives a very coarse estimate", file=sys.stderr)
     params = ProtocolParams(n=args.n, N=max(args.N, args.s), T=args.T, s=args.s)
@@ -240,22 +294,19 @@ def cmd_montecarlo(args) -> tuple[list[dict], list[str], list[dict]]:
     result = montecarlo.estimate(cfg)
     analytic = montecarlo.analytic_success(cfg)
     z = (result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
-    rows = [
-        {
-            "attack": args.attack,
-            "n": args.n,
-            "T": args.T,
-            "s": args.s,
-            "trials": args.trials,
-            "seed": args.seed,
-            "empirical": result.mean,
-            "std_error": result.std_error,
-            "analytic": analytic,
-            "z_score": z,
-        }
-    ]
-    fields = ["attack", "n", "T", "s", "trials", "seed", "empirical", "std_error", "analytic", "z_score"]
-    return rows, fields, []
+    table = Table({
+        "attack": [args.attack],
+        "n": [args.n],
+        "T": [args.T],
+        "s": [args.s],
+        "trials": [args.trials],
+        "seed": [args.seed],
+        "empirical": [result.mean],
+        "std_error": [result.std_error],
+        "analytic": [analytic],
+        "z_score": [z],
+    })
+    return table, []
 
 
 def _check_roundtrip() -> tuple[bool, str]:
@@ -398,7 +449,7 @@ def _check_montecarlo(attack: str, trials: int, seed: int) -> tuple[bool, str]:
     return abs(z) < 3.0, f"z = {z:+.2f} against analytic {analytic:.6f} ({trials} trials)"
 
 
-def cmd_check_all(args) -> tuple[list[dict], list[str], list[dict]]:
+def cmd_check_all(args) -> tuple[Table, list[dict]]:
     checks = [
         ("protocol-roundtrip", _check_roundtrip),
         ("parity-zero-structure", _check_parity_zeros),
@@ -415,13 +466,14 @@ def cmd_check_all(args) -> tuple[list[dict], list[str], list[dict]]:
         ("mc-symmetry", lambda: _check_montecarlo("symmetry-test", args.trials, args.seed)),
         ("mc-bayes", lambda: _check_montecarlo("bayes-projective", args.trials, args.seed)),
     ]
-    rows, violations = [], []
-    for name, fn in checks:
-        passed, detail = fn()
-        rows.append({"check": name, "passed": passed, "detail": detail})
-        if not passed:
-            violations.append({"check": name, "detail": detail})
-    return rows, ["check", "passed", "detail"], violations
+    results = [fn() for _, fn in checks]
+    violations = [{"check": name, "detail": detail} for (name, _), (passed, detail) in zip(checks, results) if not passed]
+    table = Table({
+        "check": [name for name, _ in checks],
+        "passed": [passed for passed, _ in results],
+        "detail": [detail for _, detail in results],
+    })
+    return table, violations
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,16 +532,14 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
-        rows, fields, violations = COMMANDS[args.command](args)
+        table, violations = COMMANDS[args.command](args)
     except (ValueError, bayes.ImpossibleOutcomeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_rows(rows, fields, args.format, args.out)
+        _write_rows(table, args.format, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -497,6 +547,15 @@ def main(argv=None) -> int:
         print(json.dumps({"violations": violations}), file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # a crash must not read as a violated check (1) or a usage error (2)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

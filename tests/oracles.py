@@ -11,12 +11,22 @@ likelihood of the Bayes attack; the functions after it reduce that tensor
 directly (per-key success, information gain by a loop over outcome pairs,
 Monte Carlo estimate tables) to check the library's factored per-basis
 matrix products.  Their memory grows as T**2 * 2**n, so use small (T, n).
+
+``write_row_dicts`` is the CLI's row-by-row table writer (one dict per row
+through ``csv.DictWriter``, per-cell type dispatch), and the ``*_rows``
+builders produce the row dicts the CLI commands used to hand it; together
+they check that the column writer prints the same bytes.
 """
 
+import csv
+import io
+import json
 import math
+import sys
 
 import numpy as np
 
+from qpke import bayes, cli, symspace
 from qpke.bayes import DEGENERATE_NORM, _binomial_pmf_rows, _prob0_tables
 from qpke.protocol import elementary_angle
 from qpke.symspace import symmetric_state_components
@@ -158,3 +168,122 @@ def estimate_tables_tensor(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     totals = grid.sum(axis=2)
     degenerate = norm < DEGENERATE_NORM * np.maximum(totals, 1e-300)
     return np.arctan2(est_x, est_z), degenerate
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
+    return str(value)
+
+
+def write_row_dicts(rows: list[dict], fieldnames: list[str], fmt: str, out_path: str | None) -> None:
+    """Write one dict per row as CSV or JSON to ``out_path`` (stdout if None)."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({key: _fmt(row.get(key, "")) for key in fieldnames})
+        text = buffer.getvalue()
+    else:
+        native = []
+        for row in rows:
+            native.append(
+                {
+                    key: (
+                        bool(v) if isinstance(v, (bool, np.bool_))
+                        else int(v) if isinstance(v, (int, np.integer))
+                        else float(v) if isinstance(v, (float, np.floating))
+                        else v
+                    )
+                    for key, v in ((key, row.get(key, "")) for key in fieldnames)
+                }
+            )
+        text = json.dumps(native, indent=2) + "\n"
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def prior_rows(taus: list[int], ns: list[int]) -> tuple[list[dict], list[str]]:
+    """Row dicts of ``qpke prior``."""
+    rows = []
+    critical = {tau: symspace.critical_n(tau) for tau in taus}
+    for tau in taus:
+        for n in ns:
+            spectrum = symspace.eigendecompose(symspace.prior_density(tau, n))
+            n_c = critical[tau]
+            rows.append(
+                {
+                    "tau": tau,
+                    "n": n,
+                    "entropy_bits": symspace.shannon_entropy(np.clip(spectrum.eigenvalues, 0.0, None)),
+                    "rank": spectrum.rank,
+                    "n_critical": n_c if n_c is not None else "unresolved",
+                    "at_or_above_critical": n_c is not None and n >= n_c,
+                    "bound_loose_bits": symspace.holevo_bound_loose(tau),
+                    "bound_tight_bits": symspace.holevo_bound_tight(tau),
+                    "spectrum": ";".join(format(float(v), ".12g") for v in spectrum.eigenvalues),
+                }
+            )
+    fields = [
+        "tau", "n", "entropy_bits", "rank", "n_critical", "at_or_above_critical",
+        "bound_loose_bits", "bound_tight_bits", "spectrum",
+    ]
+    return rows, fields
+
+
+def figure1_rows(n: int) -> tuple[list[dict], list[str]]:
+    """Row dicts of ``qpke figure --id 1``: one per (T, t0z, t0x, k)."""
+    rows = []
+    for T, events in sorted(cli.FIGURE1_EVENTS.items()):
+        for t0z in events:
+            for t0x in range(T + 1):
+                try:
+                    post = bayes.posterior(bayes.MeasurementOutcome(t0z, t0x), T, n)
+                except bayes.ImpossibleOutcomeError:
+                    continue
+                for k, p in enumerate(post.probabilities):
+                    rows.append({"T": T, "t0z": t0z, "t0x": t0x, "k": k, "posterior": float(p)})
+    return rows, ["T", "t0z", "t0x", "k", "posterior"]
+
+
+def figure3_rows(Ts: list[int], n: int) -> tuple[list[dict], list[str]]:
+    """Row dicts of ``qpke figure --id 3``: one per (T, k)."""
+    rows = []
+    for T in Ts:
+        for k, p in enumerate(bayes.success_by_key(T, n)):
+            rows.append({"T": T, "k": k, "success": float(p)})
+    return rows, ["T", "k", "success"]
+
+
+def check_all_rows(trials: int, seed: int) -> tuple[list[dict], list[str]]:
+    """Row dicts of ``qpke check-all``, from the check functions ``qpke.cli`` binds at call time."""
+    checks = [
+        ("protocol-roundtrip", "_check_roundtrip"),
+        ("parity-zero-structure", "_check_parity_zeros"),
+        ("binomial-spectrum", "_check_binomial_spectrum"),
+        ("entropy-bounds", "_check_entropy_bounds"),
+        ("information-gain-gap", "_check_information_gain"),
+        ("mean-success-bound", "_check_mean_success"),
+        ("optimal-collective", "_check_optimal_collective"),
+        ("codeword-bound", "_check_codeword_bound"),
+        ("parity-identity", "_check_parity_identity"),
+        ("forward-equivalence", "_check_forward_equivalence"),
+        ("factor-three", "_check_factor_three"),
+        ("bayes-normalization", "_check_bayes_normalization"),
+    ]
+    rows = []
+    for name, attr in checks:
+        passed, detail = getattr(cli, attr)()
+        rows.append({"check": name, "passed": passed, "detail": detail})
+    for name, attack in (("mc-symmetry", "symmetry-test"), ("mc-bayes", "bayes-projective")):
+        passed, detail = cli._check_montecarlo(attack, trials, seed)
+        rows.append({"check": name, "passed": passed, "detail": detail})
+    return rows, ["check", "passed", "detail"]

@@ -1,14 +1,22 @@
 """Command-line surface: table schemas, formats, exit codes, inequality checks."""
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpke.cli import main, _parse_int_list
+from oracles import check_all_rows, figure1_rows, figure3_rows, prior_rows, write_row_dicts
+from qpke import bayes, cli
+from qpke.cli import CHUNK_ROWS, Table, main, _parse_int_list
 
 
 def run_cli(args, capsys):
@@ -130,6 +138,25 @@ def test_figure_rejects_bad_id(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("s", ["0", "-3"])
+def test_figure5_rejects_nonpositive_s(s, capsys):
+    code, out, err = run_cli(["figure", "--id", "5", "--T", "2", "--s", s], capsys)
+    assert code == 2
+    assert err == f"error: codeword length --s must be >= 1, got {s}\n"
+    assert out == ""
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "security", crash)
+    code, out, err = run_cli(["security", "--epsilon", "0.25"], capsys)
+    assert code == 3
+    assert err == "error: internal: RuntimeError: boom\n"
+    assert out == ""
+
+
 def test_prior_json_format(capsys):
     code, out, err = run_cli(
         ["prior", "--tau", "1,2", "--n", "2,3", "--format", "json"], capsys
@@ -214,3 +241,115 @@ def test_check_all_passes(capsys):
     assert all(row["passed"] == "true" for row in rows)
     names = {row["check"] for row in rows}
     assert {"protocol-roundtrip", "binomial-spectrum", "mc-symmetry", "factor-three"} <= names
+
+
+def render(write, *args) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        write(*args)
+    return buffer.getvalue()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e13, 0.1, 2.0 ** 60]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+int64s = st.one_of(st.sampled_from([0, -1, 10**13]), st.integers(-(2**63), 2**63 - 1))
+texts = st.text(alphabet=',"\n\r ab;\'\u00e9', max_size=6)
+# cell strategy and column constructor for each kind of column a command can build
+COLUMN_KINDS = {
+    "float array": (floats, lambda cells: np.array(cells, dtype=np.float64)),
+    "int array": (int64s, lambda cells: np.array(cells, dtype=np.int64)),
+    "bool array": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
+    "float list": (floats, list),
+    "numpy float list": (floats.map(np.float64), list),
+    "int list": (st.one_of(int64s, st.integers()), list),
+    "numpy int list": (int64s.map(np.int64), list),
+    "bool list": (st.booleans(), list),
+    "numpy bool list": (st.booleans().map(np.bool_), list),
+    "text list": (texts, list),
+    "mixed list": (
+        st.one_of(floats, int64s, st.booleans(), texts, floats.map(np.float64), int64s.map(np.int64)), list
+    ),
+}
+
+
+@st.composite
+def tables(draw):
+    """A chunk size and a table whose row count sits on, or next to, a multiple of it."""
+    chunk = draw(st.sampled_from([1, 2, 5, CHUNK_ROWS]))
+    rows = draw(st.one_of(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]), st.integers(0, 12)))
+    fields = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    columns = []
+    for _ in fields:
+        cells, build = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+        pool = draw(st.lists(cells, min_size=1, max_size=8))
+        columns.append(build((pool * (rows // len(pool) + 1))[:rows]))
+    return chunk, fields, columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables())
+def test_column_writer_matches_row_writer(table):
+    # small chunk sizes put the same chunk boundaries in tables that are cheap
+    # to shrink when the test fails
+    chunk, fields, columns = table
+    rows = [dict(zip(fields, cells)) for cells in zip(*columns)]
+    for fmt in ("csv", "json"):
+        expected = render(write_row_dicts, rows, fields, fmt, None)
+        with mock.patch.object(cli, "CHUNK_ROWS", chunk):
+            assert render(cli._write_rows, Table(dict(zip(fields, columns))), fmt, None) == expected
+
+
+def test_table_rejects_unequal_columns():
+    with pytest.raises(ValueError):
+        Table({"a": [1, 2], "b": np.arange(3)})
+
+
+GOLDEN = {
+    "figure-1": (["figure", "--id", "1", "--n", "4"], lambda: figure1_rows(4)),
+    "figure-3": (["figure", "--id", "3", "--n", "5", "--T", "1,2,7"], lambda: figure3_rows([1, 2, 7], 5)),
+    "prior": (["prior", "--tau", "1,2,64", "--n", "2,7"], lambda: prior_rows([1, 2, 64], [2, 7])),
+    "check-all": (["check-all", "--trials", "2000", "--seed", "5"], lambda: check_all_rows(2000, 5)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_output_matches_row_writer(command, tmp_path, capsys, monkeypatch):
+    # the checks are deterministic; share one evaluation between the runs below
+    for name in dir(cli):
+        if name.startswith("_check_"):
+            monkeypatch.setattr(cli, name, functools.cache(getattr(cli, name)))
+    argv, build_rows = GOLDEN[command]
+    rows, fields = build_rows()
+    for fmt in ("csv", "json"):
+        expected = render(write_row_dicts, rows, fields, fmt, None)
+        code, out, err = run_cli(argv + ["--format", fmt], capsys)
+        assert code == 0, err
+        assert out == expected
+        target = tmp_path / f"table.{fmt}"
+        code, out, err = run_cli(argv + ["--format", fmt, "--out", str(target)], capsys)
+        assert code == 0, err
+        assert out == ""
+        assert target.read_bytes() == expected.encode("utf-8")
+
+
+def test_figure1_memory_ceiling(tmp_path):
+    # the five int64/float64 columns, the two cached per-basis likelihood
+    # tables (T = 8 and 9), and one chunk of formatted cells at 128 B each;
+    # a writer that formats or holds all rows at once needs several times this
+    n = 9
+    target = tmp_path / "figure1.csv"
+    bayes._prob0_tables.cache_clear()
+    bayes._likelihood_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["figure", "--id", "1", "--n", str(n), "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = target.read_text().count("\n") - 1
+    assert rows == 75 << n
+    column_bytes = 5 * 8 * rows
+    likelihood_bytes = 2 * (9 + 10) * (1 << n) * 8
+    chunk_bytes = CHUNK_ROWS * 5 * 128
+    assert peak <= column_bytes + likelihood_bytes + chunk_bytes
