@@ -287,10 +287,10 @@ def cmd_security(args) -> tuple[Table, list[dict]]:
 
 
 def cmd_montecarlo(args) -> tuple[Table, list[dict]]:
-    if args.trials < 100:
-        print(f"warning: {args.trials} trials gives a very coarse estimate", file=sys.stderr)
     params = ProtocolParams(n=args.n, N=max(args.N, args.s), T=args.T, s=args.s)
     cfg = montecarlo.TrialConfig(params=params, attack=args.attack, trials=args.trials, seed=args.seed)
+    if args.trials < 100:
+        print(f"warning: {args.trials} trials gives a very coarse estimate", file=sys.stderr)
     result = montecarlo.estimate(cfg)
     analytic = montecarlo.analytic_success(cfg)
     z = (result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0

@@ -3,6 +3,12 @@
 Trials are vectorized in fixed-size batches; each batch draws its generator
 from a counter-based stream (Philox) spawned off the master seed, so results
 are reproducible bit-for-bit and independent of batch execution order.
+
+The projective attack's binomial measurement counts come from numpy's own
+sequential-search inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988)
+run over terms tabulated once per (T, n, basis); the draws are identical to
+``Generator.binomial`` and use the same stream positions.  Born
+probabilities are built in place, one array per batch.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ class TrialConfig:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.attack == "bayes-projective":
             # the attack's likelihood tables grow as 2**n; bound n before any work
             bayes._check_n(self.params.n)
@@ -85,29 +93,133 @@ def _estimate_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return est_angle, degenerate
 
 
+@lru_cache(maxsize=16)
+def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
+    """numpy's binomial-inversion set-up for every key of one basis, or None.
+
+    ``Generator.binomial(T, p0)`` folds p0 to p = min(p0, 1 - p0), draws by
+    sequential-search inversion when T*p <= 30, and returns T minus the draw
+    where it folded.  The search subtracts the terms P(X = j) from one
+    uniform in turn and redraws the uniform once X passes a bound.  The terms
+    are computed here exactly as numpy does, the first with libm (``math``;
+    numpy's SIMD exp/log differ from it in the last bit) and the rest by
+    numpy's recurrence, so a search over them reproduces numpy's draw.
+    Returns (terms (T+1, 2^n), fold flags as 0/1 counts, p0 == 0 flags,
+    redraw bounds, smallest bound), or None where some key takes numpy's
+    BTPE path instead.
+    """
+    p0 = bayes._prob0_tables(n)[basis]
+    fold = p0 > 0.5
+    p = np.where(fold, 1.0 - p0, p0)
+    if np.any(p * T > 30.0):
+        return None
+    q = 1.0 - p
+    terms = np.empty((T + 1, p.size))
+    terms[0] = [math.exp(T * math.log(qk)) for qk in q.tolist()]
+    for j in range(1, T + 1):
+        terms[j] = ((T - j + 1) * p * terms[j - 1]) / (j * q)
+    mean = T * p
+    dtype = np.min_scalar_type(T)
+    bound = np.minimum(T, mean + 10.0 * np.sqrt(mean * q + 1)).astype(dtype)
+    arrays = (terms, fold.astype(dtype), p0 == 0.0, bound)
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, int(bound.min()))
+
+
+def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np.ndarray) -> np.ndarray:
+    """``rng.binomial(T, p0[k])`` for one basis's P("0" | k): same values, same stream use.
+
+    The counts come in the smallest unsigned dtype that holds T.  numpy
+    consumes one uniform per element with p0 > 0 (none where p0 == 0), so
+    one ``rng.random`` block feeds a vectorized search over the tabulated
+    terms, which drops the finished elements once fewer than half go on.
+    numpy itself draws for a batch smaller than the key range (where the
+    table would cost more than it saves), for a (T, n) that reaches its
+    BTPE path, and, after the generator is rewound, for a batch in which
+    some search would redraw.
+    """
+    dtype = np.min_scalar_type(T)
+    table = _inversion_table(T, n, basis) if k.size >= 1 << n else None
+    if table is not None:
+        terms, fold, zero, bound, min_bound = table
+        state = rng.bit_generator.state
+        keys = k.ravel()
+        u = np.zeros(keys.size)
+        drawn = ~zero.take(keys)
+        np.place(u, drawn, rng.random(np.count_nonzero(drawn)))
+        del drawn
+        x = np.zeros(keys.size, dtype=dtype)
+        # the elements still searching: flat positions (None while that is
+        # all of them), keys, leftover uniforms and counts so far; a search
+        # that stops leaves u <= 0, below every later term
+        pos, counts = None, x
+        for j in range(T + 1):
+            term = terms[j].take(keys)
+            step = u > term
+            going = np.count_nonzero(step)
+            if going == 0:
+                break
+            if j >= min_bound and np.any(bound.take(keys[step]) <= j):
+                break  # a count passes its bound (all do at j = T): numpy redraws
+            counts += step.view(np.uint8)
+            u -= term
+            del term
+            if 2 * going < step.size:
+                sub = np.flatnonzero(step)
+                if pos is None:
+                    pos = sub
+                else:
+                    x[pos] = counts
+                    pos = pos.take(sub)
+                keys, u, counts = keys.take(sub), u.take(sub), counts.take(sub)
+        if going == 0:
+            if pos is not None:
+                x[pos] = counts
+            x = x.reshape(k.shape)
+            # unfold without branches: x ^ (x ^ (T - x)) is T - x
+            flip = np.subtract(T, x)
+            flip ^= x
+            flip *= fold.take(k)
+            x ^= flip
+            return x
+        rng.bit_generator.state = state
+    return rng.binomial(T, bayes._prob0_tables(n)[basis][k]).astype(dtype)
+
+
 def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Simulate ``count`` runs of the projective-measurement attack; returns success flags."""
     T, n, s = params.T, params.n, params.s
-    theta = params.theta
-    p0z, p0x = bayes._prob0_tables(n)
     est_angle, degenerate = _estimate_tables(T, n)
 
     k = rng.integers(0, 1 << n, size=(count, s))
-    t0z = rng.binomial(T, p0z[k])
-    t0x = rng.binomial(T, p0x[k])
+    t0z = _binomial_counts(rng, T, n, 0, k)
+    t0x = _binomial_counts(rng, T, n, 1, k)
+    cell = t0z.astype(np.intp)
+    del t0z
+    cell *= T + 1
+    cell += t0x
+    del t0x
     _, w = _draw_codewords(count, s, rng)
 
-    cipher_angle = k * theta + w * math.pi
-    est = est_angle[t0z, t0x]
-    # cipher qubit measured in the estimated basis; outcome bit is the guess of w
-    p_outcome0 = np.cos((cipher_angle - est) / 2.0) ** 2
+    # P(outcome 0) of the cipher qubit k*theta + w*pi measured in the
+    # estimated basis; the outcome bit is the guess of w
+    p_outcome0 = np.multiply(k, params.theta)
+    del k
+    p_outcome0 += w * math.pi
+    p_outcome0 -= est_angle.take(cell)
+    p_outcome0 /= 2.0
+    np.cos(p_outcome0, out=p_outcome0)
+    np.square(p_outcome0, out=p_outcome0)
+    fair = degenerate.take(cell)
+    del cell
     u = rng.random(size=(count, s))
-    guess = (u >= p_outcome0).astype(np.int8)
+    guess = u >= p_outcome0
     # a vanishing Bloch estimate leaves no preferred basis: guess by fair coin
-    guess = np.where(degenerate[t0z, t0x], (u < 0.5).astype(np.int8), guess)
+    guess ^= fair & (guess ^ (u < 0.5))
 
-    errors = guess ^ w
-    return np.bitwise_xor.reduce(errors, axis=1) == 0
+    guess ^= w.view(bool)
+    return ~np.logical_xor.reduce(guess, axis=1)
 
 
 def _symmetry_batch(
@@ -122,24 +234,34 @@ def _symmetry_batch(
     pair instead of drawing the bases uniformly (testing seam).
     """
     n, s = params.n, params.s
-    theta = params.theta
 
     k = rng.integers(0, 1 << n, size=(count, s))
     _, w = _draw_codewords(count, s, rng)
-    public_angle = k * theta
+    flip = w.view(bool)
+    p_outcome0 = np.multiply(k, params.theta)
+    del k
     if omega is None:
         phi = rng.uniform(0.0, 2.0 * math.pi, size=(count, s))
     else:
-        phi = public_angle - np.broadcast_to(np.asarray(omega, dtype=float), (count, s))
+        phi = p_outcome0 - np.broadcast_to(np.asarray(omega, dtype=float), (count, s))
 
-    cipher_angle = public_angle + w * math.pi
-    out_public = (rng.random(size=(count, s)) >= np.cos((public_angle - phi) / 2.0) ** 2).astype(np.int8)
-    out_cipher = (rng.random(size=(count, s)) >= np.cos((cipher_angle - phi) / 2.0) ** 2).astype(np.int8)
+    # P(outcome 0) of the public qubit in basis phi; the cipher qubit,
+    # shifted by w*pi, has the complement where w = 1
+    p_outcome0 -= phi
+    del phi
+    p_outcome0 /= 2.0
+    np.cos(p_outcome0, out=p_outcome0)
+    np.square(p_outcome0, out=p_outcome0)
+    guess = rng.random(size=(count, s)) >= p_outcome0
+    u = rng.random(size=(count, s))
+    out_cipher = u >= p_outcome0
+    np.subtract(1.0, p_outcome0, out=p_outcome0)
+    out_cipher ^= flip & (out_cipher ^ (u >= p_outcome0))
 
     # equal outcomes read as "parallel" (bit 0), unequal as "antiparallel" (bit 1)
-    guess = out_public ^ out_cipher
-    errors = guess ^ w
-    return np.bitwise_xor.reduce(errors, axis=1) == 0
+    guess ^= out_cipher
+    guess ^= flip
+    return ~np.logical_xor.reduce(guess, axis=1)
 
 
 def run_bayes_trial(cfg: TrialConfig, rng: np.random.Generator) -> bool:

@@ -12,6 +12,11 @@ directly (per-key success, information gain by a loop over outcome pairs,
 Monte Carlo estimate tables) to check the library's factored per-basis
 matrix products.  Their memory grows as T**2 * 2**n, so use small (T, n).
 
+``bayes_batch_direct`` and ``symmetry_batch_direct`` simulate one Monte
+Carlo batch of each attack with ``Generator.binomial`` and a separate Born
+probability per qubit; they check the library's tabulated binomial search
+and in-place probabilities draw for draw.
+
 ``write_row_dicts`` is the CLI's row-by-row table writer (one dict per row
 through ``csv.DictWriter``, per-cell type dispatch), and the ``*_rows``
 builders produce the row dicts the CLI commands used to hand it; together
@@ -26,7 +31,7 @@ import sys
 
 import numpy as np
 
-from qpke import bayes, cli, symspace
+from qpke import bayes, cli, montecarlo, symspace
 from qpke.bayes import DEGENERATE_NORM, _binomial_pmf_rows, _prob0_tables
 from qpke.protocol import elementary_angle
 from qpke.symspace import symmetric_state_components
@@ -169,6 +174,54 @@ def estimate_tables_tensor(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     degenerate = norm < DEGENERATE_NORM * np.maximum(totals, 1e-300)
     return np.arctan2(est_x, est_z), degenerate
 
+
+
+def bayes_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The projective-measurement attack batch with numpy's own binomial draws and temporaries."""
+    T, n, s = params.T, params.n, params.s
+    theta = params.theta
+    p0z, p0x = _prob0_tables(n)
+    est_angle, degenerate = montecarlo._estimate_tables(T, n)
+
+    k = rng.integers(0, 1 << n, size=(count, s))
+    t0z = rng.binomial(T, p0z[k])
+    t0x = rng.binomial(T, p0x[k])
+    _, w = montecarlo._draw_codewords(count, s, rng)
+
+    cipher_angle = k * theta + w * math.pi
+    est = est_angle[t0z, t0x]
+    # cipher qubit measured in the estimated basis; outcome bit is the guess of w
+    p_outcome0 = np.cos((cipher_angle - est) / 2.0) ** 2
+    u = rng.random(size=(count, s))
+    guess = (u >= p_outcome0).astype(np.int8)
+    # a vanishing Bloch estimate leaves no preferred basis: guess by fair coin
+    guess = np.where(degenerate[t0z, t0x], (u < 0.5).astype(np.int8), guess)
+
+    errors = guess ^ w
+    return np.bitwise_xor.reduce(errors, axis=1) == 0
+
+
+def symmetry_batch_direct(params, rng: np.random.Generator, count: int, omega=None) -> np.ndarray:
+    """The symmetry-test batch with both Born probabilities computed from their own angles."""
+    n, s = params.n, params.s
+    theta = params.theta
+
+    k = rng.integers(0, 1 << n, size=(count, s))
+    _, w = montecarlo._draw_codewords(count, s, rng)
+    public_angle = k * theta
+    if omega is None:
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=(count, s))
+    else:
+        phi = public_angle - np.broadcast_to(np.asarray(omega, dtype=float), (count, s))
+
+    cipher_angle = public_angle + w * math.pi
+    out_public = (rng.random(size=(count, s)) >= np.cos((public_angle - phi) / 2.0) ** 2).astype(np.int8)
+    out_cipher = (rng.random(size=(count, s)) >= np.cos((cipher_angle - phi) / 2.0) ** 2).astype(np.int8)
+
+    # equal outcomes read as "parallel" (bit 0), unequal as "antiparallel" (bit 1)
+    guess = out_public ^ out_cipher
+    errors = guess ^ w
+    return np.bitwise_xor.reduce(errors, axis=1) == 0
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):

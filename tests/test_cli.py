@@ -202,6 +202,17 @@ def test_montecarlo_warns_on_tiny_trial_count(capsys):
     )
     assert code == 0
     assert "warning" in err
+    # an invalid count is rejected before any warning
+    for trials in ("0", "-5"):
+        code, out, err = run_cli(
+            ["montecarlo", "--attack", "symmetry-test", "--trials", trials], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: trial count must be >= 1, got {trials}\n"
+    code, out, err = run_cli(["montecarlo", "--attack", "symmetry-test", "--seed", "-1"], capsys)
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_same_seed_reruns_identical(capsys):
