@@ -308,24 +308,23 @@ def optimal_collective(T: int) -> float:
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     m = 2 * T
-    total = sum(math.sqrt(math.comb(m, i) * math.comb(m, i + 1)) for i in range(m))
-    return 0.5 + total / 2.0 ** (m + 1)
+    # in log space: binom(2T, i) * binom(2T, i+1) passes the float range from T = 259
+    log_comb = [math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1) for i in range(m + 1)]
+    log_scale = (m + 1) * math.log(2.0)
+    return 0.5 + sum(math.exp((a + b) / 2.0 - log_scale) for a, b in zip(log_comb, log_comb[1:]))
 
 
 def codeword_success(p_bit: float, s: int) -> float:
     """Probability of guessing the parity of s independent bits, each recovered with probability p_bit.
 
-    The guess survives any even number of bit errors:
-    sum over even error counts a of binom(s, a) (1-p)**a p**(s-a).
+    The guess survives any even number of bit errors, and the sum over even
+    error counts a of binom(s, a) (1-p)**a p**(s-a) is 1/2 + (2p - 1)**s / 2.
     """
     if not 0.0 <= p_bit <= 1.0:
         raise ValueError(f"bit success probability must lie in [0, 1], got {p_bit}")
     if s < 1:
         raise ValueError(f"codeword length must be >= 1, got {s}")
-    return sum(
-        math.comb(s, a) * (1.0 - p_bit) ** a * p_bit ** (s - a)
-        for a in range(0, s + 1, 2)
-    )
+    return 0.5 + (2.0 * p_bit - 1.0) ** s / 2.0
 
 
 def codeword_bound(T: int, s: int) -> float:

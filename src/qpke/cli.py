@@ -156,8 +156,8 @@ def cmd_prior(args) -> tuple[Table, list[dict]]:
         "n": [n for _, n in pairs],
         "entropy_bits": entropy,
         "rank": [s.rank for s in spectra],
-        "n_critical": [critical[tau] if critical[tau] is not None else "unresolved" for tau, _ in pairs],
-        "at_or_above_critical": [critical[tau] is not None and n >= critical[tau] for tau, n in pairs],
+        "n_critical": [critical[tau] for tau, _ in pairs],
+        "at_or_above_critical": [n >= critical[tau] for tau, n in pairs],
         "bound_loose_bits": loose,
         "bound_tight_bits": [symspace.holevo_bound_tight(tau) for tau, _ in pairs],
         "spectrum": [_spectrum_str(s.eigenvalues) for s in spectra],
@@ -287,7 +287,7 @@ def cmd_security(args) -> tuple[Table, list[dict]]:
 
 
 def cmd_montecarlo(args) -> tuple[Table, list[dict]]:
-    params = ProtocolParams(n=args.n, N=max(args.N, args.s), T=args.T, s=args.s)
+    params = ProtocolParams(n=args.n, N=args.s, T=args.T, s=args.s)
     cfg = montecarlo.TrialConfig(params=params, attack=args.attack, trials=args.trials, seed=args.seed)
     if args.trials < 100:
         print(f"warning: {args.trials} trials gives a very coarse estimate", file=sys.stderr)
@@ -341,20 +341,14 @@ def _check_parity_zeros() -> tuple[bool, str]:
 def _check_binomial_spectrum() -> tuple[bool, str]:
     worst = 0.0
     for tau in (2, 4, 8, 16):
-        n_c = symspace.critical_n(tau)
-        if n_c is None:
-            return False, f"critical resolution unresolved for tau={tau}"
-        spectrum = symspace.eigendecompose(symspace.prior_density(tau, n_c))
+        spectrum = symspace.eigendecompose(symspace.prior_density(tau, symspace.critical_n(tau)))
         worst = max(worst, float(np.max(np.abs(spectrum.eigenvalues - symspace.binomial_spectrum(tau)))))
     return worst < 1e-10, f"max eigenvalue deviation = {worst:.3e}"
 
 
 def _check_entropy_bounds() -> tuple[bool, str]:
     for tau in range(2, 65):
-        n_c = symspace.critical_n(tau)
-        if n_c is None:
-            return False, f"critical resolution unresolved for tau={tau}"
-        entropy = symspace.von_neumann_entropy(symspace.prior_density(tau, n_c))
+        entropy = symspace.von_neumann_entropy(symspace.prior_density(tau, symspace.critical_n(tau)))
         if entropy > symspace.holevo_bound_tight(tau) + 1e-9:
             return False, f"entropy above tight bound at tau={tau}"
         if entropy > symspace.holevo_bound_loose(tau) + 1e-9:
@@ -508,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="empirical attack success vs the analytic value")
     p.add_argument("--attack", choices=montecarlo.ATTACKS, required=True)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--N", type=int, default=1)
     p.add_argument("--T", type=int, default=4)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--trials", type=int, default=100_000)

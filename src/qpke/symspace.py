@@ -24,6 +24,9 @@ MAX_N = 20
 #: numerical-rank threshold, relative to the largest eigenvalue
 RANK_RTOL = 1e-10
 
+#: largest entrywise distance from the exact prior that ``critical_n`` accepts
+CRITICAL_TOL = 1e-12
+
 
 def coefficient_f(tau: int, l: int, angle: float) -> float:
     """Amplitude weight cos(angle/2)**(tau-l) * sin(angle/2)**l of the weight-l basis state."""
@@ -93,10 +96,15 @@ def mixture_density(weights: np.ndarray, tau: int, n: int) -> SymmetricDensityOp
 
 
 def prior_density(tau: int, n: int) -> SymmetricDensityOperator:
-    """A-priori density operator of tau copies, uniform over all 2**n key values."""
+    """A-priori density operator of tau copies, uniform over all 2**n key values.
+
+    Its entries are trigonometric polynomials of degree tau in the key angle, which
+    the uniform average over 2**m equally spaced keys integrates exactly once
+    2**m > tau; so the mixture is taken over 2**min(n, tau.bit_length()) keys.
+    """
     _check_ranges(tau, n)
-    size = 1 << n
-    return mixture_density(np.full(size, 1.0 / size), tau, n)
+    m = min(n, tau.bit_length())
+    return mixture_density(np.full(1 << m, 1.0 / (1 << m)), tau, m)
 
 
 def _check_ranges(tau: int, n: int) -> None:
@@ -178,18 +186,14 @@ def one_way_condition(n: int, tau: int, guard: float = 4.0) -> OneWayCheck:
     return OneWayCheck(margin, margin >= guard)
 
 
-def critical_n(tau: int, tol: float = 1e-12, max_n: int = MAX_N) -> int | None:
+def critical_n(tau: int) -> int:
     """Smallest n at which the prior density operator stops depending on n.
 
-    Detected by comparing consecutive resolutions elementwise; returns None if
-    no stabilization is found below ``max_n`` (unresolved).
+    From n = tau.bit_length() on the prior is exact (see ``prior_density``), so
+    this is the smallest n up to there whose prior lies within CRITICAL_TOL of it.
     """
-    if not 1 <= tau <= MAX_TAU:
-        raise ValueError(f"copy count must lie in [1, {MAX_TAU}], got {tau}")
-    previous = prior_density(tau, 1).matrix
-    for n in range(1, max_n):
-        current = prior_density(tau, n + 1).matrix
-        if np.max(np.abs(current - previous)) < tol:
-            return n
-        previous = current
-    return None
+    exact = prior_density(tau, tau.bit_length()).matrix
+    return next(
+        n for n in range(1, tau.bit_length() + 1)
+        if np.max(np.abs(prior_density(tau, n).matrix - exact)) < CRITICAL_TOL
+    )

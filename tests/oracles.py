@@ -4,7 +4,9 @@
 with pairwise summation over the key values, and ``jacobi_eigh`` diagonalizes
 by cyclic Jacobi rotations.  Both are slow, independent of BLAS/LAPACK, and
 used only to check the library's matrix-product mixture and its LAPACK
-eigensolver.
+eigensolver.  ``critical_n_search`` is the open-ended search for the
+resolution at which full-grid priors stop changing, which checks the
+library's search bounded by the exact key grid.
 
 ``likelihood_tensor`` materializes the full (T+1, T+1, 2**n) joint
 likelihood of the Bayes attack; the functions after it reduce that tensor
@@ -49,6 +51,21 @@ def mixture_density_loop(weights: np.ndarray, tau: int, n: int) -> np.ndarray:
             # np.sum uses pairwise accumulation
             mat[l, lp] = mat[lp, l] = np.sum(wl * comps[:, lp])
     return mat
+
+
+def critical_n_search(tau: int, tol: float = 1e-12, max_n: int = symspace.MAX_N) -> int | None:
+    """Smallest n whose full 2**n-key prior is within ``tol`` of the 2**(n+1)-key one, or None."""
+
+    def full_grid_prior(n):
+        return symspace.mixture_density(np.full(1 << n, 1.0 / (1 << n)), tau, n).matrix
+
+    previous = full_grid_prior(1)
+    for n in range(1, max_n):
+        current = full_grid_prior(n + 1)
+        if np.max(np.abs(current - previous)) < tol:
+            return n
+        previous = current
+    return None
 
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +295,8 @@ def prior_rows(taus: list[int], ns: list[int]) -> tuple[list[dict], list[str]]:
                     "n": n,
                     "entropy_bits": symspace.shannon_entropy(np.clip(spectrum.eigenvalues, 0.0, None)),
                     "rank": spectrum.rank,
-                    "n_critical": n_c if n_c is not None else "unresolved",
-                    "at_or_above_critical": n_c is not None and n >= n_c,
+                    "n_critical": n_c,
+                    "at_or_above_critical": n >= n_c,
                     "bound_loose_bits": symspace.holevo_bound_loose(tau),
                     "bound_tight_bits": symspace.holevo_bound_tight(tau),
                     "spectrum": ";".join(format(float(v), ".12g") for v in spectrum.eigenvalues),

@@ -1,5 +1,6 @@
 """Bayesian projective-measurement attack: likelihoods, posteriors, success probabilities."""
 
+import decimal
 import inspect
 import math
 import tracemalloc
@@ -284,6 +285,18 @@ def test_optimal_collective_values():
     assert optimal_collective(2) > bound_U(2)
 
 
+def test_optimal_collective_matches_exact_sum():
+    # the square roots of the exact integer products, summed to 50 digits;
+    # the products themselves pass the float range from T = 259
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for T in (1, 2, 3, 10, 100, 258, 259, 300, 399):
+            m = 2 * T
+            total = sum(decimal.Decimal(math.comb(m, i) * math.comb(m, i + 1)).sqrt() for i in range(m))
+            exact = float(decimal.Decimal("0.5") + total / decimal.Decimal(2) ** (m + 1))
+            assert optimal_collective(T) == pytest.approx(exact, abs=1e-12)
+
+
 def test_optimal_collective_large_T_scaling():
     for T in (50, 100, 200):
         assert abs(optimal_collective(T) - (1.0 - 1.0 / (8.0 * T))) < 0.1 / T**2
@@ -321,6 +334,14 @@ def test_codeword_success_matches_brute_force_and_closed_form(p, s):
     value = codeword_success(p, s)
     assert value == pytest.approx(brute_force_parity_success(p, s), abs=1e-12)
     assert value == pytest.approx(0.5 + (2.0 * p - 1.0) ** s / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [1100, 10**5])
+def test_codeword_success_long_codewords(s):
+    for p in (0.5, 0.75, mean_success(8, 10), 0.999, 1.0):
+        value = codeword_success(p, s)
+        assert math.isfinite(value)
+        assert 0.5 <= value <= 1.0
 
 
 def test_codeword_bound_values():

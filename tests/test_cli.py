@@ -133,6 +133,23 @@ def test_figure4_bound_column_blank_for_single_copy_pair(capsys):
         assert float(row["mean_success"]) <= float(row["optimal_collective"]) + 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "5", "--s", "1100"],
+    ["figure", "--id", "4", "--n", "4", "--T", "259,512"],
+])
+def test_long_codewords_and_many_copies_do_not_crash(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code in (0, 1), err
+    assert "nan" not in out and "inf" not in out
+
+
+def test_montecarlo_has_no_N_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["montecarlo", "--attack", "symmetry-test", "--N", "4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_figure_rejects_bad_id(capsys):
     code, out, err = run_cli(["figure", "--id", "9"], capsys)
     assert code == 2

@@ -1,6 +1,7 @@
 """Symmetric-subspace density operators: construction, spectra, entropy bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qpke.symspace import (
+    MAX_TAU,
     Spectrum,
     SymmetricDensityOperator,
     binomial_spectrum,
@@ -20,10 +22,11 @@ from qpke.symspace import (
     one_way_condition,
     prior_density,
     shannon_entropy,
+    symmetric_state_components,
     von_neumann_entropy,
 )
 
-from oracles import jacobi_eigh, mixture_density_loop
+from oracles import critical_n_search, jacobi_eigh, mixture_density_loop
 
 
 def delta_mixture(k, tau, n):
@@ -212,6 +215,12 @@ def test_critical_n_single_copy():
     assert critical_n(1) == 1
 
 
+def test_critical_n_range_validation():
+    for tau in (0, MAX_TAU + 1):
+        with pytest.raises(ValueError):
+            critical_n(tau)
+
+
 def test_critical_n_rank_saturation():
     for tau in (2, 3, 4, 8):
         n_c = critical_n(tau)
@@ -301,3 +310,35 @@ def test_critical_n_is_bit_length():
     # at tau = 64 the aliased term at n = 6 is ~2**-127, below the search
     # tolerance, so the search reports 6 where the exact value is 7
     assert critical_n(64) == 6
+
+
+def test_prior_matches_full_grid():
+    # the exact-grid prior against the uniform mixture over all 2**n keys:
+    # every tau up to n = 11, and up to n = 14 where 2**bit_length is tightest
+    worst = 0.0
+    for tau in range(1, MAX_TAU + 1):
+        n_max = 14 if tau in (1, 2, 3, 31, 32, 33, 63, 64) else 11
+        for n in range(tau.bit_length(), n_max + 1):
+            full = mixture_density(np.full(1 << n, 2.0 ** -n), tau, n).matrix
+            worst = max(worst, float(np.max(np.abs(prior_density(tau, n).matrix - full))))
+        symmetric_state_components.cache_clear()
+    assert worst <= 1e-14
+
+
+def test_critical_n_matches_open_search():
+    for tau in range(1, MAX_TAU + 1):
+        assert critical_n(tau) == critical_n_search(tau)
+
+
+def test_prior_memory_ceiling_at_largest_resolution():
+    # the prior of 64 copies is taken over 2**7 keys at any n; the full
+    # 2**20-key grid needs a 545 MB component array
+    symmetric_state_components.cache_clear()
+    tracemalloc.start()
+    try:
+        spectrum = eigendecompose(prior_density(64, 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.allclose(spectrum.eigenvalues, binomial_spectrum(64), atol=1e-10)
