@@ -7,8 +7,11 @@ are reproducible bit-for-bit and independent of batch execution order.
 The projective attack's binomial measurement counts come from numpy's own
 sequential-search inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988)
 run over terms tabulated once per (T, n, basis); the draws are identical to
-``Generator.binomial`` and use the same stream positions.  Born
-probabilities are built in place, one array per batch.
+``Generator.binomial`` and use the same stream positions.  A cipher qubit
+is its integer cipher unit c = k XOR (w << (n-1)), as in
+:func:`qpke.protocol.encrypt`, and its Born probability in the estimated
+basis e is 1/2 + cos(c*theta) * cos(e)/2 + sin(c*theta) * sin(e)/2, gathered
+from one table per unit and one per outcome cell, in fixed-size row blocks.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import bayes
-from .protocol import ProtocolParams, QubitAngle
+from .protocol import ProtocolParams, QubitAngle, elementary_angle
 from .symmetry import average_success_symmetry
 
 ATTACKS = ("bayes-projective", "symmetry-test")
 
 BATCH_SIZE = 1 << 16
+
+#: elements per row block of a bayes batch's Born-probability stage
+BLOCK_SIZE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,31 @@ def _estimate_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
+def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(c*theta) and sin(c*theta) of every cipher unit c, shapes (2^n,)."""
+    angles = np.arange(1 << n) * elementary_angle(n)
+    tables = np.cos(angles), np.sin(angles)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=16)
+def _cell_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(e)/2, sin(e)/2 and the degeneracy flag of each outcome cell, shapes ((T+1)^2,).
+
+    e is the cell's estimated basis angle; a degenerate cell gets zero
+    weights, so its Born probability is exactly 1/2.
+    """
+    est_angle, degenerate = _estimate_tables(T, n)
+    weight = np.where(degenerate, 0.0, 0.5)
+    tables = (weight * np.cos(est_angle)).ravel(), (weight * np.sin(est_angle)).ravel(), degenerate.ravel()
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=16)
 def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
     """numpy's binomial-inversion set-up for every key of one basis, or None.
 
@@ -145,9 +176,12 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
         terms, fold, zero, bound, min_bound = table
         state = rng.bit_generator.state
         keys = k.ravel()
-        u = np.zeros(keys.size)
         drawn = ~zero.take(keys)
-        np.place(u, drawn, rng.random(np.count_nonzero(drawn)))
+        if drawn.all():
+            u = rng.random(keys.size)
+        else:
+            u = np.zeros(keys.size)
+            u[drawn] = rng.random(np.count_nonzero(drawn))
         del drawn
         x = np.zeros(keys.size, dtype=dtype)
         # the elements still searching: flat positions (None while that is
@@ -187,39 +221,48 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
     return rng.binomial(T, bayes._prob0_tables(n)[basis][k]).astype(dtype)
 
 
+def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Cipher units k XOR (w << (n-1)) of key integers k and codeword bits w, as in ``encrypt``."""
+    units = np.left_shift(w, n - 1, dtype=k.dtype)
+    units ^= k
+    return units
+
+
 def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Simulate ``count`` runs of the projective-measurement attack; returns success flags."""
     T, n, s = params.T, params.n, params.s
-    est_angle, degenerate = _estimate_tables(T, n)
+    cos_unit, sin_unit = _unit_tables(n)
+    half_cos, half_sin, degenerate = _cell_tables(T, n)
 
     k = rng.integers(0, 1 << n, size=(count, s))
     t0z = _binomial_counts(rng, T, n, 0, k)
     t0x = _binomial_counts(rng, T, n, 1, k)
-    cell = t0z.astype(np.intp)
-    del t0z
-    cell *= T + 1
-    cell += t0x
-    del t0x
     _, w = _draw_codewords(count, s, rng)
-
-    # P(outcome 0) of the cipher qubit k*theta + w*pi measured in the
-    # estimated basis; the outcome bit is the guess of w
-    p_outcome0 = np.multiply(k, params.theta)
-    del k
-    p_outcome0 += w * math.pi
-    p_outcome0 -= est_angle.take(cell)
-    p_outcome0 /= 2.0
-    np.cos(p_outcome0, out=p_outcome0)
-    np.square(p_outcome0, out=p_outcome0)
-    fair = degenerate.take(cell)
-    del cell
     u = rng.random(size=(count, s))
-    guess = u >= p_outcome0
-    # a vanishing Bloch estimate leaves no preferred basis: guess by fair coin
-    guess ^= fair & (guess ^ (u < 0.5))
 
-    guess ^= w.view(bool)
-    return ~np.logical_xor.reduce(guess, axis=1)
+    # the cipher qubit, unit c, measured in the estimated basis of its
+    # outcome cell; the outcome bit is the guess of w
+    success = np.empty(count, dtype=bool)
+    rows = max(1, BLOCK_SIZE // s)
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        cell = t0z[block].astype(np.intp)
+        cell *= T + 1
+        cell += t0x[block]
+        unit = _cipher_units(k[block], w[block], n)
+        p_outcome0 = cos_unit.take(unit)
+        p_outcome0 *= half_cos.take(cell)
+        term = sin_unit.take(unit)
+        term *= half_sin.take(cell)
+        p_outcome0 += term
+        p_outcome0 += 0.5
+        guess = u[block] >= p_outcome0
+        # a vanishing Bloch estimate leaves no preferred basis: p = 1/2, and
+        # the fair coin reads u < 1/2
+        guess ^= degenerate.take(cell)
+        guess ^= w[block].view(bool)
+        success[block] = np.bitwise_xor.reduce(guess.view(np.uint8), axis=1) == 0
+    return success
 
 
 def _symmetry_batch(
@@ -261,7 +304,7 @@ def _symmetry_batch(
     # equal outcomes read as "parallel" (bit 0), unequal as "antiparallel" (bit 1)
     guess ^= out_cipher
     guess ^= flip
-    return ~np.logical_xor.reduce(guess, axis=1)
+    return np.bitwise_xor.reduce(guess.view(np.uint8), axis=1) == 0
 
 
 def run_bayes_trial(cfg: TrialConfig, rng: np.random.Generator) -> bool:

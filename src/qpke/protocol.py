@@ -9,6 +9,7 @@ encryption shifts are exact and decryption is a deterministic integer check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,15 +180,12 @@ class Codeword:
     def __post_init__(self):
         if len(self.bits) < 1:
             raise ValueError("codeword must have at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError(f"codeword bits must be 0/1, got {self.bits}")
 
     @property
     def parity(self) -> int:
-        p = 0
-        for b in self.bits:
-            p ^= b
-        return p
+        return sum(self.bits) & 1
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -199,32 +197,66 @@ def encode_message(m: int, s: int, rng: np.random.Generator) -> Codeword:
         raise ValueError(f"message bit must be 0 or 1, got {m}")
     if s < 1:
         raise ValueError(f"codeword length must be >= 1, got {s}")
-    free = [int(b) for b in rng.integers(0, 2, size=s - 1)]
-    last = m
-    for b in free:
-        last ^= b
-    return Codeword(tuple(free + [last]))
+    free = rng.integers(0, 2, size=s - 1).tolist()
+    return Codeword((*free, m ^ (sum(free) & 1)))
 
 
-@dataclass(frozen=True)
 class CipherState:
-    """Sequence of encrypted qubits, each 0 or pi away from its public-key state."""
+    """Sequence of encrypted qubits, each 0 or pi away from its public-key state.
 
-    qubits: tuple[QubitAngle, ...]
+    :func:`encrypt` gives the exact form: integer cipher units
+    c = (k + w * 2**(n-1)) mod 2**n and the resolution n, from which the
+    :class:`QubitAngle` view is built only when ``qubits`` is read.
+    ``CipherState((q, ...))`` keeps the qubits as given (``units`` is None),
+    so tampered or continuous angles are checked qubit by qubit.
+    """
+
+    __slots__ = ("units", "n", "_qubits")
+
+    def __init__(self, qubits: tuple[QubitAngle, ...]):
+        self.units, self.n, self._qubits = None, None, tuple(qubits)
+
+    @classmethod
+    def _exact(cls, units: tuple[int, ...], n: int) -> "CipherState":
+        # cipher units known to lie in [0, 2**n)
+        cipher = cls.__new__(cls)
+        cipher.units, cipher.n, cipher._qubits = units, n, None
+        return cipher
+
+    @property
+    def qubits(self) -> tuple[QubitAngle, ...]:
+        if self._qubits is None:
+            self._qubits = tuple(QubitAngle.exact(c, self.n) for c in self.units)
+        return self._qubits
 
     def __len__(self) -> int:
-        return len(self.qubits)
+        return len(self._qubits if self.units is None else self.units)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CipherState):
+            return NotImplemented
+        return self.qubits == other.qubits
+
+    def __hash__(self) -> int:
+        return hash(self.qubits)
+
+    def __repr__(self) -> str:
+        if self.units is None:
+            return f"CipherState(qubits={self._qubits!r})"
+        return f"CipherState(units={self.units!r}, n={self.n})"
 
 
 def encrypt(codeword: Codeword, key: PrivateKey) -> CipherState:
-    """Encrypt a codeword onto the first len(codeword) public-key qubits."""
-    if len(codeword) > len(key):
-        raise ValueError(f"codeword length {len(codeword)} exceeds key length {len(key)}")
-    qubits = tuple(
-        encrypt_bit(public_qubit_state(k, key.n), w)
-        for k, w in zip(key.values, codeword.bits)
-    )
-    return CipherState(qubits)
+    """Encrypt a codeword onto the first len(codeword) public-key qubits.
+
+    Adding w * 2**(n-1) modulo 2**n flips the top bit of the key integer, so
+    each cipher unit is k XOR (w << (n-1)).
+    """
+    bits = codeword.bits
+    if len(bits) > len(key.values):
+        raise ValueError(f"codeword length {len(bits)} exceeds key length {len(key.values)}")
+    shift = key.n - 1
+    return CipherState._exact(tuple([k ^ (w << shift) for k, w in zip(key.values, bits)]), key.n)
 
 
 def _recover_bit(q: QubitAngle, k: int, n: int) -> int:
@@ -252,20 +284,29 @@ def decrypt(cipher: CipherState, key: PrivateKey, params: ProtocolParams) -> tup
 
     Each cipher qubit is measured in the basis defined by the corresponding
     key integer; for states produced by :func:`encrypt` the outcome is
-    deterministic and exact.
+    deterministic and exact.  On cipher units this is an integer check:
+    c XOR k must be 0 (bit 0) or 2**(n-1) (bit 1).
 
     Returns
     -------
     (bits, message) : tuple of recovered codeword bits and their parity.
     """
-    if params.n != key.n:
-        raise ValueError(f"params resolution {params.n} does not match key resolution {key.n}")
-    if len(cipher) != params.s:
-        raise ValueError(f"cipher has {len(cipher)} qubits, expected s={params.s}")
-    if len(cipher) > len(key):
-        raise ValueError(f"cipher length {len(cipher)} exceeds key length {len(key)}")
-    bits = tuple(_recover_bit(q, k, key.n) for q, k in zip(cipher.qubits, key.values))
-    message = 0
-    for b in bits:
-        message ^= b
-    return bits, message
+    n = key.n
+    if params.n != n:
+        raise ValueError(f"params resolution {params.n} does not match key resolution {n}")
+    size = len(cipher)
+    if size != params.s:
+        raise ValueError(f"cipher has {size} qubits, expected s={params.s}")
+    if size > len(key.values):
+        raise ValueError(f"cipher length {size} exceeds key length {len(key.values)}")
+    if cipher.units is None:
+        bits = tuple(_recover_bit(q, k, n) for q, k in zip(cipher.qubits, key.values))
+    else:
+        if cipher.n != n:
+            raise ValueError(f"cipher qubit resolution {cipher.n} does not match key resolution {n}")
+        # the position of c XOR k in (0, 2**(n-1)) is the bit; any other value raises
+        try:
+            bits = tuple(map((0, 1 << (n - 1)).index, map(operator.xor, cipher.units, key.values)))
+        except ValueError:
+            raise ValueError("cipher qubit is neither parallel nor antiparallel to the key state") from None
+    return bits, sum(bits) & 1

@@ -14,6 +14,10 @@ directly (per-key success, information gain by a loop over outcome pairs,
 Monte Carlo estimate tables) to check the library's factored per-basis
 matrix products.  Their memory grows as T**2 * 2**n, so use small (T, n).
 
+``encrypt_qubits`` and ``decrypt_qubits`` are the protocol's encryption
+and decryption one ``QubitAngle`` at a time (public state, 0-or-pi shift,
+per-qubit basis measurement); they check the library's integer cipher units.
+
 ``bayes_batch_direct`` and ``symmetry_batch_direct`` simulate one Monte
 Carlo batch of each attack with ``Generator.binomial`` and a separate Born
 probability per qubit; they check the library's tabulated binomial search
@@ -35,7 +39,7 @@ import numpy as np
 
 from qpke import bayes, cli, montecarlo, symspace
 from qpke.bayes import DEGENERATE_NORM, _binomial_pmf_rows, _prob0_tables
-from qpke.protocol import elementary_angle
+from qpke.protocol import CipherState, _recover_bit, elementary_angle, encrypt_bit, public_qubit_state
 from qpke.symspace import symmetric_state_components
 
 
@@ -130,6 +134,32 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) ->
     values = a.diagonal().copy()
     order = np.argsort(values)[::-1]
     return values[order], vecs[:, order]
+
+
+def encrypt_qubits(codeword, key) -> CipherState:
+    """Encrypt a codeword as a tuple of shifted public-key ``QubitAngle`` states."""
+    if len(codeword) > len(key):
+        raise ValueError(f"codeword length {len(codeword)} exceeds key length {len(key)}")
+    qubits = tuple(
+        encrypt_bit(public_qubit_state(k, key.n), w)
+        for k, w in zip(key.values, codeword.bits)
+    )
+    return CipherState(qubits)
+
+
+def decrypt_qubits(cipher: CipherState, key, params) -> tuple[tuple[int, ...], int]:
+    """Recover the codeword bits and message parity by measuring each ``QubitAngle`` in its key basis."""
+    if params.n != key.n:
+        raise ValueError(f"params resolution {params.n} does not match key resolution {key.n}")
+    if len(cipher) != params.s:
+        raise ValueError(f"cipher has {len(cipher)} qubits, expected s={params.s}")
+    if len(cipher) > len(key):
+        raise ValueError(f"cipher length {len(cipher)} exceeds key length {len(key)}")
+    bits = tuple(_recover_bit(q, k, key.n) for q, k in zip(cipher.qubits, key.values))
+    message = 0
+    for b in bits:
+        message ^= b
+    return bits, message
 
 
 def likelihood_tensor(T: int, n: int) -> np.ndarray:

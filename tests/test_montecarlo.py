@@ -20,7 +20,7 @@ from qpke.montecarlo import (
     run_symmetry_trial,
     sample_measurement,
 )
-from qpke.protocol import ProtocolParams, QubitAngle
+from qpke.protocol import Codeword, PrivateKey, ProtocolParams, QubitAngle, encrypt
 from qpke.symmetry import average_success_symmetry
 
 
@@ -284,3 +284,31 @@ def test_batch_memory_ceiling(attack):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * count * params.s * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 63), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_cipher_units_match_encrypt(n, s, seed):
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 1 << n, size=(5, s))
+    _, w = montecarlo._draw_codewords(5, s, rng)
+    units = montecarlo._cipher_units(k, w, n)
+    for row in range(5):
+        key = PrivateKey(tuple(k[row].tolist()), n)
+        assert tuple(units[row].tolist()) == encrypt(Codeword(tuple(w[row].tolist())), key).units
+
+
+def test_bayes_batch_memory_at_full_batch():
+    # warm full batch at the montecarlo workload's largest codewords: the
+    # Born-probability stage runs in row blocks, so the binomial draws set
+    # the peak (3.82 arrays of float64 per qubit when measured)
+    params = ProtocolParams(n=13, N=16, T=4, s=16)
+    count = montecarlo.BATCH_SIZE
+    montecarlo._bayes_batch(params, philox(0), count)
+    tracemalloc.start()
+    try:
+        montecarlo._bayes_batch(params, philox(1), count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * count * params.s * 8

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from oracles import decrypt_qubits, encrypt_qubits
 
 from qpke.protocol import (
     CipherState,
@@ -227,3 +229,58 @@ def test_decrypt_accepts_continuous_on_manifold():
 def test_encrypt_rejects_codeword_longer_than_key():
     with pytest.raises(ValueError):
         encrypt(Codeword((0, 1)), PrivateKey((1,), 2))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def keys(draw, n):
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=9))
+    return PrivateKey(tuple(values), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 63), st.integers(1, 8), st.data())
+def test_integer_core_matches_qubit_oracle(n, s, data):
+    # encryption under any key, decryption under the same or another key,
+    # resolution and length: the same qubits, bits and ValueErrors as the
+    # QubitAngle path
+    key = data.draw(keys(n))
+    codeword = Codeword(tuple(data.draw(st.lists(st.integers(0, 1), min_size=s, max_size=s))))
+    enc = _outcome(encrypt, codeword, key)
+    expected = _outcome(encrypt_qubits, codeword, key)
+    assert enc[0] == expected[0]
+    if enc[0] == "error":
+        assert enc == expected
+        return
+    cipher, oracle_cipher = enc[1], expected[1]
+    assert cipher.units is not None and len(cipher) == len(oracle_cipher) == s
+    assert cipher.qubits == oracle_cipher.qubits
+    assert cipher == oracle_cipher
+    n_other = data.draw(st.sampled_from(sorted({n, max(1, n - 1), min(63, n + 1)})))
+    other = data.draw(st.one_of(st.just(key), keys(n_other)))
+    params = ProtocolParams(
+        n=data.draw(st.sampled_from([other.n, n_other, n])),
+        N=9,
+        T=1,
+        s=data.draw(st.sampled_from([s, max(1, s - 1), s + 1])),
+    )
+    got = _outcome(decrypt, cipher, other, params)
+    assert got == _outcome(decrypt_qubits, oracle_cipher, other, params)
+    assert got == _outcome(decrypt, oracle_cipher, other, params)
+    if other is key and params.s == s and params.n == n:
+        assert got == ("ok", (codeword.bits, codeword.parity))
+
+
+def test_cipher_state_views():
+    cipher = encrypt(Codeword((1, 0, 1)), PrivateKey((3, 7, 12), 4))
+    assert cipher.units == (3 ^ 8, 7, 12 ^ 8) and cipher.n == 4
+    assert cipher.qubits == tuple(QubitAngle.exact(c, 4) for c in cipher.units)
+    qubit_form = CipherState(cipher.qubits)
+    assert qubit_form.units is None and len(qubit_form) == 3
+    assert qubit_form == cipher and hash(qubit_form) == hash(cipher)
