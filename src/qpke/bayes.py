@@ -68,6 +68,16 @@ def _prob0_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return p0z, p0x
 
 
+@lru_cache(maxsize=32)
+def _key_bloch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch components (cos k*theta, sin k*theta) of every key state k, shapes (2^n,)."""
+    angles = np.arange(1 << n) * elementary_angle(n)
+    tables = np.cos(angles), np.sin(angles)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 def outcome_prob_single(basis: str, outcome: int, k: int, n: int) -> float:
     """Probability of one outcome when measuring the key-k state in the z or x basis.
 
@@ -125,10 +135,10 @@ def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     and its posterior-mean Bloch vector E / sum_k L is not degenerate.
     """
     pz, px = _likelihood_grid(T, n)
-    angles = np.arange(1 << n) * elementary_angle(n)
+    cos_k, sin_k = _key_bloch(n)
     totals = pz @ px.T
-    est_z = (pz * np.cos(angles)) @ px.T
-    est_x = (pz * np.sin(angles)) @ px.T
+    est_z = (pz * cos_k) @ px.T
+    est_x = (pz * sin_k) @ px.T
     norms = np.hypot(est_z, est_x)
     directed = totals > 0.0
     directed[directed] = norms[directed] / totals[directed] >= DEGENERATE_NORM
@@ -281,8 +291,8 @@ def success_by_key(T: int, n: int) -> np.ndarray:
     est_z, est_x, norms, directed = _bloch_sums(T, n)
     scale = np.divide(0.5, norms, out=np.zeros_like(norms), where=directed)
     toward = np.einsum("ak,cak->ck", pz, np.stack([est_z * scale, est_x * scale]) @ px)
-    angles = np.arange(1 << n) * elementary_angle(n)
-    return 0.5 * pz.sum(axis=0) * px.sum(axis=0) + np.cos(angles) * toward[0] + np.sin(angles) * toward[1]
+    cos_k, sin_k = _key_bloch(n)
+    return 0.5 * pz.sum(axis=0) * px.sum(axis=0) + cos_k * toward[0] + sin_k * toward[1]
 
 
 def mean_success(T: int, n: int) -> float:

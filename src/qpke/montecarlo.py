@@ -11,7 +11,8 @@ run over terms tabulated once per (T, n, basis); the draws are identical to
 is its integer cipher unit c = k XOR (w << (n-1)), as in
 :func:`qpke.protocol.encrypt`, and its Born probability in the estimated
 basis e is 1/2 + cos(c*theta) * cos(e)/2 + sin(c*theta) * sin(e)/2, gathered
-from one table per unit and one per outcome cell, in fixed-size row blocks.
+from the cached Bloch components of every key state and from weights per
+outcome cell, in fixed-size row blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bayes
-from .protocol import ProtocolParams, QubitAngle, elementary_angle
+from .protocol import ProtocolParams, QubitAngle
 from .symmetry import average_success_symmetry
 
 ATTACKS = ("bayes-projective", "symmetry-test")
@@ -100,31 +101,6 @@ def _estimate_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=16)
-def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(c*theta) and sin(c*theta) of every cipher unit c, shapes (2^n,)."""
-    angles = np.arange(1 << n) * elementary_angle(n)
-    tables = np.cos(angles), np.sin(angles)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
-
-
-@lru_cache(maxsize=16)
-def _cell_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(e)/2, sin(e)/2 and the degeneracy flag of each outcome cell, shapes ((T+1)^2,).
-
-    e is the cell's estimated basis angle; a degenerate cell gets zero
-    weights, so its Born probability is exactly 1/2.
-    """
-    est_angle, degenerate = _estimate_tables(T, n)
-    weight = np.where(degenerate, 0.0, 0.5)
-    tables = (weight * np.cos(est_angle)).ravel(), (weight * np.sin(est_angle)).ravel(), degenerate.ravel()
-    for a in tables:
-        a.flags.writeable = False
-    return tables
-
-
-@lru_cache(maxsize=16)
 def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
     """numpy's binomial-inversion set-up for every key of one basis, or None.
 
@@ -177,11 +153,8 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
         state = rng.bit_generator.state
         keys = k.ravel()
         drawn = ~zero.take(keys)
-        if drawn.all():
-            u = rng.random(keys.size)
-        else:
-            u = np.zeros(keys.size)
-            u[drawn] = rng.random(np.count_nonzero(drawn))
+        u = np.zeros(keys.size)
+        u[drawn] = rng.random(np.count_nonzero(drawn))
         del drawn
         x = np.zeros(keys.size, dtype=dtype)
         # the elements still searching: flat positions (None while that is
@@ -231,8 +204,14 @@ def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
 def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Simulate ``count`` runs of the projective-measurement attack; returns success flags."""
     T, n, s = params.T, params.n, params.s
-    cos_unit, sin_unit = _unit_tables(n)
-    half_cos, half_sin, degenerate = _cell_tables(T, n)
+    cos_unit, sin_unit = bayes._key_bloch(n)
+    # cos(e)/2 and sin(e)/2 of each outcome cell's estimated basis angle e;
+    # a degenerate cell gets zero weights, so its Born probability is exactly 1/2
+    est_angle, degenerate = _estimate_tables(T, n)
+    weight = np.where(degenerate, 0.0, 0.5).ravel()
+    half_cos = weight * np.cos(est_angle).ravel()
+    half_sin = weight * np.sin(est_angle).ravel()
+    degenerate = degenerate.ravel()
 
     k = rng.integers(0, 1 << n, size=(count, s))
     t0z = _binomial_counts(rng, T, n, 0, k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -208,25 +208,38 @@ class CipherState:
     c = (k + w * 2**(n-1)) mod 2**n and the resolution n, from which the
     :class:`QubitAngle` view is built only when ``qubits`` is read.
     ``CipherState((q, ...))`` keeps the qubits as given (``units`` is None),
-    so tampered or continuous angles are checked qubit by qubit.
+    so tampered or continuous angles are checked qubit by qubit.  Instances
+    are immutable.
     """
 
     __slots__ = ("units", "n", "_qubits")
 
     def __init__(self, qubits: tuple[QubitAngle, ...]):
-        self.units, self.n, self._qubits = None, None, tuple(qubits)
+        self._fill(None, None, tuple(qubits))
 
     @classmethod
     def _exact(cls, units: tuple[int, ...], n: int) -> "CipherState":
         # cipher units known to lie in [0, 2**n)
         cipher = cls.__new__(cls)
-        cipher.units, cipher.n, cipher._qubits = units, n, None
+        cipher._fill(units, n, None)
         return cipher
+
+    def _fill(self, units, n, qubits) -> None:
+        set_field = object.__setattr__
+        set_field(self, "units", units)
+        set_field(self, "n", n)
+        set_field(self, "_qubits", qubits)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def qubits(self) -> tuple[QubitAngle, ...]:
         if self._qubits is None:
-            self._qubits = tuple(QubitAngle.exact(c, self.n) for c in self.units)
+            object.__setattr__(self, "_qubits", tuple(QubitAngle.exact(c, self.n) for c in self.units))
         return self._qubits
 
     def __len__(self) -> int:
@@ -250,13 +263,14 @@ def encrypt(codeword: Codeword, key: PrivateKey) -> CipherState:
     """Encrypt a codeword onto the first len(codeword) public-key qubits.
 
     Adding w * 2**(n-1) modulo 2**n flips the top bit of the key integer, so
-    each cipher unit is k XOR (w << (n-1)).
+    each cipher unit is k XOR (2**(n-1) if w else 0).  The bit is only
+    tested, never shifted, so numpy bits cannot overflow their width.
     """
     bits = codeword.bits
     if len(bits) > len(key.values):
         raise ValueError(f"codeword length {len(bits)} exceeds key length {len(key.values)}")
-    shift = key.n - 1
-    return CipherState._exact(tuple([k ^ (w << shift) for k, w in zip(key.values, bits)]), key.n)
+    half_turn = 1 << (key.n - 1)
+    return CipherState._exact(tuple([k ^ half_turn if w else k for k, w in zip(key.values, bits)]), key.n)
 
 
 def _recover_bit(q: QubitAngle, k: int, n: int) -> int:

@@ -284,3 +284,27 @@ def test_cipher_state_views():
     qubit_form = CipherState(cipher.qubits)
     assert qubit_form.units is None and len(qubit_form) == 3
     assert qubit_form == cipher and hash(qubit_form) == hash(cipher)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.bool_, np.int64])
+@pytest.mark.parametrize("n", [1, 8, 9, 12, 63])
+def test_encrypt_numpy_bits_match_qubit_oracle(dtype, n):
+    # a numpy bit must encrypt like the Python int it equals, even where
+    # 2**(n-1) does not fit in its dtype
+    bits = np.array([1, 0, 1, 1], dtype=dtype)
+    key = PrivateKey(tuple(k % (1 << n) for k in (0, 1, 2, 3)), n)
+    codeword = Codeword(tuple(bits))
+    cipher = encrypt(codeword, key)
+    assert cipher.qubits == encrypt_qubits(codeword, key).qubits
+    assert decrypt(cipher, key, ProtocolParams(n=n, N=4, T=1, s=4)) == ((1, 0, 1, 1), 1)
+
+
+def test_cipher_state_is_immutable():
+    exact = encrypt(Codeword((1, 0)), PrivateKey((3, 7), 4))
+    for cipher in (exact, CipherState(exact.qubits)):
+        for name in ("units", "n", "_qubits", "qubits"):
+            with pytest.raises(AttributeError):
+                setattr(cipher, name, None)
+            with pytest.raises(AttributeError):
+                delattr(cipher, name)
+    assert exact.units == (3 ^ 8, 7) and exact == CipherState(exact.qubits)
