@@ -131,8 +131,10 @@ def _likelihood_grid(T: int, n: int) -> np.ndarray:
 def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """E_z, E_x, |E| and the directed flags of every outcome pair, each of shape (T+1, T+1).
 
-    E = sum_k L (cos k*theta, sin k*theta); a pair is directed when it is possible
-    and its posterior-mean Bloch vector E / sum_k L is not degenerate.
+    E = sum_k L (cos k*theta, sin k*theta); a pair is directed when its
+    posterior-mean Bloch vector E / sum_k L is not degenerate and |E| is a
+    normal float.  Below that 1/|E| overflows, and such a pair is so unlikely
+    (sum_k L < 1e-295) that taking it as degenerate changes no result.
     """
     pz, px = _likelihood_grid(T, n)
     cos_k, sin_k = _key_bloch(n)
@@ -140,7 +142,7 @@ def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     est_z = (pz * cos_k) @ px.T
     est_x = (pz * sin_k) @ px.T
     norms = np.hypot(est_z, est_x)
-    directed = totals > 0.0
+    directed = norms >= np.finfo(float).tiny
     directed[directed] = norms[directed] / totals[directed] >= DEGENERATE_NORM
     return est_z, est_x, norms, directed
 
@@ -296,10 +298,13 @@ def success_by_key(T: int, n: int) -> np.ndarray:
 
 
 def mean_success(T: int, n: int) -> float:
-    """Bit-recovery probability averaged over the uniform key ensemble, 1/2 + 2**-(n+1) sum_directed |E|."""
+    """Bit-recovery probability averaged over the uniform key ensemble, 1/2 + 2**-(n+1) sum_directed |E|.
+
+    Capped at 1: at large T and small n the sum reaches 1 and rounds past it.
+    """
     _check_n(n)
     _, _, norms, directed = _bloch_sums(T, n)
-    return float(0.5 + np.sum(norms[directed]) / (1 << (n + 1)))
+    return min(1.0, float(0.5 + np.sum(norms[directed]) / (1 << (n + 1))))
 
 
 def bound_U(T: int) -> float:

@@ -2,20 +2,23 @@
 
 Subcommands: ``prior``, ``figure``, ``security``, ``montecarlo``, ``check-all``.
 Each command returns its table as columns; ``_write_rows`` writes it as CSV
-(default) or JSON, ``CHUNK_ROWS`` rows at a time.  Any violated inequality
-check is reported as a JSON list on stderr and turns the exit code to 1.  Usage
-errors and an unwritable ``--out`` exit with 2, any other failure with 3.
-Column schemas are documented in docs/formats.md.
+(default) or JSON, ``CHUNK_ROWS`` rows at a time.  A CSV chunk is one
+%-format call on a row template that holds one spec per column: ``%d`` for
+integer arrays, ``%.12g`` for float arrays, and ``%s`` for cells rendered and
+quoted first (``_csv_field``, the ``csv.QUOTE_MINIMAL`` rule), so no cell text
+enters the template.  Any violated inequality check is reported as a JSON
+list on stderr and turns the exit code to 1.  Usage errors and an unwritable
+``--out`` exit with 2, any other failure with 3.  Column schemas and the
+output contract are documented in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -87,16 +90,32 @@ def _native(value):
     return value
 
 
-def _csv_cells(column) -> list[str]:
-    """CSV text of every cell, chosen once per column for numeric arrays."""
+def _csv_field(text: str, alone: bool) -> str:
+    """``text`` as one CSV field, quoted as ``csv.QUOTE_MINIMAL`` does.
+
+    A field is quoted, with its ``"`` doubled, only if it holds ``,``, ``"``
+    or ``\\n`` (a ``\\r`` alone is not quoted); a row made of one empty field
+    (``alone``) is written ``""`` so that it does not read as a blank line.
+    """
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return '""' if alone and not text else text
+
+
+def _csv_column(column, alone: bool) -> tuple[str, list]:
+    """The %-spec of a column's CSV cells and the values it formats.
+
+    Numeric arrays are formatted by the spec itself; every other cell is
+    rendered and quoted first, so that its text never enters the template.
+    """
     kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-    if kind == "b":
-        return ["true" if v else "false" for v in column.tolist()]
     if kind in "iu":
-        return list(map(str, column.tolist()))
+        return "%d", column.tolist()
     if kind == "f":
-        return [format(v, ".12g") for v in column.tolist()]
-    return [_fmt(v) for v in column]
+        return "%.12g", column.tolist()
+    if kind == "b":
+        return "%s", ["true" if v else "false" for v in column.tolist()]
+    return "%s", [_csv_field(_fmt(v), alone) for v in column]
 
 
 def _json_cells(column) -> list:
@@ -111,16 +130,14 @@ def _write_rows(table: Table, fmt: str, out_path: str | None) -> None:
     out = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
     try:
         if fmt == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(table.fields)
+            alone = len(table.fields) == 1
+            out.write(",".join(_csv_field(field, alone) for field in table.fields) + "\n")
             for start in range(0, len(table), CHUNK_ROWS):
                 stop = start + CHUNK_ROWS
-                writer.writerows(zip(*(_csv_cells(column[start:stop]) for column in table.columns)))
-                out.write(buffer.getvalue())
-                buffer.seek(0)
-                buffer.truncate()
-            out.write(buffer.getvalue())
+                specs, cells = zip(*(_csv_column(column[start:stop], alone) for column in table.columns))
+                # one template per chunk; the cells are interleaved row by row
+                row = ",".join(specs) + "\n"
+                out.write((row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
         else:
             # each chunk is one json.dumps list with its brackets cut off, so the
             # joined text is that of one json.dumps over all rows
@@ -281,7 +298,7 @@ def cmd_security(args) -> tuple[Table, list[dict]]:
         "s_exact": [s_exact for s_exact, _ in lengths],
         "s_simple": [s_simple for _, s_simple in lengths],
         "forward_search": forward,
-        "simple_to_forward_ratio": [s_simple / f if f else math.nan for (_, s_simple), f in zip(lengths, forward)],
+        "simple_to_forward_ratio": [s_simple / f if f else "" for (_, s_simple), f in zip(lengths, forward)],
     })
     return table, violations
 

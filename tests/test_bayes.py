@@ -386,6 +386,19 @@ def test_negative_T_rejected(reduce):
         reduce(-1, 4)
 
 
+@pytest.mark.parametrize("T", [259, 1030])
+def test_many_copies_stay_probabilities(T):
+    # at small n and large T the outcome pairs' likelihoods fall to subnormal
+    # floats, where 1/|E| overflowed into NaN, and the near-certain mean
+    # rounded past 1
+    for n in (1, 2, 6):
+        with np.errstate(over="raise", invalid="raise"):
+            success = success_by_key(T, n)
+        assert np.all((success >= 0.0) & (success <= 1.0 + 1e-12))
+        assert 0.5 <= mean_success(T, n) <= 1.0
+    assert mean_success(T, 1) == 1.0
+
+
 def test_posterior_distribution_validation():
     with pytest.raises(ValueError):
         PosteriorDistribution(np.array([0.7, 0.7]), MeasurementOutcome(0, 0), 1, 1)

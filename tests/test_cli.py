@@ -8,6 +8,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -75,6 +76,21 @@ def test_security_table(capsys):
     assert rows[0]["s_simple"] == "24"
     assert rows[0]["forward_search"] == "8"
     assert rows[0]["simple_to_forward_ratio"] == "3"
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_security_undefined_ratio_is_blank(capsys):
+    # at epsilon = 1/2 both lengths are 0 and their ratio is undefined
+    code, out, err = run_cli(["security", "--epsilon", "0.5", "--T", "2,3", "--format", "json"], capsys)
+    assert code == 0, err
+    rows = json.loads(out, parse_constant=reject_constant)
+    assert [(r["s_simple"], r["forward_search"], r["simple_to_forward_ratio"]) for r in rows] == [(0, 0, "")] * 2
+    code, out, err = run_cli(["security", "--epsilon", "0.5"], capsys)
+    assert code == 0, err
+    assert read_csv(out)[0]["simple_to_forward_ratio"] == ""
 
 
 def test_security_rejects_bad_epsilon(capsys):
@@ -327,6 +343,26 @@ def test_column_writer_matches_row_writer(table):
             assert render(cli._write_rows, Table(dict(zip(fields, columns))), fmt, None) == expected
 
 
+QUOTING_CASES = ["", "a,b", 'a"b', "a\nb", "a\rb", " a", "%s", "%d%%", "x;y"]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_csv_quoting_matches_csv_module(width):
+    # every string is a header name and a cell of each column, plus one row of
+    # empty cells; "%" in them must come out verbatim, so no cell or field
+    # text may enter the row template
+    size = len(QUOTING_CASES)
+    for offset in range(size):
+        fields = [QUOTING_CASES[(offset + j) % size] for j in range(width)]
+        columns = [[QUOTING_CASES[(r + j) % size] for r in range(size)] + [""] for j in range(width)]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(zip(*columns))
+        with mock.patch.object(cli, "CHUNK_ROWS", 4):
+            assert render(cli._write_rows, Table(dict(zip(fields, columns))), "csv", None) == buffer.getvalue()
+
+
 def test_table_rejects_unequal_columns():
     with pytest.raises(ValueError):
         Table({"a": [1, 2], "b": np.arange(3)})
@@ -381,3 +417,106 @@ def test_figure1_memory_ceiling(tmp_path):
     likelihood_bytes = 2 * (9 + 10) * (1 << n) * 8
     chunk_bytes = CHUNK_ROWS * 5 * 128
     assert peak <= column_bytes + likelihood_bytes + chunk_bytes
+
+
+SCHEMAS = {
+    "prior": "tau,n,entropy_bits,rank,n_critical,at_or_above_critical,bound_loose_bits,bound_tight_bits,spectrum",
+    "figure 1": "T,t0z,t0x,k,posterior",
+    "figure 2": "copies,prior_entropy_bits,holevo_tight_bits,information_gain_bits,gap_bits",
+    "figure 3": "T,k,success",
+    "figure 4": "T,mean_success,optimal_collective,upper_bound",
+    "figure 5": "T,s,success,upper_bound",
+    "security": "epsilon,T,s_exact,s_simple,forward_search,simple_to_forward_ratio",
+    "montecarlo": "attack,n,T,s,trials,seed,empirical,std_error,analytic,z_score",
+    "check-all": "check,passed,detail",
+}
+
+
+def int_lists(numbers, lo, hi):
+    """Texts of an integer-list flag: one value, two values, or a range that may be reversed."""
+    ends = st.integers(lo, hi)
+    return st.one_of(
+        numbers.map(str),
+        st.tuples(numbers, numbers).map("{0[0]},{0[1]}".format),
+        st.tuples(ends, ends).map("{0[0]}-{0[1]}".format),
+    )
+
+
+def flag_values(*options):
+    return st.sampled_from([str(v) for v in options])
+
+
+# per command, its (flag, value texts, always given) in argv order; the
+# values mix valid, edge and invalid inputs at sizes that run in milliseconds
+T_VALUES = [-1, 0, 1, 2, 5, 12, 259, 1030]
+ARGV_FLAGS = {
+    "prior": [
+        ("--tau", int_lists(st.sampled_from([0, 1, 2, 3, 64, 65]), 0, 6), False),
+        ("--n", int_lists(st.sampled_from([0, 1, 2, 6, 21]), -1, 6), False),
+    ],
+    "figure": [
+        ("--id", flag_values(0, 1, 2, 3, 4, 5, 6), True),
+        ("--n", flag_values(0, 1, 2, 4, 6, 15), True),
+        ("--T", int_lists(st.sampled_from(T_VALUES), -1, 12), False),
+        ("--s", flag_values(-1, 0, 1, 2, 12, 1030), False),
+    ],
+    "security": [
+        ("--epsilon", flag_values(0, 0.5, 0.7, 0.25, 0.03125, 1e-300, -1, "nan"), True),
+        ("--T", int_lists(st.sampled_from(T_VALUES), -1, 12), False),
+    ],
+    "montecarlo": [
+        ("--attack", st.sampled_from(["symmetry-test", "bayes-projective"]), True),
+        ("--n", flag_values(0, 1, 3, 6, 15, 64), True),
+        ("--T", flag_values(*T_VALUES), False),
+        ("--s", flag_values(-1, 0, 1, 3, 1030), False),
+        ("--trials", flag_values(-1, 0, 1, 2, 300), True),
+        ("--seed", flag_values(-1, 0, 7), False),
+    ],
+    "check-all": [
+        ("--trials", flag_values(-1, 0, 1, 2, 200), True),
+        ("--seed", flag_values(-1, 0, 5), False),
+    ],
+}
+# the deterministic checks give one verdict however often they run
+CACHED_CHECKS = {name: functools.cache(getattr(cli, name)) for name in dir(cli) if name.startswith("_check_")}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    argv = [command]
+    for flag, texts, always in ARGV_FLAGS[command] + [("--format", st.sampled_from(["csv", "json"]), False)]:
+        text = draw(texts if always else st.one_of(st.none(), texts))
+        if text is not None:
+            argv += [flag, text]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_argv_keeps_exit_code_and_output_contract(argv):
+    # a numpy overflow or invalid value becomes an exception, so it exits 3
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            with mock.patch.multiple(cli, **CACHED_CHECKS):
+                code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    out = out.getvalue()
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert out == ""
+        return
+    schema = SCHEMAS[f"figure {argv[2]}" if argv[0] == "figure" else argv[0]].split(",")
+    if "json" in argv:
+        rows = json.loads(out, parse_constant=reject_constant)
+        assert rows and all(list(row) == schema for row in rows)
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == schema and len(rows) > 1
+        assert all(len(row) == len(schema) for row in rows)
+        for cell in (cell for row in rows[1:] for cell in row):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(cell))
