@@ -9,6 +9,11 @@ per-codeword success probabilities together with their closed-form bounds.
 The bases are measured independently, so the outcome likelihood factors as
 P_z[t0z, k] * P_x[t0x, k]: every exact sum over Z_{2**n} and the outcome grid
 is a matrix product of the two (T+1, 2**n) tables, in O(T * 2**n) memory.
+The posterior-mean Bloch vectors of the outcome pairs, and with them the
+estimated bases and the ensemble-average success, are key-angle sums of
+trigonometric polynomials of degree <= 2T+1; they are summed exactly on the
+2**m keys of m = min(n, (2T+1).bit_length()), in O(T * 2**m) memory at any
+n.  Per-key success and the information gain still sum over all 2**n keys.
 """
 
 from __future__ import annotations
@@ -128,16 +133,30 @@ def _likelihood_grid(T: int, n: int) -> np.ndarray:
     return grid
 
 
+def _outcome_n(T: int, n: int) -> int:
+    """Smallest resolution m <= n whose 2**m keys sum the outcome grid's Bloch estimates exactly.
+
+    L[a, b, k] and L[a, b, k] (cos k*theta, sin k*theta) are trigonometric
+    polynomials of degree <= 2T+1 in the key angle, and the mean over more
+    than 2T+1 equally spaced nodes of such a polynomial is its mean over the
+    circle.  So sum_k / 2**m of either is the same at every resolution >= m.
+    """
+    return min(n, (2 * T + 1).bit_length())
+
+
 def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """E_z, E_x, |E| and the directed flags of every outcome pair, each of shape (T+1, T+1).
 
-    E = sum_k L (cos k*theta, sin k*theta); a pair is directed when its
+    E = sum_k L (cos k*theta, sin k*theta) over the 2**m keys of
+    m = _outcome_n(T, n); only E / |E|, E / sum_k L and |E| / 2**m are the
+    same at every n >= m, so callers read those.  A pair is directed when its
     posterior-mean Bloch vector E / sum_k L is not degenerate and |E| is a
     normal float.  Below that 1/|E| overflows, and such a pair is so unlikely
     (sum_k L < 1e-295) that taking it as degenerate changes no result.
     """
-    pz, px = _likelihood_grid(T, n)
-    cos_k, sin_k = _key_bloch(n)
+    m = _outcome_n(T, n)
+    pz, px = _likelihood_grid(T, m)
+    cos_k, sin_k = _key_bloch(m)
     totals = pz @ px.T
     est_z = (pz * cos_k) @ px.T
     est_x = (pz * sin_k) @ px.T
@@ -286,7 +305,10 @@ def success_by_key(T: int, n: int) -> np.ndarray:
 
     sum_{a,b} L[a, b, k] (1/2 + U[a, b] . (cos k*theta, sin k*theta)), with
     U = E / (2|E|) on directed pairs and 0 elsewhere, factors per Bloch
-    component into sum_a P_z[a, k] (U P_x)[a, k].
+    component into sum_a P_z[a, k] (U P_x)[a, k].  U is the same on every
+    key grid, while the sums over outcomes run at the keys' own angles.
+
+    Capped at 1: above LOG_SPACE_T the PMF rows sum to 1 only to ~T * 1e-16.
     """
     _check_n(n)
     pz, px = _likelihood_grid(T, n)
@@ -294,17 +316,21 @@ def success_by_key(T: int, n: int) -> np.ndarray:
     scale = np.divide(0.5, norms, out=np.zeros_like(norms), where=directed)
     toward = np.einsum("ak,cak->ck", pz, np.stack([est_z * scale, est_x * scale]) @ px)
     cos_k, sin_k = _key_bloch(n)
-    return 0.5 * pz.sum(axis=0) * px.sum(axis=0) + cos_k * toward[0] + sin_k * toward[1]
+    success = 0.5 * pz.sum(axis=0) * px.sum(axis=0) + cos_k * toward[0] + sin_k * toward[1]
+    return np.minimum(success, 1.0, out=success)
 
 
 def mean_success(T: int, n: int) -> float:
-    """Bit-recovery probability averaged over the uniform key ensemble, 1/2 + 2**-(n+1) sum_directed |E|.
+    """Bit-recovery probability averaged over the uniform key ensemble, 1/2 + 2**-(m+1) sum_directed |E|.
+
+    The sum runs over the 2**m keys of m = _outcome_n(T, n), so the value is
+    the same at every n with 2**n > 2T+1.
 
     Capped at 1: at large T and small n the sum reaches 1 and rounds past it.
     """
     _check_n(n)
     _, _, norms, directed = _bloch_sums(T, n)
-    return min(1.0, float(0.5 + np.sum(norms[directed]) / (1 << (n + 1))))
+    return min(1.0, float(0.5 + np.sum(norms[directed]) / (1 << (_outcome_n(T, n) + 1))))
 
 
 def bound_U(T: int) -> float:

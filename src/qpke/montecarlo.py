@@ -91,7 +91,11 @@ def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> tuple[np.nd
 
 @lru_cache(maxsize=16)
 def _estimate_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimated basis angle and degeneracy flag per outcome pair, shapes (T+1, T+1)."""
+    """Estimated basis angle and degeneracy flag per outcome pair, shapes (T+1, T+1).
+
+    The angle of E does not depend on how many keys were summed, so the
+    tables come from bayes' smallest exact key grid at any n.
+    """
     est_z, est_x, _, directed = bayes._bloch_sums(T, n)
     est_angle = np.arctan2(est_x, est_z)
     degenerate = ~directed

@@ -13,6 +13,8 @@ likelihood of the Bayes attack; the functions after it reduce that tensor
 directly (per-key success, information gain by a loop over outcome pairs,
 Monte Carlo estimate tables) to check the library's factored per-basis
 matrix products.  Their memory grows as T**2 * 2**n, so use small (T, n).
+``bloch_sums_full_grid`` sums the outcome grid's Bloch estimates over all
+2**n keys, which checks the library's sums over the smallest exact key grid.
 
 ``encrypt_qubits`` and ``decrypt_qubits`` are the protocol's encryption
 and decryption one ``QubitAngle`` at a time (public state, 0-or-pi shift,
@@ -221,6 +223,18 @@ def estimate_tables_tensor(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     degenerate = norm < DEGENERATE_NORM * np.maximum(totals, 1e-300)
     return np.arctan2(est_x, est_z), degenerate
 
+
+def bloch_sums_full_grid(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """E_z, E_x, |E| and the directed flags of every outcome pair, summed over all 2**n keys."""
+    pz, px = bayes._likelihood_grid(T, n)
+    cos_k, sin_k = bayes._key_bloch(n)
+    totals = pz @ px.T
+    est_z = (pz * cos_k) @ px.T
+    est_x = (pz * sin_k) @ px.T
+    norms = np.hypot(est_z, est_x)
+    directed = norms >= np.finfo(float).tiny
+    directed[directed] = norms[directed] / totals[directed] >= DEGENERATE_NORM
+    return est_z, est_x, norms, directed
 
 
 def bayes_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import estimate_tables_tensor, information_gain_loop, likelihood_tensor, success_table_tensor
+from oracles import (
+    bloch_sums_full_grid,
+    estimate_tables_tensor,
+    information_gain_loop,
+    likelihood_tensor,
+    success_table_tensor,
+)
 from qpke import bayes, montecarlo
 from qpke.bayes import (
     ImpossibleOutcomeError,
@@ -394,7 +400,7 @@ def test_many_copies_stay_probabilities(T):
     for n in (1, 2, 6):
         with np.errstate(over="raise", invalid="raise"):
             success = success_by_key(T, n)
-        assert np.all((success >= 0.0) & (success <= 1.0 + 1e-12))
+        assert np.all((success >= 0.0) & (success <= 1.0))
         assert 0.5 <= mean_success(T, n) <= 1.0
     assert mean_success(T, 1) == 1.0
 
@@ -450,7 +456,10 @@ def test_grid_reductions_match_tensor_oracle(size):
 )
 def test_grid_reductions_memory_ceiling(reduce, T, n):
     # eight (T+1) x 2**n float arrays; a joint (T+1)**2 x 2**n tensor alone
-    # would exceed this 2.1x (T = 16) and 4.1x (T = 32)
+    # would exceed this 2.1x (T = 16) and 4.1x (T = 32).  The mean and the
+    # estimate tables sum only the 2**m keys of the smallest exact grid.
+    if reduce in (mean_success, montecarlo._estimate_tables):
+        n = bayes._outcome_n(T, n)
     table_bytes = (T + 1) * (1 << n) * 8
     bayes._prob0_tables.cache_clear()
     bayes._likelihood_grid.cache_clear()
@@ -464,3 +473,32 @@ def test_grid_reductions_memory_ceiling(reduce, T, n):
     # the two per-basis tables are built inside the call, so they must show
     assert peak >= 2 * table_bytes
     assert peak <= 8 * table_bytes
+
+
+# T past LOG_SPACE_T runs the log-space PMFs
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=14))
+def test_bloch_sums_on_exact_grid_match_full_grid_oracle(T, n):
+    est_z, est_x, norms, directed = bloch_sums_full_grid(T, n)
+    full_mean = min(1.0, 0.5 + float(np.sum(norms[directed])) / (1 << (n + 1)))
+    assert abs(mean_success(T, n) - full_mean) <= 1e-15
+    est_angle, degenerate = montecarlo._estimate_tables(T, n)
+    assert np.array_equal(degenerate, ~directed)
+    # a degenerate pair's angle is rounding noise and never used; E_x = +-0
+    # puts a directed angle at +-pi, so compare on the circle
+    est_angle, full_angle = est_angle[directed], np.arctan2(est_x, est_z)[directed]
+    assert np.all(np.abs(np.cos(est_angle) - np.cos(full_angle)) <= 1e-13)
+    assert np.all(np.abs(np.sin(est_angle) - np.sin(full_angle)) <= 1e-13)
+    m = (2 * T + 1).bit_length()
+    if n >= m:
+        assert mean_success(T, n) == mean_success(T, m)
+
+
+def test_mean_success_gap_to_certainty():
+    # T (1 - mean_success) is exact at every n with 2**n > 2T+1, and stays
+    # above the collective optimum's 1/8 (the 1 - 1/(6T) cap fails from T = 11)
+    expected = {2: 0.183, 4: 0.178, 8: 0.169, 11: 0.165, 16: 0.161, 32: 0.152, 64: 0.145, 128: 0.140, 256: 0.135}
+    for T, gap in expected.items():
+        mean = mean_success(T, 14)
+        assert round(T * (1.0 - mean), 3) == gap
+        assert mean_success(T, 10) == mean

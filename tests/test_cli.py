@@ -150,6 +150,26 @@ def test_figure4_bound_column_blank_for_single_copy_pair(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["figure", "--id", "4", "--n", "1", "--T", "1-4"],
+    ["figure", "--id", "4", "--n", "2", "--T", "1-4"],
+    ["figure", "--id", "5", "--n", "2", "--T", "2", "--s", "3"],
+])
+def test_continuum_bounds_skip_tiny_key_sets(argv, capsys):
+    # 2**n <= 2T+1 keys are far apart, so the attack beats the continuum bounds
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert len(read_csv(out)) == (4 if argv[2] == "4" else 3)
+
+
+def test_mean_success_bound_fails_from_T_11(capsys):
+    code, out, err = run_cli(["figure", "--id", "4", "--n", "6", "--T", "11-16"], capsys)
+    assert code == 1
+    violations = json.loads(err)["violations"]
+    assert {v["check"] for v in violations} == {"mean-success-bound"}
+    assert [v["T"] for v in violations] == list(range(11, 17))
+
+
+@pytest.mark.parametrize("argv", [
     ["figure", "--id", "5", "--s", "1100"],
     ["figure", "--id", "4", "--n", "4", "--T", "259,512"],
 ])
