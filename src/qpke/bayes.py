@@ -133,15 +133,21 @@ def _likelihood_grid(T: int, n: int) -> np.ndarray:
     return grid
 
 
-def _outcome_n(T: int, n: int) -> int:
-    """Smallest resolution m <= n whose 2**m keys sum the outcome grid's Bloch estimates exactly.
+def _exact_n(T: int) -> int:
+    """Smallest resolution whose 2**n > 2T+1 keys average the T-copy outcome grid exactly.
 
     L[a, b, k] and L[a, b, k] (cos k*theta, sin k*theta) are trigonometric
     polynomials of degree <= 2T+1 in the key angle, and the mean over more
     than 2T+1 equally spaced nodes of such a polynomial is its mean over the
-    circle.  So sum_k / 2**m of either is the same at every resolution >= m.
+    circle.  So sum_k / 2**n of either is the same at every n >= _exact_n(T),
+    and ``mean_success`` there equals its continuum value.
     """
-    return min(n, (2 * T + 1).bit_length())
+    return (2 * T + 1).bit_length()
+
+
+def _outcome_n(T: int, n: int) -> int:
+    """Smallest resolution m <= n whose 2**m keys sum the outcome grid's Bloch estimates exactly."""
+    return min(n, _exact_n(T))
 
 
 def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

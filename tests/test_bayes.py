@@ -458,9 +458,8 @@ def test_grid_reductions_memory_ceiling(reduce, T, n):
     # eight (T+1) x 2**n float arrays; a joint (T+1)**2 x 2**n tensor alone
     # would exceed this 2.1x (T = 16) and 4.1x (T = 32).  The mean and the
     # estimate tables sum only the 2**m keys of the smallest exact grid.
-    if reduce in (mean_success, montecarlo._estimate_tables):
-        n = bayes._outcome_n(T, n)
-    table_bytes = (T + 1) * (1 << n) * 8
+    m = bayes._outcome_n(T, n) if reduce in (mean_success, montecarlo._estimate_tables) else n
+    table_bytes = (T + 1) * (1 << m) * 8
     bayes._prob0_tables.cache_clear()
     bayes._likelihood_grid.cache_clear()
     montecarlo._estimate_tables.cache_clear()
@@ -489,7 +488,7 @@ def test_bloch_sums_on_exact_grid_match_full_grid_oracle(T, n):
     est_angle, full_angle = est_angle[directed], np.arctan2(est_x, est_z)[directed]
     assert np.all(np.abs(np.cos(est_angle) - np.cos(full_angle)) <= 1e-13)
     assert np.all(np.abs(np.sin(est_angle) - np.sin(full_angle)) <= 1e-13)
-    m = (2 * T + 1).bit_length()
+    m = bayes._exact_n(T)
     if n >= m:
         assert mean_success(T, n) == mean_success(T, m)
 
