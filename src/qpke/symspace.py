@@ -80,31 +80,31 @@ class SymmetricDensityOperator:
 
 
 def mixture_density(weights: np.ndarray, tau: int, n: int) -> SymmetricDensityOperator:
-    """Density operator of tau copies mixed over key values with the given weights.
-
-    ``weights`` is a probability vector over Z_{2**n}; the matrix is the
-    weighted Gram matrix A^T diag(weights) A of the state components, formed
-    by one matrix product and symmetrized exactly.
-    """
+    """Density operator A^T diag(weights) A of tau copies, ``weights`` a probability vector over Z_{2**n}."""
     _check_ranges(tau, n)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (1 << n,):
         raise ValueError(f"weights must have shape ({1 << n},), got {weights.shape}")
-    comps = symmetric_state_components(tau, n)
-    mat = (comps * weights[:, None]).T @ comps
-    return SymmetricDensityOperator(tau, (mat + mat.T) / 2.0)
+    return _gram(tau, symmetric_state_components(tau, n), weights)
 
 
 def prior_density(tau: int, n: int) -> SymmetricDensityOperator:
     """A-priori density operator of tau copies, uniform over all 2**n key values.
 
     Its entries are trigonometric polynomials of degree tau in the key angle, which
-    the uniform average over 2**m equally spaced keys integrates exactly once
-    2**m > tau; so the mixture is taken over 2**min(n, tau.bit_length()) keys.
+    2**m > tau equally spaced keys average exactly; so the mixture is over every
+    2**(bit_length - m)-th row of the 2**bit_length table, m = min(n, bit_length).
     """
     _check_ranges(tau, n)
     m = min(n, tau.bit_length())
-    return mixture_density(np.full(1 << m, 1.0 / (1 << m)), tau, m)
+    comps = symmetric_state_components(tau, tau.bit_length())[:: 1 << (tau.bit_length() - m)]
+    return _gram(tau, comps, np.full(1 << m, 1.0 / (1 << m)))
+
+
+def _gram(tau: int, comps: np.ndarray, weights: np.ndarray) -> SymmetricDensityOperator:
+    """A^T diag(weights) A by one matrix product, symmetrized exactly."""
+    mat = (comps * weights[:, None]).T @ comps
+    return SymmetricDensityOperator(tau, (mat + mat.T) / 2.0)
 
 
 def _check_ranges(tau: int, n: int) -> None:
@@ -189,11 +189,11 @@ def one_way_condition(n: int, tau: int, guard: float = 4.0) -> OneWayCheck:
 def critical_n(tau: int) -> int:
     """Smallest n at which the prior density operator stops depending on n.
 
-    From n = tau.bit_length() on the prior is exact (see ``prior_density``), so
-    this is the smallest n up to there whose prior lies within CRITICAL_TOL of it.
+    The prior is exact from n = tau.bit_length() on (see ``prior_density``); walk
+    down while the next-smaller grid's prior stays within CRITICAL_TOL of it.
     """
-    exact = prior_density(tau, tau.bit_length()).matrix
-    return next(
-        n for n in range(1, tau.bit_length() + 1)
-        if np.max(np.abs(prior_density(tau, n).matrix - exact)) < CRITICAL_TOL
-    )
+    n = tau.bit_length()
+    exact = prior_density(tau, n).matrix
+    while n > 1 and np.max(np.abs(prior_density(tau, n - 1).matrix - exact)) < CRITICAL_TOL:
+        n -= 1
+    return n

@@ -6,7 +6,9 @@ by cyclic Jacobi rotations.  Both are slow, independent of BLAS/LAPACK, and
 used only to check the library's matrix-product mixture and its LAPACK
 eigensolver.  ``critical_n_search`` is the open-ended search for the
 resolution at which full-grid priors stop changing, which checks the
-library's search bounded by the exact key grid.
+library's walk down from the exact key grid.  ``prior_density_direct`` builds
+each prior's 2**min(n, tau.bit_length()) key grid on its own, which checks the
+library's row strides of one component table per tau.
 
 ``likelihood_tensor`` materializes the full (T+1, T+1, 2**n) joint
 likelihood of the Bayes attack; the functions after it reduce that tensor
@@ -72,6 +74,12 @@ def critical_n_search(tau: int, tol: float = 1e-12, max_n: int = symspace.MAX_N)
             return n
         previous = current
     return None
+
+
+def prior_density_direct(tau: int, n: int) -> symspace.SymmetricDensityOperator:
+    """Uniform mixture over its own grid of 2**m keys, m = min(n, tau.bit_length())."""
+    m = min(n, tau.bit_length())
+    return symspace.mixture_density(np.full(1 << m, 1.0 / (1 << m)), tau, m)
 
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,9 @@ import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import check_all_rows, figure1_rows, figure3_rows, prior_rows, write_row_dicts
+import qpke
 from qpke import bayes, cli
 from qpke.cli import CHUNK_ROWS, Table, main, _parse_int_list
 
@@ -231,6 +235,23 @@ def test_prior_rejects_out_of_range(capsys):
     code, out, err = run_cli(["prior", "--tau", "80", "--n", "2"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def imported_modules(*args):
+    """Modules a fresh ``python -X importtime *args`` imports, read from its stderr."""
+    src = os.path.dirname(os.path.dirname(qpke.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_only_monte_carlo_loads_numpy_random():
+    # numpy.random costs every process ~17 ms of CPU at start-up
+    assert "numpy.random" not in imported_modules("-c", "import qpke.cli")
+    assert "numpy.random" not in imported_modules("-m", "qpke.cli", "prior", "--tau", "4", "--n", "3")
+    montecarlo = ["montecarlo", "--attack", "symmetry-test", "--n", "4", "--s", "2", "--trials", "2000"]
+    assert "numpy.random" in imported_modules("-m", "qpke.cli", *montecarlo)
 
 
 def test_montecarlo_command(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from qpke import cli
 from qpke.symspace import (
     MAX_TAU,
     Spectrum,
@@ -26,7 +27,7 @@ from qpke.symspace import (
     von_neumann_entropy,
 )
 
-from oracles import critical_n_search, jacobi_eigh, mixture_density_loop
+from oracles import critical_n_search, jacobi_eigh, mixture_density_loop, prior_density_direct
 
 
 def delta_mixture(k, tau, n):
@@ -328,6 +329,21 @@ def test_prior_matches_full_grid():
 def test_critical_n_matches_open_search():
     for tau in range(1, MAX_TAU + 1):
         assert critical_n(tau) == critical_n_search(tau)
+
+
+def test_prior_strides_match_direct_grid_oracle():
+    # k*pi/2**m and (k*2**(N-m))*pi/2**N round to the same double, so the
+    # row strides of the 2**N table give every prior bit for bit
+    cases = [(tau, n) for tau in range(1, MAX_TAU + 1) for n in range(1, 15)]
+    for tau, n in cases + [(1, 20), (33, 20), (64, 20)]:
+        assert np.array_equal(prior_density(tau, n).matrix, prior_density_direct(tau, n).matrix), (tau, n)
+
+
+def test_entropy_bounds_check_builds_one_component_table_per_tau():
+    # tau = 2..64: one 2**bit_length table each, shared by critical_n and the prior
+    symmetric_state_components.cache_clear()
+    assert cli._check_entropy_bounds()[0]
+    assert symmetric_state_components.cache_info().misses <= 63
 
 
 def test_prior_memory_ceiling_at_largest_resolution():
