@@ -17,7 +17,6 @@ from .protocol import (
     elementary_angle,
     encode_message,
     encrypt,
-    encrypt_bit,
     generate_private_key,
     public_qubit_state,
 )

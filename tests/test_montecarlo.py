@@ -53,7 +53,7 @@ def test_estimate_with_error_validation():
 
 def test_sample_measurement_deterministic_cases():
     rng = np.random.default_rng(0)
-    zero = QubitAngle.from_radians(0.0)
+    zero = QubitAngle(0, 1)
     assert all(sample_measurement(zero, 0.0, rng) == 0 for _ in range(500))
     assert all(sample_measurement(zero, math.pi, rng) == 1 for _ in range(500))
 
@@ -61,7 +61,7 @@ def test_sample_measurement_deterministic_cases():
 def test_sample_measurement_frequency():
     rng = np.random.default_rng(8)
     draws = 100_000
-    q = QubitAngle.from_radians(math.pi / 2)
+    q = QubitAngle(1, 2)
     zeros = sum(sample_measurement(q, 0.0, rng) == 0 for _ in range(draws))
     sigma = math.sqrt(draws * 0.25)
     assert abs(zeros - draws / 2) < 3 * sigma

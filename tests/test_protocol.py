@@ -19,12 +19,9 @@ from qpke.protocol import (
     elementary_angle,
     encode_message,
     encrypt,
-    encrypt_bit,
     generate_private_key,
     public_qubit_state,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @pytest.mark.parametrize("n,expected", [(1, math.pi), (2, math.pi / 2), (10, math.pi / 512)])
@@ -71,42 +68,9 @@ def test_public_qubit_state_examples():
         public_qubit_state(-1, 2)
 
 
-def test_encrypt_bit_examples():
-    q = QubitAngle.from_radians(1.1)
-    assert encrypt_bit(q, 0) is q
-    assert encrypt_bit(QubitAngle.from_radians(0.0), 1).radians == pytest.approx(math.pi)
-    assert encrypt_bit(QubitAngle.from_radians(math.pi / 2), 1).radians == pytest.approx(3 * math.pi / 2)
-    with pytest.raises(ValueError):
-        encrypt_bit(q, 2)
-
-
-def test_encrypt_bit_exact_form_preserved():
-    for n in (1, 2, 3):
-        for k in range(1 << n):
-            q = public_qubit_state(k, n)
-            enc = encrypt_bit(q, 1)
-            assert enc.is_exact
-            # the shift is exactly half a turn in angle units
-            assert (enc.units - k) % (1 << n) == 1 << (n - 1)
-
-
-@given(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True), st.integers(0, 1))
-def test_encrypt_bit_involution(phi, w):
-    q = QubitAngle.from_radians(phi)
-    twice = encrypt_bit(encrypt_bit(q, w), w)
-    assert math.isclose(twice.radians, q.radians, abs_tol=1e-12) or math.isclose(
-        abs(twice.radians - q.radians), TWO_PI, abs_tol=1e-12
-    )
-
-
 def test_qubit_angle_forms():
     with pytest.raises(ValueError):
-        QubitAngle(units=1, n=2, value=0.5)
-    with pytest.raises(ValueError):
-        QubitAngle()
-    with pytest.raises(ValueError):
-        QubitAngle.exact(4, 2)
-    assert QubitAngle.from_radians(2.5 * TWO_PI).radians == pytest.approx(math.pi)
+        QubitAngle(4, 2)
 
 
 def test_generate_private_key_reproducible():
@@ -213,17 +177,16 @@ def test_decrypt_length_mismatch():
 
 def test_decrypt_rejects_off_manifold_cipher():
     params = ProtocolParams(n=2, N=1, T=1, s=1)
-    key = PrivateKey((0,), 2)
-    tampered = CipherState((QubitAngle.from_radians(0.3),))
-    with pytest.raises(ValueError):
-        decrypt(tampered, key, params)
-
-
-def test_decrypt_accepts_continuous_on_manifold():
-    params = ProtocolParams(n=2, N=1, T=1, s=1)
     key = PrivateKey((1,), 2)
-    cipher = CipherState((QubitAngle.from_radians(math.pi / 2 + math.pi),))
-    assert decrypt(cipher, key, params) == ((1,), 1)
+    off_grid = "neither parallel nor antiparallel"
+    for units, n, message in (
+        ((2,), 2, off_grid),  # one step off the key
+        ((1 + 4,), 2, off_grid),  # k + 2**n, out of range
+        ((1 - 4,), 2, off_grid),  # negative, equal to k modulo 2**n
+        ((1,), 3, "cipher qubit resolution 3 does not match key resolution 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            decrypt(CipherState(units, n), key, params)
 
 
 def test_encrypt_rejects_codeword_longer_than_key():
@@ -249,7 +212,7 @@ def keys(draw, n):
 def test_integer_core_matches_qubit_oracle(n, s, data):
     # encryption under any key, decryption under the same or another key,
     # resolution and length: the same qubits, bits and ValueErrors as the
-    # QubitAngle path
+    # qubit-by-qubit oracle
     key = data.draw(keys(n))
     codeword = Codeword(tuple(data.draw(st.lists(st.integers(0, 1), min_size=s, max_size=s))))
     enc = _outcome(encrypt, codeword, key)
@@ -258,10 +221,9 @@ def test_integer_core_matches_qubit_oracle(n, s, data):
     if enc[0] == "error":
         assert enc == expected
         return
-    cipher, oracle_cipher = enc[1], expected[1]
-    assert cipher.units is not None and len(cipher) == len(oracle_cipher) == s
-    assert cipher.qubits == oracle_cipher.qubits
-    assert cipher == oracle_cipher
+    cipher, oracle_qubits = enc[1], expected[1]
+    assert len(cipher) == len(oracle_qubits) == s
+    assert cipher.qubits == oracle_qubits
     n_other = data.draw(st.sampled_from(sorted({n, max(1, n - 1), min(63, n + 1)})))
     other = data.draw(st.one_of(st.just(key), keys(n_other)))
     params = ProtocolParams(
@@ -271,8 +233,7 @@ def test_integer_core_matches_qubit_oracle(n, s, data):
         s=data.draw(st.sampled_from([s, max(1, s - 1), s + 1])),
     )
     got = _outcome(decrypt, cipher, other, params)
-    assert got == _outcome(decrypt_qubits, oracle_cipher, other, params)
-    assert got == _outcome(decrypt, oracle_cipher, other, params)
+    assert got == _outcome(decrypt_qubits, oracle_qubits, other, params)
     if other is key and params.s == s and params.n == n:
         assert got == ("ok", (codeword.bits, codeword.parity))
 
@@ -280,13 +241,14 @@ def test_integer_core_matches_qubit_oracle(n, s, data):
 def test_cipher_state_views():
     cipher = encrypt(Codeword((1, 0, 1)), PrivateKey((3, 7, 12), 4))
     assert cipher.units == (3 ^ 8, 7, 12 ^ 8) and cipher.n == 4
-    assert cipher.qubits == tuple(QubitAngle.exact(c, 4) for c in cipher.units)
-    qubit_form = CipherState(cipher.qubits)
-    assert qubit_form.units is None and len(qubit_form) == 3
-    assert qubit_form == cipher and hash(qubit_form) == hash(cipher)
+    assert cipher.qubits == tuple(QubitAngle(c, 4) for c in cipher.units)
+    assert len(cipher) == 3 and repr(cipher) == "CipherState(units=(11, 7, 4), n=4)"
+    same = CipherState((11, 7, 4), 4)
+    assert same == cipher and hash(same) == hash(cipher)
+    assert cipher != CipherState((11, 7, 4), 5)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.bool_, np.int64])
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.bool_, np.int64, np.float64])
 @pytest.mark.parametrize("n", [1, 8, 9, 12, 63])
 def test_encrypt_numpy_bits_match_qubit_oracle(dtype, n):
     # a numpy bit must encrypt like the Python int it equals, even where
@@ -294,17 +256,17 @@ def test_encrypt_numpy_bits_match_qubit_oracle(dtype, n):
     bits = np.array([1, 0, 1, 1], dtype=dtype)
     key = PrivateKey(tuple(k % (1 << n) for k in (0, 1, 2, 3)), n)
     codeword = Codeword(tuple(bits))
+    assert codeword.parity == 1
     cipher = encrypt(codeword, key)
-    assert cipher.qubits == encrypt_qubits(codeword, key).qubits
+    assert cipher.qubits == encrypt_qubits(codeword, key)
     assert decrypt(cipher, key, ProtocolParams(n=n, N=4, T=1, s=4)) == ((1, 0, 1, 1), 1)
 
 
 def test_cipher_state_is_immutable():
-    exact = encrypt(Codeword((1, 0)), PrivateKey((3, 7), 4))
-    for cipher in (exact, CipherState(exact.qubits)):
-        for name in ("units", "n", "_qubits", "qubits"):
-            with pytest.raises(AttributeError):
-                setattr(cipher, name, None)
-            with pytest.raises(AttributeError):
-                delattr(cipher, name)
-    assert exact.units == (3 ^ 8, 7) and exact == CipherState(exact.qubits)
+    cipher = encrypt(Codeword((1, 0)), PrivateKey((3, 7), 4))
+    for name in ("units", "n", "qubits"):
+        with pytest.raises(AttributeError):
+            setattr(cipher, name, None)
+        with pytest.raises(AttributeError):
+            delattr(cipher, name)
+    assert cipher.units == (3 ^ 8, 7) and cipher == CipherState((3 ^ 8, 7), 4)
