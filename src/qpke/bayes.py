@@ -9,11 +9,13 @@ per-codeword success probabilities together with their closed-form bounds.
 The bases are measured independently, so the outcome likelihood factors as
 P_z[t0z, k] * P_x[t0x, k]: every exact sum over Z_{2**n} and the outcome grid
 is a matrix product of the two (T+1, 2**n) tables, in O(T * 2**n) memory.
-The posterior-mean Bloch vectors of the outcome pairs, and with them the
-estimated bases and the ensemble-average success, are key-angle sums of
-trigonometric polynomials of degree <= 2T+1; they are summed exactly on the
-2**m keys of m = min(n, (2T+1).bit_length()), in O(T * 2**m) memory at any
-n.  Per-key success and the information gain still sum over all 2**n keys.
+The posterior-mean Bloch vectors E of the outcome pairs, and with them the
+estimated bases U = E / (2|E|) and the ensemble-average success, are
+key-angle sums of trigonometric polynomials of degree <= 2T+1; they are
+summed exactly on the 2**m keys of m = min(n, (2T+1).bit_length()), in
+O(T * 2**m) memory at any n.  U is the one estimated-basis table: per-key
+success and the Monte Carlo attack both read it.  Per-key success and the
+information gain still sum over all 2**n keys.
 """
 
 from __future__ import annotations
@@ -151,14 +153,16 @@ def _outcome_n(T: int, n: int) -> int:
 
 
 def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """E_z, E_x, |E| and the directed flags of every outcome pair, each of shape (T+1, T+1).
+    """U_z, U_x, |E| and the directed flags of every outcome pair, each of shape (T+1, T+1).
 
     E = sum_k L (cos k*theta, sin k*theta) over the 2**m keys of
-    m = _outcome_n(T, n); only E / |E|, E / sum_k L and |E| / 2**m are the
-    same at every n >= m, so callers read those.  A pair is directed when its
-    posterior-mean Bloch vector E / sum_k L is not degenerate and |E| is a
-    normal float.  Below that 1/|E| overflows, and such a pair is so unlikely
-    (sum_k L < 1e-295) that taking it as degenerate changes no result.
+    m = _outcome_n(T, n), and U = E / (2|E|) on directed pairs, 0 elsewhere:
+    the half-length direction of the estimated basis.  Only U, E / sum_k L
+    and |E| / 2**m are the same at every n >= m, so callers read those.  A
+    pair is directed when its posterior-mean Bloch vector E / sum_k L is not
+    degenerate and |E| is a normal float.  Below that 1/|E| overflows, and
+    such a pair is so unlikely (sum_k L < 1e-295) that taking it as
+    degenerate changes no result.
     """
     m = _outcome_n(T, n)
     pz, px = _likelihood_grid(T, m)
@@ -169,7 +173,8 @@ def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     norms = np.hypot(est_z, est_x)
     directed = norms >= np.finfo(float).tiny
     directed[directed] = norms[directed] / totals[directed] >= DEGENERATE_NORM
-    return est_z, est_x, norms, directed
+    scale = np.divide(0.5, norms, out=np.zeros_like(norms), where=directed)
+    return est_z * scale, est_x * scale, norms, directed
 
 
 def likelihood(outcome: MeasurementOutcome, k: int, T: int, n: int) -> float:
@@ -310,17 +315,16 @@ def success_by_key(T: int, n: int) -> np.ndarray:
     """Per-key bit-recovery probabilities for every key value, averaged over the outcome grid.
 
     sum_{a,b} L[a, b, k] (1/2 + U[a, b] . (cos k*theta, sin k*theta)), with
-    U = E / (2|E|) on directed pairs and 0 elsewhere, factors per Bloch
-    component into sum_a P_z[a, k] (U P_x)[a, k].  U is the same on every
-    key grid, while the sums over outcomes run at the keys' own angles.
+    U from ``_bloch_sums``, factors per Bloch component into
+    sum_a P_z[a, k] (U P_x)[a, k].  U is the same on every key grid, while
+    the sums over outcomes run at the keys' own angles.
 
     Capped at 1: above LOG_SPACE_T the PMF rows sum to 1 only to ~T * 1e-16.
     """
     _check_n(n)
     pz, px = _likelihood_grid(T, n)
-    est_z, est_x, norms, directed = _bloch_sums(T, n)
-    scale = np.divide(0.5, norms, out=np.zeros_like(norms), where=directed)
-    toward = np.einsum("ak,cak->ck", pz, np.stack([est_z * scale, est_x * scale]) @ px)
+    half_z, half_x, _, _ = _bloch_sums(T, n)
+    toward = np.einsum("ak,cak->ck", pz, np.stack([half_z, half_x]) @ px)
     cos_k, sin_k = _key_bloch(n)
     success = 0.5 * pz.sum(axis=0) * px.sum(axis=0) + cos_k * toward[0] + sin_k * toward[1]
     return np.minimum(success, 1.0, out=success)

@@ -10,9 +10,8 @@ run over terms tabulated once per (T, n, basis); the draws are identical to
 ``Generator.binomial`` and use the same stream positions.  A cipher qubit
 is its integer cipher unit c = k XOR (w << (n-1)), as in
 :func:`qpke.protocol.encrypt`, and its Born probability in the estimated
-basis e is 1/2 + cos(c*theta) * cos(e)/2 + sin(c*theta) * sin(e)/2, gathered
-from the cached Bloch components of every key state and from weights per
-outcome cell, in fixed-size row blocks.
+basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
+sin(c*theta) U_x, is gathered from cached key and cell tables in row blocks.
 """
 
 from __future__ import annotations
@@ -90,18 +89,17 @@ def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> tuple[np.nd
 
 
 @lru_cache(maxsize=16)
-def _estimate_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Estimated basis angle and degeneracy flag per outcome pair, shapes (T+1, T+1).
+def _estimate_tables(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U_z, U_x and the degenerate flag of every outcome cell t0z*(T+1) + t0x, flat.
 
-    The angle of E does not depend on how many keys were summed, so the
-    tables come from bayes' smallest exact key grid at any n.
+    U = E / (2|E|) (0 where degenerate) does not depend on how many keys were
+    summed, so the tables come from bayes' smallest exact key grid at any n.
     """
-    est_z, est_x, _, directed = bayes._bloch_sums(T, n)
-    est_angle = np.arctan2(est_x, est_z)
-    degenerate = ~directed
-    est_angle.flags.writeable = False
-    degenerate.flags.writeable = False
-    return est_angle, degenerate
+    half_z, half_x, _, directed = bayes._bloch_sums(T, n)
+    tables = half_z.ravel(), half_x.ravel(), ~directed.ravel()
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=16)
@@ -209,13 +207,7 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -
     """Simulate ``count`` runs of the projective-measurement attack; returns success flags."""
     T, n, s = params.T, params.n, params.s
     cos_unit, sin_unit = bayes._key_bloch(n)
-    # cos(e)/2 and sin(e)/2 of each outcome cell's estimated basis angle e;
-    # a degenerate cell gets zero weights, so its Born probability is exactly 1/2
-    est_angle, degenerate = _estimate_tables(T, n)
-    weight = np.where(degenerate, 0.0, 0.5).ravel()
-    half_cos = weight * np.cos(est_angle).ravel()
-    half_sin = weight * np.sin(est_angle).ravel()
-    degenerate = degenerate.ravel()
+    half_z, half_x, degenerate = _estimate_tables(T, n)
 
     k = rng.integers(0, 1 << n, size=(count, s))
     t0z = _binomial_counts(rng, T, n, 0, k)
@@ -234,9 +226,9 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -
         cell += t0x[block]
         unit = _cipher_units(k[block], w[block], n)
         p_outcome0 = cos_unit.take(unit)
-        p_outcome0 *= half_cos.take(cell)
+        p_outcome0 *= half_z.take(cell)
         term = sin_unit.take(unit)
-        term *= half_sin.take(cell)
+        term *= half_x.take(cell)
         p_outcome0 += term
         p_outcome0 += 0.5
         guess = u[block] >= p_outcome0

@@ -114,6 +114,8 @@ class PrivateKey:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        # Python ints: a float fails here, and a numpy integer cannot overflow in encrypt
+        object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
         top = 1 << self.n
         for v in self.values:
             if not 0 <= v < top:
@@ -218,6 +220,6 @@ def decrypt(cipher: CipherState, key: PrivateKey, params: ProtocolParams) -> tup
     # the position of c XOR k in (0, 2**(n-1)) is the bit; any other value raises
     try:
         bits = tuple(map((0, 1 << (n - 1)).index, map(operator.xor, cipher.units, key.values)))
-    except ValueError:
+    except (ValueError, TypeError):
         raise ValueError("cipher qubit is neither parallel nor antiparallel to the key state") from None
     return bits, bits.count(1) & 1

@@ -264,7 +264,8 @@ def bayes_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarr
     T, n, s = params.T, params.n, params.s
     theta = params.theta
     p0z, p0x = _prob0_tables(n)
-    est_angle, degenerate = montecarlo._estimate_tables(T, n)
+    half_z, half_x, degenerate = (a.reshape(T + 1, T + 1) for a in montecarlo._estimate_tables(T, n))
+    est_angle = np.arctan2(half_x, half_z)
 
     k = rng.integers(0, 1 << n, size=(count, s))
     t0z = rng.binomial(T, p0z[k])

@@ -444,8 +444,8 @@ def test_grid_reductions_match_tensor_oracle(size):
     assert np.max(np.abs(success_by_key(T, n) - expected)) <= 1e-12
     assert abs(mean_success(T, n) - float(np.mean(expected))) <= 1e-12
     assert abs(information_gain(T, n) - information_gain_loop(T, n)) <= 1e-12
-    _, degenerate = montecarlo._estimate_tables(T, n)
-    assert np.array_equal(degenerate, estimate_tables_tensor(T, n)[1])
+    _, _, degenerate = montecarlo._estimate_tables(T, n)
+    assert np.array_equal(degenerate, estimate_tables_tensor(T, n)[1].ravel())
 
 
 @pytest.mark.parametrize("T, n", [(16, 14), (32, 12)])
@@ -481,13 +481,13 @@ def test_bloch_sums_on_exact_grid_match_full_grid_oracle(T, n):
     est_z, est_x, norms, directed = bloch_sums_full_grid(T, n)
     full_mean = min(1.0, 0.5 + float(np.sum(norms[directed])) / (1 << (n + 1)))
     assert abs(mean_success(T, n) - full_mean) <= 1e-15
-    est_angle, degenerate = montecarlo._estimate_tables(T, n)
-    assert np.array_equal(degenerate, ~directed)
-    # a degenerate pair's angle is rounding noise and never used; E_x = +-0
-    # puts a directed angle at +-pi, so compare on the circle
-    est_angle, full_angle = est_angle[directed], np.arctan2(est_x, est_z)[directed]
-    assert np.all(np.abs(np.cos(est_angle) - np.cos(full_angle)) <= 1e-13)
-    assert np.all(np.abs(np.sin(est_angle) - np.sin(full_angle)) <= 1e-13)
+    half_z, half_x, degenerate = montecarlo._estimate_tables(T, n)
+    assert np.array_equal(degenerate, ~directed.ravel())
+    # U = E / (2|E|): the direction of the full-grid E, and exactly 0 where degenerate
+    for half, est in ((half_z, est_z), (half_x, est_x)):
+        assert np.all(half[degenerate] == 0.0)
+        full = est[directed] / norms[directed]
+        assert np.all(np.abs(2.0 * half[~degenerate] - full) <= 1e-13)
     m = bayes._exact_n(T)
     if n >= m:
         assert mean_success(T, n) == mean_success(T, m)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import importlib.util
 import io
 import json
 import math
@@ -252,6 +253,19 @@ def test_only_monte_carlo_loads_numpy_random():
     assert "numpy.random" not in imported_modules("-m", "qpke.cli", "prior", "--tau", "4", "--n", "3")
     montecarlo = ["montecarlo", "--attack", "symmetry-test", "--n", "4", "--s", "2", "--trials", "2000"]
     assert "numpy.random" in imported_modules("-m", "qpke.cli", *montecarlo)
+
+
+def test_benchmark_tracer_targets_exist():
+    # perfbench/tracer.py reads every CACHES entry with getattr at start-up,
+    # so a lost cache there fails every traced op; it only lists lost HOOKS
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr in tracer.CACHES.values():
+        assert hasattr(getattr(importlib.import_module(f"qpke.{module}"), attr), "cache_info"), (module, attr)
+    missing = {f"{m}.{a}" for m, a in tracer.HOOKS if not hasattr(importlib.import_module(f"qpke.{m}"), a)}
+    assert missing <= {"symspace.jacobi_eigh"}
 
 
 def test_montecarlo_command(capsys):

@@ -184,9 +184,27 @@ def test_decrypt_rejects_off_manifold_cipher():
         ((1 + 4,), 2, off_grid),  # k + 2**n, out of range
         ((1 - 4,), 2, off_grid),  # negative, equal to k modulo 2**n
         ((1,), 3, "cipher qubit resolution 3 does not match key resolution 2"),
+        ((1.0,), 2, off_grid),  # a float unit: no integer XOR
     ):
         with pytest.raises(ValueError, match=message):
             decrypt(CipherState(units, n), key, params)
+
+
+def test_private_key_rejects_non_integers():
+    with pytest.raises(TypeError):
+        PrivateKey((1.0,), 2)
+    with pytest.raises(ValueError, match=r"key entry 4 outside \[0, 4\)"):
+        PrivateKey((1, 4), 2)
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_private_key_numpy_values_encrypt_like_python_ints(n):
+    # int8 values cannot hold 2**(n-1) at n = 9; the key stores Python ints
+    key = PrivateKey(tuple(np.array([1, 2], dtype=np.int8)), n)
+    assert all(type(v) is int for v in key.values) and key == PrivateKey((1, 2), n)
+    cipher = encrypt(Codeword((1, 1)), key)
+    assert cipher == encrypt(Codeword((1, 1)), PrivateKey((1, 2), n))
+    assert all(type(c) is int for c in cipher.units)
 
 
 def test_encrypt_rejects_codeword_longer_than_key():
