@@ -59,18 +59,24 @@ def _check_n(n: int) -> None:
         raise ValueError(f"resolution exponent must lie in [1, {MAX_N}], got {n}")
 
 
+def _check_key(k: int, n: int) -> None:
+    if not 0 <= k < (1 << n):
+        raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
+
+
 @lru_cache(maxsize=32)
 def _prob0_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # P("0" | k) in the z and x bases for every key value k.  Structural
-    # zeros/ones (orthogonal or identical states) must be exact: the smallest
-    # genuine probability at n <= 14 is sin^2(pi/2^15) ~ 9e-9, so snapping
-    # below 1e-30 cannot touch a real value.
+    # P("0" | k) in the z and x bases for every key value k; every 2**n table
+    # is built from these, so n is bounded here.  Structural zeros
+    # (orthogonal states) must be exact: the smallest genuine probability at
+    # n <= 14 is sin^2(pi/2^15) ~ 9e-9, so snapping below 1e-30 cannot touch
+    # a real value.  The structural ones are cos(0)**2, exactly 1 already.
+    _check_n(n)
     half = np.arange(1 << n) * (elementary_angle(n) / 2.0)
     p0z = np.cos(half) ** 2
     p0x = np.cos(np.pi / 4.0 - half) ** 2
     for p in (p0z, p0x):
         p[p < 1e-30] = 0.0
-        p[p > 1.0 - 1e-15] = 1.0
         p.flags.writeable = False
     return p0z, p0x
 
@@ -95,10 +101,8 @@ def outcome_prob_single(basis: str, outcome: int, k: int, n: int) -> float:
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    _check_n(n)
-    if not 0 <= k < (1 << n):
-        raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
     p0z, p0x = _prob0_tables(n)
+    _check_key(k, n)
     p0 = float(p0z[k] if basis == "z" else p0x[k])
     return p0 if outcome == 0 else 1.0 - p0
 
@@ -177,27 +181,28 @@ def _bloch_sums(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return est_z * scale, est_x * scale, norms, directed
 
 
+def _outcome_rows(outcome: MeasurementOutcome, T: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows P_z[t0z] and P_x[t0x] of the outcome pair's counts, each of shape (2**n,)."""
+    if outcome.t0z > T or outcome.t0x > T:
+        raise ValueError(f"outcome counts exceed T={T}: {outcome}")
+    pz, px = _likelihood_grid(T, n)
+    return pz[outcome.t0z], px[outcome.t0x]
+
+
 def likelihood(outcome: MeasurementOutcome, k: int, T: int, n: int) -> float:
     """Probability of the outcome pair (t0z, t0x) given the key-k state.
 
     Product of two binomial likelihoods, one per measurement basis.
     """
-    _check_n(n)
-    if outcome.t0z > T or outcome.t0x > T:
-        raise ValueError(f"outcome counts exceed T={T}: {outcome}")
-    if not 0 <= k < (1 << n):
-        raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
-    pz, px = _likelihood_grid(T, n)
-    return float(pz[outcome.t0z, k] * px[outcome.t0x, k])
+    pz, px = _outcome_rows(outcome, T, n)
+    _check_key(k, n)
+    return float(pz[k] * px[k])
 
 
 def evidence(outcome: MeasurementOutcome, T: int, n: int) -> float:
     """Marginal probability of the outcome pair under the uniform key prior."""
-    _check_n(n)
-    if outcome.t0z > T or outcome.t0x > T:
-        raise ValueError(f"outcome counts exceed T={T}: {outcome}")
-    pz, px = _likelihood_grid(T, n)
-    return float(np.mean(pz[outcome.t0z] * px[outcome.t0x]))
+    pz, px = _outcome_rows(outcome, T, n)
+    return float(np.mean(pz * px))
 
 
 @dataclass(frozen=True)
@@ -229,11 +234,8 @@ def posterior(outcome: MeasurementOutcome, T: int, n: int) -> PosteriorDistribut
     ImpossibleOutcomeError
         If the outcome has zero probability under every key value.
     """
-    _check_n(n)
-    if outcome.t0z > T or outcome.t0x > T:
-        raise ValueError(f"outcome counts exceed T={T}: {outcome}")
-    pz, px = _likelihood_grid(T, n)
-    row = pz[outcome.t0z] * px[outcome.t0x]
+    pz, px = _outcome_rows(outcome, T, n)
+    row = pz * px
     total = np.sum(row)
     if total <= 0.0:
         raise ImpossibleOutcomeError(f"outcome {outcome} has zero evidence at T={T}, n={n}")
@@ -246,7 +248,6 @@ def information_gain(T: int, n: int) -> float:
     n minus the expected posterior entropy over the full outcome grid; lies in
     [0, n], and is 0 for T = 0.
     """
-    _check_n(n)
     # the posterior entropy of (a, b) is log2(Q) - sum_k L log2(L) / Q with
     # Q = sum_k L, and log2(L) splits into one log table per basis
     pz, px = _likelihood_grid(T, n)
@@ -282,10 +283,8 @@ class BlochEstimate:
 
 def bloch_estimate(post: PosteriorDistribution) -> BlochEstimate:
     """Posterior-averaged Bloch vector sum_k p(k) (cos k*theta, sin k*theta)."""
-    angles = np.arange(1 << post.n) * elementary_angle(post.n)
-    z = float(np.sum(post.probabilities * np.cos(angles)))
-    x = float(np.sum(post.probabilities * np.sin(angles)))
-    return BlochEstimate(z, x)
+    cos_k, sin_k = _key_bloch(post.n)
+    return BlochEstimate(float(np.sum(post.probabilities * cos_k)), float(np.sum(post.probabilities * sin_k)))
 
 
 def success_given_outcome(k: int, post: PosteriorDistribution) -> float:
@@ -294,21 +293,19 @@ def success_given_outcome(k: int, post: PosteriorDistribution) -> float:
     Equals 1/2 + (est . actual) / (2 |est|); a vanishing estimate means a pure
     guess, by convention 1/2.
     """
-    if not 0 <= k < (1 << post.n):
-        raise ValueError(f"key integer must lie in [0, 2**{post.n}), got {k}")
+    _check_key(k, post.n)
     est = bloch_estimate(post)
     if est.norm < DEGENERATE_NORM:
         return 0.5
-    angle = k * elementary_angle(post.n)
-    return 0.5 + (est.z * math.cos(angle) + est.x * math.sin(angle)) / (2.0 * est.norm)
+    cos_k, sin_k = _key_bloch(post.n)
+    return float(0.5 + (est.z * cos_k[k] + est.x * sin_k[k]) / (2.0 * est.norm))
 
 
 def success_given_key(k: int, T: int, n: int) -> float:
     """Per-key bit-recovery probability: outcome-weighted success of the estimate basis."""
-    _check_n(n)
-    if not 0 <= k < (1 << n):
-        raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
-    return float(success_by_key(T, n)[k])
+    success = success_by_key(T, n)
+    _check_key(k, n)
+    return float(success[k])
 
 
 def success_by_key(T: int, n: int) -> np.ndarray:
@@ -321,7 +318,6 @@ def success_by_key(T: int, n: int) -> np.ndarray:
 
     Capped at 1: above LOG_SPACE_T the PMF rows sum to 1 only to ~T * 1e-16.
     """
-    _check_n(n)
     pz, px = _likelihood_grid(T, n)
     half_z, half_x, _, _ = _bloch_sums(T, n)
     toward = np.einsum("ak,cak->ck", pz, np.stack([half_z, half_x]) @ px)
@@ -334,11 +330,10 @@ def mean_success(T: int, n: int) -> float:
     """Bit-recovery probability averaged over the uniform key ensemble, 1/2 + 2**-(m+1) sum_directed |E|.
 
     The sum runs over the 2**m keys of m = _outcome_n(T, n), so the value is
-    the same at every n with 2**n > 2T+1.
+    the same at every n with 2**n > 2T+1, and only m is bounded by MAX_N.
 
     Capped at 1: at large T and small n the sum reaches 1 and rounds past it.
     """
-    _check_n(n)
     _, _, norms, directed = _bloch_sums(T, n)
     return min(1.0, float(0.5 + np.sum(norms[directed]) / (1 << (_outcome_n(T, n) + 1))))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from itertools import chain
 
@@ -54,8 +53,8 @@ class Table:
     """A result table: one column per field, in schema order.
 
     ``columns`` maps each field name to its column, a 1-D numpy array or a
-    list; all columns have the same length, and ``len()`` is the number of
-    data rows.
+    list; all columns have the same length, ``len()`` is the number of data
+    rows, and ``table[field]`` is the column of that field.
     """
 
     def __init__(self, columns: dict):
@@ -68,6 +67,9 @@ class Table:
 
     def __len__(self) -> int:
         return self.rows
+
+    def __getitem__(self, field: str):
+        return self.columns[self.fields.index(field)]
 
 
 def _fmt(value) -> str:
@@ -302,14 +304,19 @@ def cmd_security(args) -> tuple[Table, list[dict]]:
     return table, violations
 
 
-def cmd_montecarlo(args) -> tuple[Table, list[dict]]:
+def _campaign(args) -> tuple[montecarlo.EstimateWithError, float, float]:
+    """Estimate, analytic value and z-score of the seeded Monte Carlo campaign that ``args`` describes."""
     params = ProtocolParams(n=args.n, N=args.s, T=args.T, s=args.s)
     cfg = montecarlo.TrialConfig(params=params, attack=args.attack, trials=args.trials, seed=args.seed)
-    if args.trials < 100:
-        print(f"warning: {args.trials} trials gives a very coarse estimate", file=sys.stderr)
     result = montecarlo.estimate(cfg)
     analytic = montecarlo.analytic_success(cfg)
-    z = (result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
+    return result, analytic, (result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
+
+
+def cmd_montecarlo(args) -> tuple[Table, list[dict]]:
+    result, analytic, z = _campaign(args)
+    if args.trials < 100:
+        print(f"warning: {args.trials} trials gives a very coarse estimate", file=sys.stderr)
     table = Table({
         "attack": [args.attack],
         "n": [args.n],
@@ -373,44 +380,36 @@ def _check_entropy_bounds() -> tuple[bool, str]:
 
 
 def _check_information_gain() -> tuple[bool, str]:
-    worst_gap = math.inf
-    for T in range(1, 9):
-        gap = symspace.holevo_bound_tight(2 * T) - bayes.information_gain(T, 10)
-        worst_gap = min(worst_gap, gap)
-    return worst_gap > 0.0, f"smallest bound-gain gap = {worst_gap:.6f} bits"
+    table, violations = _figure2(argparse.Namespace(n=10))
+    return not violations, f"smallest bound-gain gap = {min(table['gap_bits']):.6f} bits"
 
 
 def _check_mean_success() -> tuple[bool, str]:
-    worst = -math.inf
-    for T in range(2, 11):
-        excess = bayes.mean_success(T, 10) - bayes.bound_U(T)
-        worst = max(worst, excess)
-    return worst <= 1e-9, f"max excess over 1 - 1/(6T) = {worst:.3e}"
+    table, violations = _figure4(argparse.Namespace(n=10, T=list(range(2, 11))))
+    worst = max(m - b for m, b in zip(table["mean_success"], table["upper_bound"]))
+    passed = all(v["check"] != "mean-success-bound" for v in violations)
+    return passed, f"max excess over 1 - 1/(6T) = {worst:.3e}"
 
 
 def _check_optimal_collective() -> tuple[bool, str]:
-    for T in range(1, 11):
-        if bayes.mean_success(T, 10) > bayes.optimal_collective(T) + 1e-9:
-            return False, f"mean success above collective optimum at T={T}"
+    _, violations = _figure4(argparse.Namespace(n=10, T=list(range(1, 11))))
+    for v in violations:
+        if v["check"] == "mean-below-optimal":
+            return False, f"mean success above collective optimum at T={v['T']}"
     return True, "individual attack stays below the collective optimum for T in [1, 10]"
 
 
 def _check_codeword_bound() -> tuple[bool, str]:
-    worst = -math.inf
-    for T in (2, 4, 8):
-        per_bit = bayes.mean_success(T, 10)
-        for s in range(1, 51):
-            excess = bayes.codeword_success(per_bit, s) - bayes.codeword_bound(T, s)
-            worst = max(worst, excess)
-    return worst <= 1e-9, f"max excess over the codeword bound = {worst:.3e}"
+    table, violations = _figure5(argparse.Namespace(n=10, T=[2, 4, 8], s=50))
+    worst = max(p - b for p, b in zip(table["success"], table["upper_bound"]))
+    return not violations, f"max excess over the codeword bound = {worst:.3e}"
 
 
 def _check_parity_identity() -> tuple[bool, str]:
     worst = 0.0
     for q1 in (0.5, 0.6, 0.75, 0.9, 1.0):
         for s in range(1, 13):
-            closed = 0.5 + (2.0 * q1 - 1.0) ** s / 2.0
-            worst = max(worst, abs(symmetry.parity_iteration(q1, s) - closed))
+            worst = max(worst, abs(symmetry.parity_iteration(q1, s) - bayes.codeword_success(q1, s)))
     return worst <= 1e-12, f"max iteration/closed-form deviation = {worst:.3e}"
 
 
@@ -447,14 +446,8 @@ def _check_bayes_normalization() -> tuple[bool, str]:
 
 
 def _check_montecarlo(attack: str, trials: int, seed: int) -> tuple[bool, str]:
-    if attack == "symmetry-test":
-        params = ProtocolParams(n=10, N=8, T=1, s=8)
-    else:
-        params = ProtocolParams(n=10, N=1, T=4, s=1)
-    cfg = montecarlo.TrialConfig(params=params, attack=attack, trials=trials, seed=seed)
-    result = montecarlo.estimate(cfg)
-    analytic = montecarlo.analytic_success(cfg)
-    z = (result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
+    T, s = (1, 8) if attack == "symmetry-test" else (4, 1)
+    _, analytic, z = _campaign(argparse.Namespace(attack=attack, n=10, T=T, s=s, trials=trials, seed=seed))
     return abs(z) < 3.0, f"z = {z:+.2f} against analytic {analytic:.6f} ({trials} trials)"
 
 

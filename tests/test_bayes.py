@@ -382,8 +382,52 @@ def test_required_codeword_length_examples():
 def test_module_resolution_cap():
     with pytest.raises(ValueError):
         information_gain(2, 15)
-    with pytest.raises(ValueError):
-        mean_success(2, 15)
+
+
+@pytest.mark.parametrize("n", [0, 15])
+@pytest.mark.parametrize("build", [
+    lambda n: outcome_prob_single("z", 0, 0, n),
+    lambda n: likelihood(MeasurementOutcome(0, 0), 0, 2, n),
+    lambda n: evidence(MeasurementOutcome(0, 0), 2, n),
+    lambda n: posterior(MeasurementOutcome(0, 0), 2, n),
+    lambda n: information_gain(2, n),
+    lambda n: success_by_key(2, n),
+    lambda n: success_given_key(0, 2, n),
+    lambda n: montecarlo._inversion_table(2, n, 0),
+], ids=["outcome_prob_single", "likelihood", "evidence", "posterior", "information_gain", "success_by_key",
+        "success_given_key", "inversion_table"])
+def test_key_tables_reject_resolution_out_of_range(build, n):
+    # every 2**n table is built from _prob0_tables, which bounds n
+    with pytest.raises(ValueError, match=rf"resolution exponent must lie in \[1, 14\], got {n}$"):
+        build(n)
+
+
+def test_mean_success_accepts_any_resolution_past_the_exact_grid():
+    # only the 2**m keys of m = _exact_n(T) are summed, so no 2**n table is built
+    for T in range(41):
+        m = bayes._exact_n(T)
+        expected = mean_success(T, m)
+        for n in range(m, 21):
+            assert mean_success(T, n) == expected
+    with pytest.raises(ValueError, match=r"resolution exponent must lie in \[1, 14\], got 0$"):
+        mean_success(2, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_prob0_tables_exact_only_at_structural_states(n):
+    # identical and orthogonal states give exactly 1 and 0; every other key
+    # lies strictly inside (0, 1), so no genuine value is rounded to certainty
+    p0z, p0x = bayes._prob0_tables(n)
+    exact = {(0, 0): 1.0, (0, 1 << (n - 1)): 0.0}
+    if n >= 2:
+        exact.update({(1, 1 << (n - 2)): 1.0, (1, 3 << (n - 2)): 0.0})
+    for basis, table in enumerate((p0z, p0x)):
+        inside = np.ones(1 << n, dtype=bool)
+        for (b, k), value in exact.items():
+            if b == basis:
+                assert table[k] == value
+                inside[k] = False
+        assert np.all((table[inside] > 0.0) & (table[inside] < 1.0))
 
 
 @pytest.mark.parametrize("reduce", [information_gain, mean_success, success_by_key])

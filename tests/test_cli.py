@@ -166,6 +166,18 @@ def test_continuum_bounds_skip_tiny_key_sets(argv, capsys):
     assert len(read_csv(out)) == (4 if argv[2] == "4" else 3)
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "4", "--T", "1-12"],
+    ["figure", "--id", "5", "--T", "2,4,8", "--s", "20"],
+])
+def test_mean_success_figures_same_past_the_exact_grid(argv, capsys):
+    # figures 4 and 5 sum only the 2**m keys of the smallest exact grid, so
+    # they accept n above the key tables' cap and print the same rows
+    at_cap = run_cli(argv + ["--n", "14"], capsys)
+    assert at_cap[0] in (0, 1)
+    assert run_cli(argv + ["--n", "20"], capsys) == at_cap
+
+
 def test_mean_success_bound_fails_from_T_11(capsys):
     code, out, err = run_cli(["figure", "--id", "4", "--n", "6", "--T", "11-16"], capsys)
     assert code == 1
@@ -255,17 +267,48 @@ def test_only_monte_carlo_loads_numpy_random():
     assert "numpy.random" in imported_modules("-m", "qpke.cli", *montecarlo)
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_module(name):
+    """Load perfbench/<name>.py by path: perfbench is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_targets_exist():
     # perfbench/tracer.py reads every CACHES entry with getattr at start-up,
     # so a lost cache there fails every traced op; it only lists lost HOOKS
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = perfbench_module("tracer")
     for module, attr in tracer.CACHES.values():
         assert hasattr(getattr(importlib.import_module(f"qpke.{module}"), attr), "cache_info"), (module, attr)
     missing = {f"{m}.{a}" for m, a in tracer.HOOKS if not hasattr(importlib.import_module(f"qpke.{m}"), a)}
     assert missing <= {"symspace.jacobi_eigh"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["prior", "--tau", "4,8", "--n", "10,12"],
+    ["figure", "--id", "1", "--n", "10"],
+    ["figure", "--id", "2", "--n", "10"],
+    ["figure", "--id", "3", "--n", "12", "--T", "4,8"],
+    ["figure", "--id", "4", "--n", "12", "--T", "1-12"],
+    ["figure", "--id", "5", "--n", "12", "--T", "4,8,16", "--s", "20"],
+    ["security", "--epsilon", "0.03125", "--T", "4-12"],
+    ["montecarlo", "--attack", "symmetry-test", "--n", "10", "--T", "1", "--s", "8", "--trials", "2000",
+     "--seed", "1"],
+    ["montecarlo", "--attack", "bayes-projective", "--n", "12", "--T", "8", "--s", "4", "--trials", "2000",
+     "--seed", "1"],
+    ["check-all", "--seed", "0"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_benchmark_correctness_gate_passes(argv, capsys):
+    # the benchmark gates every op's output against perfbench/reference.json
+    gate = perfbench_module("gate")
+    with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)
+    code, out, err = run_cli(argv, capsys)
+    assert gate.check(argv, code, out, err, reference) is None
 
 
 def test_montecarlo_command(capsys):
