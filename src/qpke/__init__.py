@@ -12,13 +12,11 @@ from .protocol import (
     Codeword,
     PrivateKey,
     ProtocolParams,
-    QubitAngle,
     decrypt,
     elementary_angle,
     encode_message,
     encrypt,
     generate_private_key,
-    public_qubit_state,
 )
 from .symspace import (
     OneWayCheck,
@@ -55,7 +53,6 @@ from .bayes import (
     posterior_density,
     required_codeword_length,
     success_by_key,
-    success_given_key,
     success_given_outcome,
 )
 from .symmetry import (
@@ -74,9 +71,6 @@ from .montecarlo import (
     TrialConfig,
     analytic_success,
     estimate,
-    run_bayes_trial,
-    run_symmetry_trial,
-    sample_measurement,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

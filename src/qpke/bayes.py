@@ -301,13 +301,6 @@ def success_given_outcome(k: int, post: PosteriorDistribution) -> float:
     return float(0.5 + (est.z * cos_k[k] + est.x * sin_k[k]) / (2.0 * est.norm))
 
 
-def success_given_key(k: int, T: int, n: int) -> float:
-    """Per-key bit-recovery probability: outcome-weighted success of the estimate basis."""
-    success = success_by_key(T, n)
-    _check_key(k, n)
-    return float(success[k])
-
-
 def success_by_key(T: int, n: int) -> np.ndarray:
     """Per-key bit-recovery probabilities for every key value, averaged over the outcome grid.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 
@@ -53,8 +54,8 @@ class Table:
     """A result table: one column per field, in schema order.
 
     ``columns`` maps each field name to its column, a 1-D numpy array or a
-    list; all columns have the same length, ``len()`` is the number of data
-    rows, and ``table[field]`` is the column of that field.
+    list of Python values; all columns have the same length, ``len()`` is
+    the number of data rows, and ``table[field]`` is the column of that field.
     """
 
     def __init__(self, columns: dict):
@@ -73,23 +74,11 @@ class Table:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+    if isinstance(value, float):
+        return format(value, ".12g")
     return str(value)
-
-
-def _native(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 def _csv_field(text: str, alone: bool) -> str:
@@ -121,10 +110,8 @@ def _csv_column(column, alone: bool) -> tuple[str, list]:
 
 
 def _json_cells(column) -> list:
-    """Native Python values for ``json``: bool, int, float or the cell itself."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        return column.tolist()
-    return [_native(v) for v in column]
+    """Native Python values for ``json``: an array's ``tolist()``, a list's own cells."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _write_rows(table: Table, fmt: str, out_path: str | None) -> None:
@@ -258,14 +245,16 @@ def _figure4(args):
 def _figure5(args):
     if args.s < 1:
         raise ValueError(f"codeword length --s must be >= 1, got {args.s}")
+    if min(args.T) < 1:
+        raise ValueError(f"T must be >= 1, got {min(args.T)}")
     pairs = [(T, s) for T in args.T for s in range(1, args.s + 1)]
     per_bit = {T: bayes.mean_success(T, args.n) for T in args.T}
     success = [bayes.codeword_success(per_bit[T], s) for T, s in pairs]
-    bound = [bayes.codeword_bound(T, s) for T, s in pairs]
+    bound = [bayes.codeword_bound(T, s) if T > 1 else "" for T, s in pairs]
     violations = [
         {"check": "codeword-bound", "T": T, "s": s, "success": p, "bound": b}
         for (T, s), p, b in zip(pairs, success, bound)
-        if args.n >= bayes._exact_n(T) and p > b + 1e-10
+        if T > 1 and args.n >= bayes._exact_n(T) and p > b + 1e-10
     ]
     table = Table({
         "T": [T for T, _ in pairs],
@@ -305,12 +294,18 @@ def cmd_security(args) -> tuple[Table, list[dict]]:
 
 
 def _campaign(args) -> tuple[montecarlo.EstimateWithError, float, float]:
-    """Estimate, analytic value and z-score of the seeded Monte Carlo campaign that ``args`` describes."""
+    """Estimate, analytic value and z-score of the seeded Monte Carlo campaign that ``args`` describes.
+
+    z is taken against the binomial error sqrt(a(1-a)/trials) of the analytic
+    value a, which, unlike the empirical error, does not vanish when every
+    trial agrees; it is 0 where a is 0 or 1.
+    """
     params = ProtocolParams(n=args.n, N=args.s, T=args.T, s=args.s)
     cfg = montecarlo.TrialConfig(params=params, attack=args.attack, trials=args.trials, seed=args.seed)
     result = montecarlo.estimate(cfg)
     analytic = montecarlo.analytic_success(cfg)
-    return result, analytic, (result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
+    spread = math.sqrt(analytic * (1.0 - analytic) / args.trials)
+    return result, analytic, (result.mean - analytic) / spread if spread > 0 else 0.0
 
 
 def cmd_montecarlo(args) -> tuple[Table, list[dict]]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bayes
-from .protocol import ProtocolParams, QubitAngle
+from .protocol import ProtocolParams
 from .symmetry import average_success_symmetry
 
 ATTACKS = ("bayes-projective", "symmetry-test")
@@ -68,12 +68,6 @@ class EstimateWithError:
             raise ValueError(f"mean must lie in [0, 1], got {self.mean}")
         if self.std_error < 0.0:
             raise ValueError(f"standard error must be >= 0, got {self.std_error}")
-
-
-def sample_measurement(q: QubitAngle, basis_angle: float, rng: np.random.Generator) -> int:
-    """Born-rule draw: 0 with probability cos^2((phi - basis)/2), else 1."""
-    p0 = math.cos((q.radians - basis_angle) / 2.0) ** 2
-    return 0 if rng.random() < p0 else 1
 
 
 def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -280,16 +274,6 @@ def _symmetry_batch(
     guess ^= out_cipher
     guess ^= flip
     return np.bitwise_xor.reduce(guess.view(np.uint8), axis=1) == 0
-
-
-def run_bayes_trial(cfg: TrialConfig, rng: np.random.Generator) -> bool:
-    """One full run of the projective-measurement attack; True on a correct message guess."""
-    return bool(_bayes_batch(cfg.params, rng, 1)[0])
-
-
-def run_symmetry_trial(cfg: TrialConfig, rng: np.random.Generator) -> bool:
-    """One full run of the symmetry-test attack; True on a correct message guess."""
-    return bool(_symmetry_batch(cfg.params, rng, 1)[0])
 
 
 def analytic_success(cfg: TrialConfig) -> float:

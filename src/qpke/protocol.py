@@ -1,4 +1,4 @@
-"""Protocol primitives: key generation, public-key qubit states, and parity-codeword encryption.
+"""Protocol primitives: key generation, parity codewords, and their encryption as integer units.
 
 States live on the x-z great circle of the Bloch sphere at key-grid angles
 k * pi / 2**(n-1), one integer k in Z_{2**n} each.  Encrypting a codeword bit
@@ -66,45 +66,6 @@ class ProtocolParams:
 
 
 @dataclass(frozen=True)
-class QubitAngle:
-    """A qubit state cos(phi/2)|0> + sin(phi/2)|1> at phi = units * pi / 2**(n-1).
-
-    Counting ``units`` of the elementary angle for resolution ``n`` keeps the
-    0/pi encryption shifts exact, free of 2*pi-reduction drift.
-    """
-
-    units: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.units < (1 << self.n):
-            raise ValueError(f"units must lie in [0, 2**{self.n}), got {self.units}")
-
-    @property
-    def radians(self) -> float:
-        return self.units * elementary_angle(self.n)
-
-    def bloch(self) -> tuple[float, float]:
-        """Bloch-vector components (z, x) = (cos phi, sin phi)."""
-        phi = self.radians
-        return math.cos(phi), math.sin(phi)
-
-    def amplitudes(self) -> tuple[float, float]:
-        """State amplitudes (cos(phi/2), sin(phi/2)) in the z basis."""
-        phi = self.radians
-        return math.cos(phi / 2.0), math.sin(phi / 2.0)
-
-
-def public_qubit_state(k: int, n: int) -> QubitAngle:
-    """Public-key qubit state for key integer k at resolution n (angle k * theta_n)."""
-    if not 0 <= k < (1 << n):
-        raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
-    return QubitAngle(k, n)
-
-
-@dataclass(frozen=True)
 class PrivateKey:
     """Secret integer string; each entry selects one public-key qubit state."""
 
@@ -165,17 +126,13 @@ def encode_message(m: int, s: int, rng: np.random.Generator) -> Codeword:
 class CipherState:
     """Encrypted qubits as integer cipher units c = (k + w * 2**(n-1)) mod 2**n at resolution ``n``.
 
-    Each cipher qubit is its public-key state turned by 0 or pi, itself a
-    key-grid state; ``qubits`` builds those :class:`QubitAngle` states.  A
-    tampered cipher has units off the two values its key allows.
+    Each cipher qubit is its public-key state turned by 0 or pi, itself the
+    key-grid state at angle c * pi / 2**(n-1).  A tampered cipher has units
+    off the two values its key allows.
     """
 
     units: tuple[int, ...]
     n: int
-
-    @property
-    def qubits(self) -> tuple[QubitAngle, ...]:
-        return tuple(QubitAngle(c, self.n) for c in self.units)
 
     def __len__(self) -> int:
         return len(self.units)

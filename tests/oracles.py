@@ -19,9 +19,10 @@ matrix products.  Their memory grows as T**2 * 2**n, so use small (T, n).
 2**n keys, which checks the library's sums over the smallest exact key grid.
 
 ``encrypt_qubits`` and ``decrypt_qubits`` are the protocol's encryption
-and decryption one ``QubitAngle`` at a time (public state, 0-or-pi shift as
-modular addition, per-qubit basis measurement by modular difference); they
-check the library's XOR on integer cipher units.
+and decryption one qubit at a time, each qubit a plain (units, n) pair
+(public state, 0-or-pi shift as modular addition, per-qubit basis
+measurement by modular difference); they check the library's XOR on integer
+cipher units.
 
 ``bayes_batch_direct`` and ``symmetry_batch_direct`` simulate one Monte
 Carlo batch of each attack with ``Generator.binomial`` and a separate Born
@@ -44,7 +45,7 @@ import numpy as np
 
 from qpke import bayes, cli, montecarlo, symspace
 from qpke.bayes import DEGENERATE_NORM, _binomial_pmf_rows, _prob0_tables
-from qpke.protocol import QubitAngle, elementary_angle
+from qpke.protocol import elementary_angle
 from qpke.symspace import symmetric_state_components
 
 
@@ -147,23 +148,24 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) ->
     return values[order], vecs[:, order]
 
 
-def encrypt_qubits(codeword, key) -> tuple[QubitAngle, ...]:
-    """Encrypt a codeword as public-key states advanced by w * pi: units (k + w * 2**(n-1)) mod 2**n."""
+def encrypt_qubits(codeword, key) -> tuple[tuple[int, int], ...]:
+    """Encrypt a codeword as public-key states advanced by w * pi: pairs ((k + w * 2**(n-1)) mod 2**n, n)."""
     if len(codeword) > len(key):
         raise ValueError(f"codeword length {len(codeword)} exceeds key length {len(key)}")
     top = 1 << key.n
-    return tuple(QubitAngle((k + int(w) * (top // 2)) % top, key.n) for k, w in zip(key.values, codeword.bits))
+    return tuple(((k + int(w) * (top // 2)) % top, key.n) for k, w in zip(key.values, codeword.bits))
 
 
-def recover_bit(q: QubitAngle, k: int, n: int) -> int:
-    """Measure one cipher qubit in the key basis {k*theta, k*theta + pi}.
+def recover_bit(q: tuple[int, int], k: int, n: int) -> int:
+    """Measure one cipher qubit, a (units, n) pair, in the key basis {k*theta, k*theta + pi}.
 
     The outcome is deterministic for a genuine cipher qubit, which is one of
     the two orthogonal basis states; any other state raises.
     """
-    if q.n != n:
-        raise ValueError(f"cipher qubit resolution {q.n} does not match key resolution {n}")
-    diff = (q.units - k) % (1 << n)
+    units, q_n = q
+    if q_n != n:
+        raise ValueError(f"cipher qubit resolution {q_n} does not match key resolution {n}")
+    diff = (units - k) % (1 << n)
     if diff == 0:
         return 0
     if diff == 1 << (n - 1):
@@ -171,8 +173,8 @@ def recover_bit(q: QubitAngle, k: int, n: int) -> int:
     raise ValueError("cipher qubit is neither parallel nor antiparallel to the key state")
 
 
-def decrypt_qubits(qubits: tuple[QubitAngle, ...], key, params) -> tuple[tuple[int, ...], int]:
-    """Recover the codeword bits and message parity by measuring each ``QubitAngle`` in its key basis."""
+def decrypt_qubits(qubits: tuple[tuple[int, int], ...], key, params) -> tuple[tuple[int, ...], int]:
+    """Recover the codeword bits and message parity by measuring each (units, n) qubit in its key basis."""
     if params.n != key.n:
         raise ValueError(f"params resolution {params.n} does not match key resolution {key.n}")
     if len(qubits) != params.s:

@@ -35,7 +35,6 @@ from qpke.bayes import (
     posterior_density,
     required_codeword_length,
     success_by_key,
-    success_given_key,
     success_given_outcome,
 )
 from qpke.protocol import elementary_angle
@@ -245,8 +244,7 @@ def test_success_given_outcome_examples():
 
 
 def test_success_given_key_exact_at_minimal_resolution():
-    for k in (0, 1):
-        assert success_given_key(k, 1, 1) == pytest.approx(1.0, abs=1e-12)
+    assert success_by_key(1, 1) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_success_given_key_reflection_symmetry():
@@ -255,7 +253,6 @@ def test_success_given_key_reflection_symmetry():
     size = 1 << n
     for k in range(size):
         assert table[k] == pytest.approx(table[(size - k) % size], abs=1e-10)
-    assert success_given_key(5, T, n) == pytest.approx(table[5], abs=1e-15)
 
 
 def test_success_oscillation_shrinks_with_more_copies():
@@ -311,7 +308,7 @@ def test_optimal_collective_large_T_scaling():
 def test_success_given_key_is_bit_independent_by_construction():
     # the estimate basis cannot depend on the encrypted bit: the operation
     # takes no bit argument at all
-    assert list(inspect.signature(success_given_key).parameters) == ["k", "T", "n"]
+    assert list(inspect.signature(success_by_key).parameters) == ["T", "n"]
 
 
 @pytest.mark.parametrize("s", [1, 2, 5])
@@ -392,10 +389,9 @@ def test_module_resolution_cap():
     lambda n: posterior(MeasurementOutcome(0, 0), 2, n),
     lambda n: information_gain(2, n),
     lambda n: success_by_key(2, n),
-    lambda n: success_given_key(0, 2, n),
     lambda n: montecarlo._inversion_table(2, n, 0),
 ], ids=["outcome_prob_single", "likelihood", "evidence", "posterior", "information_gain", "success_by_key",
-        "success_given_key", "inversion_table"])
+        "inversion_table"])
 def test_key_tables_reject_resolution_out_of_range(build, n):
     # every 2**n table is built from _prob0_tables, which bounds n
     with pytest.raises(ValueError, match=rf"resolution exponent must lie in \[1, 14\], got {n}$"):

@@ -1,6 +1,7 @@
 """Command-line surface: table schemas, formats, exit codes, inequality checks."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import functools
@@ -110,6 +111,17 @@ def test_figure5_rows_respect_bound(capsys):
     rows = read_csv(out)
     assert len(rows) == 12
     for row in rows:
+        assert float(row["success"]) <= float(row["upper_bound"]) + 1e-10
+
+
+def test_figure5_bound_column_blank_for_single_copy_pair(capsys):
+    # the codeword bound needs T > 1: T = 1 rows print with a blank bound and are not checked
+    code, out, err = run_cli(["figure", "--id", "5", "--T", "1-2", "--s", "3"], capsys)
+    assert code == 0, err
+    rows = read_csv(out)
+    assert [(r["T"], r["s"]) for r in rows] == [(T, s) for T in "12" for s in "123"]
+    assert all(r["upper_bound"] == "" for r in rows[:3])
+    for row in rows[3:]:
         assert float(row["success"]) <= float(row["upper_bound"]) + 1e-10
 
 
@@ -288,6 +300,46 @@ def test_benchmark_tracer_targets_exist():
     assert missing <= {"symspace.jacobi_eigh"}
 
 
+def test_library_has_no_unused_imports_or_private_names():
+    # no linter is run on the package: an import its module never reads, or
+    # a module-level _private name that no module of the package reads, is a
+    # leftover of deleted code
+    package = os.path.dirname(qpke.__file__)
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), name)
+    read = {}
+    for name, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        read[name] = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read[name] |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        read[name] |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read_anywhere = set().union(*read.values())
+    unused, unread = [], []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and name != "__init__.py":
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read[name]:
+                        unused.append(f"{name}: {bound}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            unread += [
+                f"{name}: {private}" for private in defined
+                if private.startswith("_") and not private.startswith("__") and private not in read_anywhere
+            ]
+    assert (unused, unread) == ([], [])
+
+
 @pytest.mark.parametrize("argv", [
     ["prior", "--tau", "4,8", "--n", "10,12"],
     ["figure", "--id", "1", "--n", "10"],
@@ -324,6 +376,22 @@ def test_montecarlo_command(capsys):
     assert row["attack"] == "symmetry-test"
     assert float(row["analytic"]) == 0.75
     assert abs(float(row["z_score"])) < 4.0
+
+
+def test_montecarlo_z_score_survives_a_collapsed_standard_error(capsys):
+    # one trial has an empirical standard error of 0; z is taken against the
+    # analytic value's own binomial error, so a single 0/1 outcome is |z| ~ 1
+    code, out, err = run_cli(
+        ["montecarlo", "--attack", "symmetry-test", "--n", "10", "--T", "1", "--s", "8", "--trials", "1"], capsys
+    )
+    assert code == 0
+    row = read_csv(out)[0]
+    assert float(row["std_error"]) == 0.0
+    analytic = float(row["analytic"])
+    assert analytic == pytest.approx(0.5 + 2.0 ** -9, abs=1e-12)
+    expected = (float(row["empirical"]) - analytic) / math.sqrt(analytic * (1.0 - analytic))
+    assert float(row["z_score"]) == pytest.approx(expected, rel=1e-9)
+    assert abs(float(row["z_score"])) == pytest.approx(1.0, abs=0.01)
 
 
 def test_montecarlo_warns_on_tiny_trial_count(capsys):
@@ -396,7 +464,8 @@ SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e13
 floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 int64s = st.one_of(st.sampled_from([0, -1, 10**13]), st.integers(-(2**63), 2**63 - 1))
 texts = st.text(alphabet=',"\n\r ab;\'\u00e9', max_size=6)
-# cell strategy and column constructor for each kind of column a command can build
+# cell strategy and column constructor for each kind of column a command can
+# build; list cells are Python values (np.float64 is a float subclass)
 COLUMN_KINDS = {
     "float array": (floats, lambda cells: np.array(cells, dtype=np.float64)),
     "int array": (int64s, lambda cells: np.array(cells, dtype=np.int64)),
@@ -404,13 +473,9 @@ COLUMN_KINDS = {
     "float list": (floats, list),
     "numpy float list": (floats.map(np.float64), list),
     "int list": (st.one_of(int64s, st.integers()), list),
-    "numpy int list": (int64s.map(np.int64), list),
     "bool list": (st.booleans(), list),
-    "numpy bool list": (st.booleans().map(np.bool_), list),
     "text list": (texts, list),
-    "mixed list": (
-        st.one_of(floats, int64s, st.booleans(), texts, floats.map(np.float64), int64s.map(np.int64)), list
-    ),
+    "mixed list": (st.one_of(floats, int64s, st.booleans(), texts, floats.map(np.float64)), list),
 }
 
 

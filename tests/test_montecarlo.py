@@ -16,11 +16,8 @@ from qpke.montecarlo import (
     TrialConfig,
     analytic_success,
     estimate,
-    run_bayes_trial,
-    run_symmetry_trial,
-    sample_measurement,
 )
-from qpke.protocol import Codeword, PrivateKey, ProtocolParams, QubitAngle, encrypt
+from qpke.protocol import Codeword, PrivateKey, ProtocolParams, encrypt
 from qpke.symmetry import average_success_symmetry
 
 
@@ -49,38 +46,6 @@ def test_estimate_with_error_validation():
         EstimateWithError(1.5, 0.0, 10)
     with pytest.raises(ValueError):
         EstimateWithError(0.5, -1.0, 10)
-
-
-def test_sample_measurement_deterministic_cases():
-    rng = np.random.default_rng(0)
-    zero = QubitAngle(0, 1)
-    assert all(sample_measurement(zero, 0.0, rng) == 0 for _ in range(500))
-    assert all(sample_measurement(zero, math.pi, rng) == 1 for _ in range(500))
-
-
-def test_sample_measurement_frequency():
-    rng = np.random.default_rng(8)
-    draws = 100_000
-    q = QubitAngle(1, 2)
-    zeros = sum(sample_measurement(q, 0.0, rng) == 0 for _ in range(draws))
-    sigma = math.sqrt(draws * 0.25)
-    assert abs(zeros - draws / 2) < 3 * sigma
-
-
-def test_single_trials_reproducible_and_boolean():
-    cfg_b = make_cfg("bayes-projective", n=6, T=2, s=2)
-    cfg_s = make_cfg("symmetry-test", n=6, T=1, s=2)
-    for cfg, runner in ((cfg_b, run_bayes_trial), (cfg_s, run_symmetry_trial)):
-        first = runner(cfg, np.random.default_rng(99))
-        second = runner(cfg, np.random.default_rng(99))
-        assert isinstance(first, bool)
-        assert first == second
-
-
-def test_bayes_trial_certain_at_minimal_resolution():
-    cfg = make_cfg("bayes-projective", n=1, T=1, s=1)
-    rng = np.random.default_rng(4)
-    assert all(run_bayes_trial(cfg, rng) for _ in range(300))
 
 
 def test_symmetry_trial_certain_with_aligned_bases():

@@ -14,13 +14,11 @@ from qpke.protocol import (
     Codeword,
     PrivateKey,
     ProtocolParams,
-    QubitAngle,
     decrypt,
     elementary_angle,
     encode_message,
     encrypt,
     generate_private_key,
-    public_qubit_state,
 )
 
 
@@ -53,24 +51,6 @@ def test_params_derived():
     assert params.theta == math.pi / 4
     assert params.total_copies == 9
     assert 0.0 < params.theta <= math.pi
-
-
-def test_public_qubit_state_examples():
-    assert public_qubit_state(0, 5).radians == 0.0
-    q = public_qubit_state(2, 2)
-    assert q.radians == pytest.approx(math.pi)
-    assert q.amplitudes() == pytest.approx((0.0, 1.0), abs=1e-15)  # |1_z>
-    q = public_qubit_state(1, 2)
-    assert q.bloch() == pytest.approx((0.0, 1.0), abs=1e-15)  # along x
-    with pytest.raises(ValueError):
-        public_qubit_state(4, 2)
-    with pytest.raises(ValueError):
-        public_qubit_state(-1, 2)
-
-
-def test_qubit_angle_forms():
-    with pytest.raises(ValueError):
-        QubitAngle(4, 2)
 
 
 def test_generate_private_key_reproducible():
@@ -241,7 +221,7 @@ def test_integer_core_matches_qubit_oracle(n, s, data):
         return
     cipher, oracle_qubits = enc[1], expected[1]
     assert len(cipher) == len(oracle_qubits) == s
-    assert cipher.qubits == oracle_qubits
+    assert tuple((c, cipher.n) for c in cipher.units) == oracle_qubits
     n_other = data.draw(st.sampled_from(sorted({n, max(1, n - 1), min(63, n + 1)})))
     other = data.draw(st.one_of(st.just(key), keys(n_other)))
     params = ProtocolParams(
@@ -259,7 +239,6 @@ def test_integer_core_matches_qubit_oracle(n, s, data):
 def test_cipher_state_views():
     cipher = encrypt(Codeword((1, 0, 1)), PrivateKey((3, 7, 12), 4))
     assert cipher.units == (3 ^ 8, 7, 12 ^ 8) and cipher.n == 4
-    assert cipher.qubits == tuple(QubitAngle(c, 4) for c in cipher.units)
     assert len(cipher) == 3 and repr(cipher) == "CipherState(units=(11, 7, 4), n=4)"
     same = CipherState((11, 7, 4), 4)
     assert same == cipher and hash(same) == hash(cipher)
@@ -276,13 +255,13 @@ def test_encrypt_numpy_bits_match_qubit_oracle(dtype, n):
     codeword = Codeword(tuple(bits))
     assert codeword.parity == 1
     cipher = encrypt(codeword, key)
-    assert cipher.qubits == encrypt_qubits(codeword, key)
+    assert tuple((c, n) for c in cipher.units) == encrypt_qubits(codeword, key)
     assert decrypt(cipher, key, ProtocolParams(n=n, N=4, T=1, s=4)) == ((1, 0, 1, 1), 1)
 
 
 def test_cipher_state_is_immutable():
     cipher = encrypt(Codeword((1, 0)), PrivateKey((3, 7), 4))
-    for name in ("units", "n", "qubits"):
+    for name in ("units", "n"):
         with pytest.raises(AttributeError):
             setattr(cipher, name, None)
         with pytest.raises(AttributeError):
