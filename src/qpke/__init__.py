@@ -35,25 +35,19 @@ from .symspace import (
     von_neumann_entropy,
 )
 from .bayes import (
-    BlochEstimate,
     ImpossibleOutcomeError,
     MeasurementOutcome,
     PosteriorDistribution,
-    bloch_estimate,
     bound_U,
     codeword_bound,
     codeword_success,
     evidence,
     information_gain,
-    likelihood,
     mean_success,
     optimal_collective,
-    outcome_prob_single,
     posterior,
-    posterior_density,
     required_codeword_length,
     success_by_key,
-    success_given_outcome,
 )
 from .symmetry import (
     PairOutcome,

@@ -15,7 +15,8 @@ key-angle sums of trigonometric polynomials of degree <= 2T+1; they are
 summed exactly on the 2**m keys of m = min(n, (2T+1).bit_length()), in
 O(T * 2**m) memory at any n.  U is the one estimated-basis table: per-key
 success and the Monte Carlo attack both read it.  Per-key success and the
-information gain still sum over all 2**n keys.
+information gain still sum over all 2**n keys.  These tables are the one
+model of an outcome: a posterior is a normalized row product P_z[t0z] P_x[t0x].
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 from .protocol import elementary_angle
-from .symspace import SymmetricDensityOperator, mixture_density
 
 MAX_N = 14
 
@@ -59,11 +59,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"resolution exponent must lie in [1, {MAX_N}], got {n}")
 
 
-def _check_key(k: int, n: int) -> None:
-    if not 0 <= k < (1 << n):
-        raise ValueError(f"key integer must lie in [0, 2**{n}), got {k}")
-
-
 @lru_cache(maxsize=32)
 def _prob0_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     # P("0" | k) in the z and x bases for every key value k; every 2**n table
@@ -89,22 +84,6 @@ def _key_bloch(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in tables:
         a.flags.writeable = False
     return tables
-
-
-def outcome_prob_single(basis: str, outcome: int, k: int, n: int) -> float:
-    """Probability of one outcome when measuring the key-k state in the z or x basis.
-
-    P("0") = cos^2(beta*pi/4 - k*theta/2) with beta = 0 for z and 1 for x;
-    P("1") is its exact complement.
-    """
-    if basis not in ("z", "x"):
-        raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    p0z, p0x = _prob0_tables(n)
-    _check_key(k, n)
-    p0 = float(p0z[k] if basis == "z" else p0x[k])
-    return p0 if outcome == 0 else 1.0 - p0
 
 
 def _binomial_pmf_rows(T: int, p0: np.ndarray) -> np.ndarray:
@@ -133,6 +112,11 @@ def _likelihood_grid(T: int, n: int) -> np.ndarray:
     """Per-basis likelihoods [P_z, P_x][count, k], shape (2, T+1, 2**n); L[a, b, k] = P_z[a, k] P_x[b, k]."""
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
+    # every outcome table is built here, so one T range holds at every n:
+    # the largest T whose exact grid of (2T+1).bit_length() keys fits MAX_N
+    largest = (1 << (MAX_N - 1)) - 1
+    if T > largest:
+        raise ValueError(f"T must be <= {largest}, got {T}")
     p0z, p0x = _prob0_tables(n)
     grid = np.stack([_binomial_pmf_rows(T, p0z), _binomial_pmf_rows(T, p0x)])
     grid.flags.writeable = False
@@ -187,16 +171,6 @@ def _outcome_rows(outcome: MeasurementOutcome, T: int, n: int) -> tuple[np.ndarr
         raise ValueError(f"outcome counts exceed T={T}: {outcome}")
     pz, px = _likelihood_grid(T, n)
     return pz[outcome.t0z], px[outcome.t0x]
-
-
-def likelihood(outcome: MeasurementOutcome, k: int, T: int, n: int) -> float:
-    """Probability of the outcome pair (t0z, t0x) given the key-k state.
-
-    Product of two binomial likelihoods, one per measurement basis.
-    """
-    pz, px = _outcome_rows(outcome, T, n)
-    _check_key(k, n)
-    return float(pz[k] * px[k])
 
 
 def evidence(outcome: MeasurementOutcome, T: int, n: int) -> float:
@@ -258,47 +232,6 @@ def information_gain(T: int, n: int) -> float:
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     """Elementwise p * log2(p), with 0 * log2(0) = 0."""
     return p * np.log2(np.where(p > 0.0, p, 1.0))
-
-
-def posterior_density(tau: int, post: PosteriorDistribution) -> SymmetricDensityOperator:
-    """Density operator of tau copies re-weighted by a measurement posterior."""
-    return mixture_density(post.probabilities, tau, post.n)
-
-
-@dataclass(frozen=True)
-class BlochEstimate:
-    """Posterior-mean Bloch vector (z, x) on the x-z great circle; generally shorter than 1."""
-
-    z: float
-    x: float
-
-    def __post_init__(self):
-        if self.norm > 1.0 + 1e-12:
-            raise ValueError(f"Bloch estimate norm exceeds 1: {self.norm}")
-
-    @property
-    def norm(self) -> float:
-        return math.hypot(self.z, self.x)
-
-
-def bloch_estimate(post: PosteriorDistribution) -> BlochEstimate:
-    """Posterior-averaged Bloch vector sum_k p(k) (cos k*theta, sin k*theta)."""
-    cos_k, sin_k = _key_bloch(post.n)
-    return BlochEstimate(float(np.sum(post.probabilities * cos_k)), float(np.sum(post.probabilities * sin_k)))
-
-
-def success_given_outcome(k: int, post: PosteriorDistribution) -> float:
-    """Probability of guessing the encrypted bit by measuring along the estimated Bloch vector.
-
-    Equals 1/2 + (est . actual) / (2 |est|); a vanishing estimate means a pure
-    guess, by convention 1/2.
-    """
-    _check_key(k, post.n)
-    est = bloch_estimate(post)
-    if est.norm < DEGENERATE_NORM:
-        return 0.5
-    cos_k, sin_k = _key_bloch(post.n)
-    return float(0.5 + (est.z * cos_k[k] + est.x * sin_k[k]) / (2.0 * est.norm))
 
 
 def success_by_key(T: int, n: int) -> np.ndarray:

@@ -275,12 +275,14 @@ def cmd_figure(args) -> tuple[Table, list[dict]]:
 
 
 def cmd_security(args) -> tuple[Table, list[dict]]:
-    lengths = [bayes.required_codeword_length(args.epsilon, T) for T in args.T]
     forward = [symmetry.forward_search_length(args.epsilon, T) for T in args.T]
+    # the 1 - 1/(3T) bound behind both lengths is undefined at T = 1, whose
+    # row keeps only the forward search (blank lengths, as in figures 4 and 5)
+    lengths = [bayes.required_codeword_length(args.epsilon, T) if T > 1 else ("", "") for T in args.T]
     violations = [
         {"check": "simple-dominates-exact", "T": T, "s_exact": s_exact, "s_simple": s_simple}
         for T, (s_exact, s_simple) in zip(args.T, lengths)
-        if s_simple < s_exact
+        if T > 1 and s_simple < s_exact
     ]
     table = Table({
         "epsilon": [args.epsilon] * len(args.T),
@@ -288,7 +290,7 @@ def cmd_security(args) -> tuple[Table, list[dict]]:
         "s_exact": [s_exact for s_exact, _ in lengths],
         "s_simple": [s_simple for _, s_simple in lengths],
         "forward_search": forward,
-        "simple_to_forward_ratio": [s_simple / f if f else "" for (_, s_simple), f in zip(lengths, forward)],
+        "simple_to_forward_ratio": [s / f if T > 1 and f else "" for T, (_, s), f in zip(args.T, lengths, forward)],
     })
     return table, violations
 

@@ -70,8 +70,8 @@ class EstimateWithError:
             raise ValueError(f"standard error must be >= 0, got {self.std_error}")
 
 
-def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    # messages and uniform parity-matched codewords, shapes (count,), (count, s)
+def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> np.ndarray:
+    # uniform parity-matched codewords of uniform messages (drawn first), shape (count, s)
     m = rng.integers(0, 2, size=count, dtype=np.int8)
     w = np.empty((count, s), dtype=np.int8)
     if s > 1:
@@ -79,7 +79,7 @@ def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> tuple[np.nd
         w[:, -1] = m ^ np.bitwise_xor.reduce(w[:, :-1], axis=1)
     else:
         w[:, 0] = m
-    return m, w
+    return w
 
 
 @lru_cache(maxsize=16)
@@ -206,7 +206,7 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -
     k = rng.integers(0, 1 << n, size=(count, s))
     t0z = _binomial_counts(rng, T, n, 0, k)
     t0x = _binomial_counts(rng, T, n, 1, k)
-    _, w = _draw_codewords(count, s, rng)
+    w = _draw_codewords(count, s, rng)
     u = rng.random(size=(count, s))
 
     # the cipher qubit, unit c, measured in the estimated basis of its
@@ -248,7 +248,7 @@ def _symmetry_batch(
     n, s = params.n, params.s
 
     k = rng.integers(0, 1 << n, size=(count, s))
-    _, w = _draw_codewords(count, s, rng)
+    w = _draw_codewords(count, s, rng)
     flip = w.view(bool)
     p_outcome0 = np.multiply(k, params.theta)
     del k

@@ -272,7 +272,7 @@ def bayes_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarr
     k = rng.integers(0, 1 << n, size=(count, s))
     t0z = rng.binomial(T, p0z[k])
     t0x = rng.binomial(T, p0x[k])
-    _, w = montecarlo._draw_codewords(count, s, rng)
+    w = montecarlo._draw_codewords(count, s, rng)
 
     cipher_angle = k * theta + w * math.pi
     est = est_angle[t0z, t0x]
@@ -293,7 +293,7 @@ def symmetry_batch_direct(params, rng: np.random.Generator, count: int, omega=No
     theta = params.theta
 
     k = rng.integers(0, 1 << n, size=(count, s))
-    _, w = montecarlo._draw_codewords(count, s, rng)
+    w = montecarlo._draw_codewords(count, s, rng)
     public_angle = k * theta
     if omega is None:
         phi = rng.uniform(0.0, 2.0 * math.pi, size=(count, s))

@@ -21,24 +21,19 @@ from qpke.bayes import (
     ImpossibleOutcomeError,
     MeasurementOutcome,
     PosteriorDistribution,
-    bloch_estimate,
     bound_U,
     codeword_bound,
     codeword_success,
     evidence,
     information_gain,
-    likelihood,
     mean_success,
     optimal_collective,
-    outcome_prob_single,
     posterior,
-    posterior_density,
     required_codeword_length,
     success_by_key,
-    success_given_outcome,
 )
 from qpke.protocol import elementary_angle
-from qpke.symspace import eigendecompose, holevo_bound_tight, prior_density, von_neumann_entropy
+from qpke.symspace import eigendecompose, holevo_bound_tight, mixture_density, prior_density, von_neumann_entropy
 
 
 def uniform_posterior(T, n):
@@ -53,64 +48,56 @@ def delta_posterior(k, T, n):
 
 
 def test_outcome_prob_single_examples():
-    assert outcome_prob_single("z", 0, 0, 3) == pytest.approx(1.0, abs=1e-15)
-    assert outcome_prob_single("x", 0, 0, 3) == pytest.approx(0.5, abs=1e-15)
-    assert outcome_prob_single("z", 0, 2, 2) == pytest.approx(0.0, abs=1e-15)
+    # one copy per basis: row 1 of each likelihood table is P("0" | k), row 0 P("1" | k)
+    pz, px = bayes._likelihood_grid(1, 3)
+    assert pz[1, 0] == pytest.approx(1.0, abs=1e-15)
+    assert px[1, 0] == pytest.approx(0.5, abs=1e-15)
+    assert bayes._likelihood_grid(1, 2)[0, 1, 2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_outcome_probs_sum_to_one_exactly():
     for n in (1, 2, 4):
-        for k in range(1 << n):
-            for basis in ("z", "x"):
-                p0 = outcome_prob_single(basis, 0, k, n)
-                p1 = outcome_prob_single(basis, 1, k, n)
-                assert p0 + p1 == 1.0
-                assert 0.0 <= p0 <= 1.0
-
-
-def test_outcome_prob_single_validation():
-    with pytest.raises(ValueError):
-        outcome_prob_single("y", 0, 0, 2)
-    with pytest.raises(ValueError):
-        outcome_prob_single("z", 2, 0, 2)
-    with pytest.raises(ValueError):
-        outcome_prob_single("z", 0, 4, 2)
+        for table in bayes._likelihood_grid(1, n):
+            p1, p0 = table
+            assert np.all(p0 + p1 == 1.0)
+            assert np.all((0.0 <= p0) & (p0 <= 1.0))
 
 
 def test_likelihood_certain_z_factor():
     # k = 0 at n = 1 gives "0" in the z basis with certainty, so only the
     # x-basis binomial factor remains
-    assert likelihood(MeasurementOutcome(1, 0), 0, 1, 1) == pytest.approx(0.5, abs=1e-15)
-    assert likelihood(MeasurementOutcome(1, 1), 0, 1, 1) == pytest.approx(0.5, abs=1e-15)
+    pz, px = bayes._likelihood_grid(1, 1)
+    assert pz[1, 0] * px[0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert pz[1, 0] * px[1, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_likelihood_zero_on_impossible_count():
     # the k with angle pi never yields "0" in the z basis
-    assert likelihood(MeasurementOutcome(2, 1), 2, 2, 2) == 0.0
+    pz, px = bayes._likelihood_grid(2, 2)
+    assert pz[2, 2] * px[1, 2] == 0.0
 
 
 def test_likelihood_normalization_exhaustive():
+    # L[a, b, k] = P_z[a, k] P_x[b, k], so its sum over the outcome grid factors per basis
     T, n = 4, 3
+    pz, px = bayes._likelihood_grid(T, n)
     for k in range(1 << n):
-        total = sum(
-            likelihood(MeasurementOutcome(a, b), k, T, n)
-            for a in range(T + 1)
-            for b in range(T + 1)
-        )
-        assert total == pytest.approx(1.0, abs=1e-10)
+        assert pz[:, k].sum() * px[:, k].sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_likelihood_log_space_path_matches_direct():
-    # T above the log-space switch against a small-T product rescaled by hand
-    T, n = 40, 3
+    # T at and above the log-space switch against the math.comb product
+    n = 3
     p0z, p0x = bayes._prob0_tables(n)
-    for k in (0, 1, 5):
-        out = MeasurementOutcome(17, 23)
-        direct = (
-            math.comb(T, out.t0z) * p0z[k] ** out.t0z * (1 - p0z[k]) ** (T - out.t0z)
-            * math.comb(T, out.t0x) * p0x[k] ** out.t0x * (1 - p0x[k]) ** (T - out.t0x)
-        )
-        assert likelihood(out, k, T, n) == pytest.approx(direct, rel=1e-10)
+    for T in (bayes.LOG_SPACE_T, bayes.LOG_SPACE_T + 1, 40):
+        pz, px = bayes._likelihood_grid(T, n)
+        for k in (0, 1, 5):
+            for a, b in ((17, 23), (0, T), (T // 2, 3)):
+                direct = (
+                    math.comb(T, a) * p0z[k] ** a * (1 - p0z[k]) ** (T - a)
+                    * math.comb(T, b) * p0x[k] ** b * (1 - p0x[k]) ** (T - b)
+                )
+                assert pz[a, k] * px[b, k] == pytest.approx(direct, rel=1e-10, abs=1e-300)
 
 
 def test_evidence_frozen_value():
@@ -179,7 +166,6 @@ def test_information_gain_examples():
 
 def test_scalar_results_are_builtin_floats():
     out = MeasurementOutcome(1, 2)
-    assert type(likelihood(out, 3, 2, 4)) is float
     assert type(evidence(out, 2, 4)) is float
     assert type(information_gain(2, 4)) is float
     assert type(mean_success(2, 4)) is float
@@ -194,53 +180,50 @@ def test_information_gain_within_bounds():
 
 
 def test_posterior_density_uniform_reduces_to_prior():
+    # the density of tau copies re-weighted by a posterior is their mixture over its probabilities
     tau, T, n = 3, 2, 4
-    rho = posterior_density(tau, uniform_posterior(T, n))
+    rho = mixture_density(uniform_posterior(T, n).probabilities, tau, n)
     assert np.allclose(rho.matrix, prior_density(tau, n).matrix, atol=1e-14)
 
 
 def test_posterior_density_delta_is_pure():
-    rho = posterior_density(2, delta_posterior(3, 2, 3))
+    rho = mixture_density(delta_posterior(3, 2, 3).probabilities, 2, 3)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_posterior_density_from_measurement_is_valid():
     post = posterior(MeasurementOutcome(1, 1), 2, 3)
-    rho = posterior_density(2, post)
+    rho = mixture_density(post.probabilities, 2, post.n)
     assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-12)
     assert eigendecompose(rho).eigenvalues.min() >= -1e-10
 
 
 def test_bloch_estimate_examples():
+    # a posterior's mean Bloch vector sums the key Bloch table: a single key
+    # gives its own unit vector, and the uniform key set and an opposite pair
+    # average to nothing
     n = 4
     theta = elementary_angle(n)
+    cos_k, sin_k = bayes._key_bloch(n)
     for k in (0, 3, 9):
-        est = bloch_estimate(delta_posterior(k, 1, n))
-        assert est.z == pytest.approx(math.cos(k * theta), abs=1e-12)
-        assert est.x == pytest.approx(math.sin(k * theta), abs=1e-12)
-        assert est.norm == pytest.approx(1.0, abs=1e-12)
-
-    est = bloch_estimate(uniform_posterior(1, 5))
-    assert est.norm < 1e-12
-
-    p = np.zeros(1 << n)
-    p[0] = p[1 << (n - 1)] = 0.5  # equal weight on two opposite states
-    est = bloch_estimate(PosteriorDistribution(p, MeasurementOutcome(0, 0), 1, n))
-    assert est.norm < 1e-12
+        assert cos_k[k] == pytest.approx(math.cos(k * theta), abs=1e-12)
+        assert sin_k[k] == pytest.approx(math.sin(k * theta), abs=1e-12)
+        assert math.hypot(cos_k[k], sin_k[k]) == pytest.approx(1.0, abs=1e-12)
+    cos_5, sin_5 = bayes._key_bloch(5)
+    assert math.hypot(np.mean(cos_5), np.mean(sin_5)) < 1e-12
+    opposite = 1 << (n - 1)
+    assert abs(cos_k[0] + cos_k[opposite]) < 1e-12 and abs(sin_k[0] + sin_k[opposite]) < 1e-12
 
 
 def test_bloch_estimate_from_measurement_is_subunit():
-    # a genuine posterior mixes several states, so the averaged vector shrinks
-    est = bloch_estimate(posterior(MeasurementOutcome(2, 1), 2, 4))
-    assert 0.0 < est.norm < 1.0
-
-
-def test_success_given_outcome_examples():
-    n = 4
-    assert success_given_outcome(5, delta_posterior(5, 1, n)) == pytest.approx(1.0, abs=1e-12)
-    opposite = (5 + (1 << (n - 1))) % (1 << n)
-    assert success_given_outcome(5, delta_posterior(opposite, 1, n)) == pytest.approx(0.0, abs=1e-12)
-    assert success_given_outcome(5, uniform_posterior(1, n)) == 0.5
+    # a genuine posterior mixes several states, so the averaged vector E / sum_k L shrinks
+    T, n = 2, 4
+    out = MeasurementOutcome(2, 1)
+    m = bayes._outcome_n(T, n)
+    _, _, norms, directed = bayes._bloch_sums(T, m)
+    total = evidence(out, T, m) * (1 << m)
+    assert directed[out.t0z, out.t0x]
+    assert 0.0 < norms[out.t0z, out.t0x] / total < 1.0
 
 
 def test_success_given_key_exact_at_minimal_resolution():
@@ -383,14 +366,12 @@ def test_module_resolution_cap():
 
 @pytest.mark.parametrize("n", [0, 15])
 @pytest.mark.parametrize("build", [
-    lambda n: outcome_prob_single("z", 0, 0, n),
-    lambda n: likelihood(MeasurementOutcome(0, 0), 0, 2, n),
     lambda n: evidence(MeasurementOutcome(0, 0), 2, n),
     lambda n: posterior(MeasurementOutcome(0, 0), 2, n),
     lambda n: information_gain(2, n),
     lambda n: success_by_key(2, n),
     lambda n: montecarlo._inversion_table(2, n, 0),
-], ids=["outcome_prob_single", "likelihood", "evidence", "posterior", "information_gain", "success_by_key",
+], ids=["evidence", "posterior", "information_gain", "success_by_key",
         "inversion_table"])
 def test_key_tables_reject_resolution_out_of_range(build, n):
     # every 2**n table is built from _prob0_tables, which bounds n
@@ -430,6 +411,18 @@ def test_prob0_tables_exact_only_at_structural_states(n):
 def test_negative_T_rejected(reduce):
     with pytest.raises(ValueError, match="T must be >= 0"):
         reduce(-1, 4)
+
+
+@pytest.mark.parametrize("n", [1, 20])
+@pytest.mark.parametrize("reduce", [information_gain, mean_success, success_by_key, montecarlo._estimate_tables])
+def test_T_past_the_exact_grid_cap_rejected(reduce, n):
+    # every outcome table is built by _likelihood_grid, which admits the T
+    # whose exact grid of (2T+1).bit_length() keys fits MAX_N, at every n
+    cap = (1 << (bayes.MAX_N - 1)) - 1
+    assert bayes._exact_n(cap) == bayes.MAX_N < bayes._exact_n(cap + 1)
+    with pytest.raises(ValueError, match=rf"^T must be <= {cap}, got {cap + 1}$"):
+        reduce(cap + 1, n)
+    assert bayes._likelihood_grid(cap, 1).shape == (2, cap + 1, 2)
 
 
 @pytest.mark.parametrize("T", [259, 1030])

@@ -64,6 +64,19 @@ def test_bayes_montecarlo_rejects_large_n(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--attack", "bayes-projective", "--n", "10", "--T", "100000", "--trials", "10"],
+    ["figure", "--id", "4", "--n", "20", "--T", "8192"],
+    ["figure", "--id", "3", "--n", "4", "--T", "8192"],
+])
+def test_T_past_the_exact_grid_cap_is_a_usage_error(argv, capsys):
+    # rejected before any outcome table is built, with a message naming T
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == f"error: T must be <= 8191, got {argv[argv.index('--T') + 1]}\n"
+    assert out == ""
+
+
 def test_montecarlo_rejects_n_above_63(capsys):
     code, out, err = run_cli(
         ["montecarlo", "--attack", "symmetry-test", "--n", "64", "--trials", "1000"], capsys
@@ -82,6 +95,19 @@ def test_security_table(capsys):
     assert rows[0]["s_simple"] == "24"
     assert rows[0]["forward_search"] == "8"
     assert rows[0]["simple_to_forward_ratio"] == "3"
+
+
+def test_security_single_copy_pair_keeps_forward_search(capsys):
+    # the 1 - 1/(3T) bound is undefined at T = 1: blank lengths and ratio,
+    # the forward-search length still printed, and no check on that row
+    code, out, err = run_cli(["security", "--epsilon", "0.03125", "--T", "1-3"], capsys)
+    assert (code, err) == (0, "")
+    rows = read_csv(out)
+    assert [r["T"] for r in rows] == ["1", "2", "3"]
+    assert [rows[0][f] for f in ("s_exact", "s_simple", "forward_search", "simple_to_forward_ratio")] == [
+        "", "", "4", ""]
+    assert [rows[1][f] for f in ("s_exact", "s_simple", "forward_search", "simple_to_forward_ratio")] == [
+        "16", "24", "8", "3"]
 
 
 def reject_constant(name):
