@@ -19,17 +19,14 @@ from .protocol import (
     generate_private_key,
 )
 from .symspace import (
-    OneWayCheck,
     Spectrum,
     SymmetricDensityOperator,
     binomial_spectrum,
-    coefficient_f,
     critical_n,
     eigendecompose,
     holevo_bound_loose,
     holevo_bound_tight,
     mixture_density,
-    one_way_condition,
     prior_density,
     shannon_entropy,
     von_neumann_entropy,
@@ -50,7 +47,6 @@ from .bayes import (
     success_by_key,
 )
 from .symmetry import (
-    PairOutcome,
     PairTableRow,
     average_success_symmetry,
     enumerate_pair_table,
@@ -59,6 +55,7 @@ from .symmetry import (
     pair_fidelity,
     pair_success,
     parity_iteration,
+    parity_success,
 )
 from .montecarlo import (
     EstimateWithError,

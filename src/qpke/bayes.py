@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .protocol import elementary_angle
+from .symmetry import parity_success
 
 MAX_N = 14
 
@@ -192,9 +193,9 @@ class PosteriorDistribution:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} probabilities, got shape {p.shape}")
-        if np.min(p) < 0.0 or np.max(p) > 1.0 + 1e-12:
+        if not (0.0 <= np.min(p) and np.max(p) <= 1.0 + 1e-12):
             raise ValueError("posterior entries must lie in [0, 1]")
-        if abs(np.sum(p) - 1.0) > 1e-12:
+        if not abs(np.sum(p) - 1.0) <= 1e-12:
             raise ValueError(f"posterior must sum to 1 to 1e-12, got {np.sum(p)}")
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
@@ -294,18 +295,14 @@ def codeword_success(p_bit: float, s: int) -> float:
     """
     if not 0.0 <= p_bit <= 1.0:
         raise ValueError(f"bit success probability must lie in [0, 1], got {p_bit}")
-    if s < 1:
-        raise ValueError(f"codeword length must be >= 1, got {s}")
-    return 0.5 + (2.0 * p_bit - 1.0) ** s / 2.0
+    return parity_success(2.0 * p_bit - 1.0, s)
 
 
 def codeword_bound(T: int, s: int) -> float:
     """Closed-form cap 1/2 + (1/2)(1 - 1/(3T))**s on the parity-guess probability (T > 1)."""
     if T <= 1:
         raise ValueError(f"bound requires T > 1, got {T}")
-    if s < 1:
-        raise ValueError(f"codeword length must be >= 1, got {s}")
-    return 0.5 + 0.5 * (1.0 - 1.0 / (3.0 * T)) ** s
+    return parity_success(1.0 - 1.0 / (3.0 * T), s)
 
 
 def required_codeword_length(epsilon: float, T: int) -> tuple[int, int]:

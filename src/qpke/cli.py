@@ -411,8 +411,11 @@ def _check_parity_identity() -> tuple[bool, str]:
 
 
 def _check_forward_equivalence() -> tuple[bool, str]:
+    # the pair verdict 3/4 + cos(2 omega)/4 has degree 2 in the basis offset,
+    # so its mean over the four offsets k pi/2 is its mean over the circle
+    pair = sum(symmetry.pair_success(k * math.pi / 2.0) for k in range(4)) / 4.0
     for s in range(1, 65):
-        if symmetry.forward_search_success(1, s) != symmetry.average_success_symmetry(s):
+        if not abs(symmetry.parity_iteration(pair, s) - symmetry.forward_search_success(1, s)) <= 1e-12:
             return False, f"single-copy equivalence broken at s={s}"
     return True, "symmetry test matches single-copy forward search for s in [1, 64]"
 

@@ -49,7 +49,9 @@ class ProtocolParams:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must lie in [1, {MAX_N}], got {self.n}")
-        if self.s < 1 or self.N < self.s:
+        if self.s < 1:
+            raise ValueError(f"codeword length must be >= 1, got {self.s}")
+        if self.N < self.s:
             raise ValueError(f"need N >= s >= 1, got N={self.N}, s={self.s}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
@@ -58,11 +60,6 @@ class ProtocolParams:
     def theta(self) -> float:
         """Elementary rotation angle for this resolution."""
         return elementary_angle(self.n)
-
-    @property
-    def total_copies(self) -> int:
-        """Total public-key copies in circulation, 2T + 1 (one is consumed by the receiver)."""
-        return 2 * self.T + 1
 
 
 @dataclass(frozen=True)

@@ -14,22 +14,6 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class PairOutcome:
-    """Number of wrong single-qubit outcomes within one public/cipher pair."""
-
-    wrong: int
-
-    def __post_init__(self):
-        if self.wrong not in (0, 1, 2):
-            raise ValueError(f"a pair has 0, 1, or 2 wrong outcomes, got {self.wrong}")
-
-    @property
-    def verdict_correct(self) -> bool:
-        """The parallel/antiparallel verdict is right iff the wrong count is even."""
-        return self.wrong % 2 == 0
-
-
 def pair_fidelity(omega: float) -> float:
     """Probability cos^2(omega/2) of a correct single-qubit outcome at basis offset omega."""
     return math.cos(omega / 2.0) ** 2
@@ -43,18 +27,14 @@ def pair_success(omega: float) -> float:
 
 def average_success_symmetry(s: int) -> float:
     """Parity-guess probability 1/2 + 2**-(s+1) of the symmetry test, averaged over bases and keys."""
-    if s < 1:
-        raise ValueError(f"codeword length must be >= 1, got {s}")
-    return 0.5 + 2.0 ** -(s + 1)
+    return parity_success(0.5, s)
 
 
 def forward_search_success(T: int, s: int) -> float:
     """Parity-recovery probability 1/2 + (1/2)(1 - 1/(2T))**s of the collective forward search."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if s < 1:
-        raise ValueError(f"codeword length must be >= 1, got {s}")
-    return 0.5 + 0.5 * (1.0 - 1.0 / (2.0 * T)) ** s
+    return parity_success(1.0 - 1.0 / (2.0 * T), s)
 
 
 def forward_search_length(epsilon: float, T: int) -> int:
@@ -80,6 +60,17 @@ def parity_iteration(q1: float, s: int) -> float:
     for _ in range(s - 1):
         q = q1 * q + (1.0 - q1) * (1.0 - q)
     return q
+
+
+def parity_success(bias: float, s: int) -> float:
+    """Parity-guess probability 1/2 + bias**s / 2 over s positions of per-position bias 2 q1 - 1.
+
+    The closed form of ``parity_iteration``; every codeword success the
+    package prints is this law at its own bias.
+    """
+    if s < 1:
+        raise ValueError(f"codeword length must be >= 1, got {s}")
+    return 0.5 + 0.5 * bias ** s
 
 
 @dataclass(frozen=True)

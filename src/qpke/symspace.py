@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,14 +25,6 @@ RANK_RTOL = 1e-10
 
 #: largest entrywise distance from the exact prior that ``critical_n`` accepts
 CRITICAL_TOL = 1e-12
-
-
-def coefficient_f(tau: int, l: int, angle: float) -> float:
-    """Amplitude weight cos(angle/2)**(tau-l) * sin(angle/2)**l of the weight-l basis state."""
-    if not 0 <= l <= tau:
-        raise ValueError(f"Hamming weight must lie in [0, {tau}], got {l}")
-    half = angle / 2.0
-    return math.cos(half) ** (tau - l) * math.sin(half) ** l
 
 
 @lru_cache(maxsize=64)
@@ -67,16 +58,12 @@ class SymmetricDensityOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.tau + 1, self.tau + 1):
             raise ValueError(f"expected shape {(self.tau + 1, self.tau + 1)}, got {m.shape}")
-        if np.max(np.abs(m - m.T)) > 1e-14:
+        if not np.max(np.abs(m - m.T)) <= 1e-14:
             raise ValueError("matrix is not symmetric to 1e-14")
-        if abs(np.trace(m) - 1.0) > 1e-12:
+        if not abs(np.trace(m) - 1.0) <= 1e-12:
             raise ValueError(f"trace must be 1 to 1e-12, got {np.trace(m)}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.tau + 1
 
 
 def mixture_density(weights: np.ndarray, tau: int, n: int) -> SymmetricDensityOperator:
@@ -123,9 +110,9 @@ class Spectrum:
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
-        if abs(np.sum(vals) - 1.0) > 1e-10:
+        if not abs(np.sum(vals) - 1.0) <= 1e-10:
             raise ValueError(f"eigenvalues must sum to 1 to 1e-10, got {np.sum(vals)}")
-        if np.min(vals) < -1e-10 or np.max(vals) > 1.0 + 1e-10:
+        if not (-1e-10 <= np.min(vals) and np.max(vals) <= 1.0 + 1e-10):
             raise ValueError("eigenvalues must lie in [-1e-10, 1 + 1e-10]")
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -169,21 +156,6 @@ def holevo_bound_tight(tau: int) -> float:
     if tau < 1:
         raise ValueError(f"copy count must be >= 1, got {tau}")
     return 0.5 * math.log2(tau) + 0.5 * math.log2(math.pi * math.e / 2.0)
-
-
-class OneWayCheck(NamedTuple):
-    margin: float
-    satisfied: bool
-
-
-def one_way_condition(n: int, tau: int, guard: float = 4.0) -> OneWayCheck:
-    """Margin of the one-way requirement n >> log2(tau + 1).
-
-    Returns the margin n - log2(tau + 1) and whether it clears the guard band
-    (default 4 bits).
-    """
-    margin = n - math.log2(tau + 1)
-    return OneWayCheck(margin, margin >= guard)
 
 
 def critical_n(tau: int) -> int:

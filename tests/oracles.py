@@ -8,7 +8,9 @@ eigensolver.  ``critical_n_search`` is the open-ended search for the
 resolution at which full-grid priors stop changing, which checks the
 library's walk down from the exact key grid.  ``prior_density_direct`` builds
 each prior's 2**min(n, tau.bit_length()) key grid on its own, which checks the
-library's row strides of one component table per tau.
+library's row strides of one component table per tau.  ``coefficient_f`` is
+the amplitude of one Hamming-weight basis state at one angle, the integrand
+of the quadrature check of the prior.
 
 ``likelihood_tensor`` materializes the full (T+1, T+1, 2**n) joint
 likelihood of the Bayes attack; the functions after it reduce that tensor
@@ -17,6 +19,11 @@ Monte Carlo estimate tables) to check the library's factored per-basis
 matrix products.  Their memory grows as T**2 * 2**n, so use small (T, n).
 ``bloch_sums_full_grid`` sums the outcome grid's Bloch estimates over all
 2**n keys, which checks the library's sums over the smallest exact key grid.
+
+``codeword_success_direct``, ``codeword_bound_direct``,
+``forward_search_success_direct`` and ``average_success_symmetry_direct``
+write out each parity-codeword curve in its own form; they check that the
+library's one law 1/2 + bias**s / 2 gives the same bits at every bias.
 
 ``encrypt_qubits`` and ``decrypt_qubits`` are the protocol's encryption
 and decryption one qubit at a time, each qubit a plain (units, n) pair
@@ -84,6 +91,14 @@ def prior_density_direct(tau: int, n: int) -> symspace.SymmetricDensityOperator:
     return symspace.mixture_density(np.full(1 << m, 1.0 / (1 << m)), tau, m)
 
 
+def coefficient_f(tau: int, l: int, angle: float) -> float:
+    """Amplitude weight cos(angle/2)**(tau-l) * sin(angle/2)**l of the weight-l basis state."""
+    if not 0 <= l <= tau:
+        raise ValueError(f"Hamming weight must lie in [0, {tau}], got {l}")
+    half = angle / 2.0
+    return math.cos(half) ** (tau - l) * math.sin(half) ** l
+
+
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a real symmetric matrix by cyclic Jacobi rotations.
 
@@ -146,6 +161,26 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) ->
     values = a.diagonal().copy()
     order = np.argsort(values)[::-1]
     return values[order], vecs[:, order]
+
+
+def codeword_success_direct(p_bit: float, s: int) -> float:
+    """Parity-guess probability 1/2 + (2p - 1)**s / 2 of s bits, each recovered with probability p_bit."""
+    return 0.5 + (2.0 * p_bit - 1.0) ** s / 2.0
+
+
+def codeword_bound_direct(T: int, s: int) -> float:
+    """Closed-form cap 1/2 + (1/2)(1 - 1/(3T))**s on the Bayes parity guess."""
+    return 0.5 + 0.5 * (1.0 - 1.0 / (3.0 * T)) ** s
+
+
+def forward_search_success_direct(T: int, s: int) -> float:
+    """Forward-search parity recovery 1/2 + (1/2)(1 - 1/(2T))**s."""
+    return 0.5 + 0.5 * (1.0 - 1.0 / (2.0 * T)) ** s
+
+
+def average_success_symmetry_direct(s: int) -> float:
+    """Symmetry-test parity guess 1/2 + 2**-(s+1)."""
+    return 0.5 + 2.0 ** -(s + 1)
 
 
 def encrypt_qubits(codeword, key) -> tuple[tuple[int, int], ...]:

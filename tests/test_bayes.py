@@ -443,6 +443,8 @@ def test_posterior_distribution_validation():
         PosteriorDistribution(np.array([0.7, 0.7]), MeasurementOutcome(0, 0), 1, 1)
     with pytest.raises(ValueError):
         PosteriorDistribution(np.array([0.5, 0.5, 0.0]), MeasurementOutcome(0, 0), 1, 1)
+    with pytest.raises(ValueError):
+        PosteriorDistribution(np.array([np.nan, np.nan]), MeasurementOutcome(0, 0), 1, 1)
 
 
 # small grids for the direct sums, plus T past LOG_SPACE_T for the log-space PMFs

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import check_all_rows, figure1_rows, figure3_rows, prior_rows, write_row_dicts
 import qpke
-from qpke import bayes, cli
+from qpke import bayes, cli, symmetry
 from qpke.cli import CHUNK_ROWS, Table, main, _parse_int_list
 
 
@@ -254,6 +254,14 @@ def test_figure5_rejects_nonpositive_s(s, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("s", ["0", "-3"])
+def test_montecarlo_rejects_nonpositive_s(s, capsys):
+    code, out, err = run_cli(["montecarlo", "--attack", "symmetry-test", "--s", s], capsys)
+    assert code == 2
+    assert err == f"error: codeword length must be >= 1, got {s}\n"
+    assert out == ""
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")
@@ -477,6 +485,15 @@ def test_check_all_passes(capsys):
     assert all(row["passed"] == "true" for row in rows)
     names = {row["check"] for row in rows}
     assert {"protocol-roundtrip", "binomial-spectrum", "mc-symmetry", "factor-three"} <= names
+
+
+def test_forward_equivalence_reads_the_pair_verdict(monkeypatch):
+    # the symmetry-test side is the pair verdict averaged over four basis
+    # offsets, not the forward-search law itself
+    assert cli._check_forward_equivalence()[0]
+    pair_success = symmetry.pair_success
+    monkeypatch.setattr(symmetry, "pair_success", lambda omega: pair_success(omega) + 1e-9)
+    assert cli._check_forward_equivalence() == (False, "single-copy equivalence broken at s=1")
 
 
 def render(write, *args) -> str:

@@ -49,7 +49,6 @@ def test_params_validation():
 def test_params_derived():
     params = ProtocolParams(n=3, N=8, T=4, s=2)
     assert params.theta == math.pi / 4
-    assert params.total_copies == 9
     assert 0.0 < params.theta <= math.pi
 
 

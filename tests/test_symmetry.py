@@ -2,12 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from oracles import (
+    average_success_symmetry_direct,
+    codeword_bound_direct,
+    codeword_success_direct,
+    forward_search_success_direct,
+)
+from qpke.bayes import codeword_bound, codeword_success, mean_success
 from qpke.symmetry import (
-    PairOutcome,
     average_success_symmetry,
     enumerate_pair_table,
     forward_search_length,
@@ -46,14 +53,6 @@ def test_pair_success_symmetries(omega):
     assert value == pytest.approx(pair_success(omega + math.pi), abs=1e-12)
 
 
-def test_pair_outcome_verdict():
-    assert PairOutcome(0).verdict_correct
-    assert not PairOutcome(1).verdict_correct
-    assert PairOutcome(2).verdict_correct
-    with pytest.raises(ValueError):
-        PairOutcome(3)
-
-
 @pytest.mark.parametrize("s,expected", [(1, 0.75), (3, 0.5625)])
 def test_average_success_symmetry_values(s, expected):
     assert average_success_symmetry(s) == expected
@@ -68,6 +67,39 @@ def test_forward_search_success_values():
 def test_symmetry_equals_single_copy_forward_search():
     for s in range(1, 65):
         assert forward_search_success(1, s) == average_success_symmetry(s)
+
+
+def test_parity_law_matches_each_direct_form_bit_for_bit():
+    lengths = range(1, 1101)
+    for T in range(1, 257):
+        assert [forward_search_success(T, s) for s in lengths] == [
+            forward_search_success_direct(T, s) for s in lengths
+        ]
+        if T > 1:
+            assert [codeword_bound(T, s) for s in lengths] == [codeword_bound_direct(T, s) for s in lengths]
+    assert [average_success_symmetry(s) for s in lengths] == [average_success_symmetry_direct(s) for s in lengths]
+    # mean_success costs O(T**2 2**n) per call, so the printed per-bit values are taken to T = 64
+    per_bit = [mean_success(T, 10) for T in range(1, 65)] + np.random.default_rng(16).random(400).tolist()
+    for p in per_bit:
+        assert [codeword_success(p, s) for s in lengths] == [codeword_success_direct(p, s) for s in lengths]
+
+
+@pytest.mark.parametrize(
+    "fn,args,message",
+    [
+        (codeword_success, (0.75, 0), "codeword length must be >= 1, got 0"),
+        (codeword_success, (1.5, 0), r"bit success probability must lie in \[0, 1\], got 1.5"),
+        (codeword_bound, (2, 0), "codeword length must be >= 1, got 0"),
+        (codeword_bound, (1, 0), "bound requires T > 1, got 1"),
+        (forward_search_success, (1, 0), "codeword length must be >= 1, got 0"),
+        (forward_search_success, (0, 0), "T must be >= 1, got 0"),
+        (average_success_symmetry, (0,), "codeword length must be >= 1, got 0"),
+    ],
+    ids=["success-s", "success-p", "bound-s", "bound-T", "forward-s", "forward-T", "symmetry-s"],
+)
+def test_parity_law_messages(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(*args)
 
 
 def test_success_monotonicity():

@@ -14,20 +14,18 @@ from qpke.symspace import (
     Spectrum,
     SymmetricDensityOperator,
     binomial_spectrum,
-    coefficient_f,
     critical_n,
     eigendecompose,
     holevo_bound_loose,
     holevo_bound_tight,
     mixture_density,
-    one_way_condition,
     prior_density,
     shannon_entropy,
     symmetric_state_components,
     von_neumann_entropy,
 )
 
-from oracles import critical_n_search, jacobi_eigh, mixture_density_loop, prior_density_direct
+from oracles import coefficient_f, critical_n_search, jacobi_eigh, mixture_density_loop, prior_density_direct
 
 
 def delta_mixture(k, tau, n):
@@ -201,17 +199,6 @@ def test_tight_bound_below_loose_for_two_or_more_copies():
     assert holevo_bound_loose(1) < holevo_bound_tight(1)
 
 
-def test_one_way_condition():
-    margin, ok = one_way_condition(10, 16)
-    assert margin == pytest.approx(10 - math.log2(17), abs=1e-12)
-    assert margin == pytest.approx(5.9125371587496, abs=1e-9)
-    assert ok
-    margin, ok = one_way_condition(2, 16)
-    assert not ok
-    exact_n = math.log2(16 + 1)
-    assert one_way_condition(exact_n, 16).margin == pytest.approx(0.0, abs=1e-12)
-
-
 def test_critical_n_single_copy():
     assert critical_n(1) == 1
 
@@ -252,6 +239,11 @@ def test_density_operator_validation():
         SymmetricDensityOperator(1, np.array([[0.6, 0.0], [0.0, 0.6]]))  # trace != 1
     with pytest.raises(ValueError):
         SymmetricDensityOperator(2, np.eye(2) / 2)  # wrong shape
+    # every bound fails on NaN, so no NaN operator is built
+    with pytest.raises(ValueError):
+        SymmetricDensityOperator(1, np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    with pytest.raises(ValueError):
+        mixture_density(np.full(16, np.nan), 3, 4)
 
 
 def test_spectrum_validation():
@@ -259,6 +251,8 @@ def test_spectrum_validation():
         Spectrum(np.array([0.6, 0.6]), 2)
     with pytest.raises(ValueError):
         Spectrum(np.array([1.2, -0.2]), 1)
+    with pytest.raises(ValueError):
+        Spectrum(np.array([np.nan, np.nan]), 2)
 
 
 def test_mixture_weights_validation():
