@@ -5,63 +5,55 @@ decryption), the symmetric-subspace density operators of repeated public-key
 copies with their entropy bounds, the Bayesian projective-measurement attack,
 the single-copy symmetry-test attack with its forward-search closed forms,
 and seeded Monte Carlo validation of every analytic success probability.
+
+The package's names resolve on first use (PEP 562): ``import qpke`` loads no
+submodule, and ``qpke.X`` or ``from qpke import X`` imports only the
+submodule that defines X, once.
 """
 
-from .protocol import (
-    CipherState,
-    Codeword,
-    PrivateKey,
-    ProtocolParams,
-    decrypt,
-    elementary_angle,
-    encode_message,
-    encrypt,
-    generate_private_key,
-)
-from .symspace import (
-    Spectrum,
-    SymmetricDensityOperator,
-    binomial_spectrum,
-    critical_n,
-    eigendecompose,
-    holevo_bound_loose,
-    holevo_bound_tight,
-    mixture_density,
-    prior_density,
-    shannon_entropy,
-    von_neumann_entropy,
-)
-from .bayes import (
-    ImpossibleOutcomeError,
-    MeasurementOutcome,
-    PosteriorDistribution,
-    bound_U,
-    codeword_bound,
-    codeword_success,
-    evidence,
-    information_gain,
-    mean_success,
-    optimal_collective,
-    posterior,
-    required_codeword_length,
-    success_by_key,
-)
-from .symmetry import (
-    PairTableRow,
-    average_success_symmetry,
-    enumerate_pair_table,
-    forward_search_length,
-    forward_search_success,
-    pair_fidelity,
-    pair_success,
-    parity_iteration,
-    parity_success,
-)
-from .montecarlo import (
-    EstimateWithError,
-    TrialConfig,
-    analytic_success,
-    estimate,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: submodule -> the public names it defines
+_EXPORTS = {
+    "protocol": (
+        "CipherState", "Codeword", "PrivateKey", "ProtocolParams", "decrypt", "elementary_angle",
+        "encode_message", "encrypt", "generate_private_key",
+    ),
+    "symspace": (
+        "Spectrum", "SymmetricDensityOperator", "binomial_spectrum", "critical_n", "eigendecompose",
+        "holevo_bound_loose", "holevo_bound_tight", "mixture_density", "prior_density", "shannon_entropy",
+        "von_neumann_entropy",
+    ),
+    "bayes": (
+        "ImpossibleOutcomeError", "MeasurementOutcome", "PosteriorDistribution", "bound_U", "codeword_bound",
+        "codeword_success", "evidence", "information_gain", "mean_success", "optimal_collective", "posterior",
+        "required_codeword_length", "success_by_key",
+    ),
+    "symmetry": (
+        "PairTableRow", "average_success_symmetry", "enumerate_pair_table", "forward_search_length",
+        "forward_search_success", "pair_fidelity", "pair_success", "parity_iteration", "parity_success",
+    ),
+    "montecarlo": ("EstimateWithError", "TrialConfig", "analytic_success", "estimate"),
+}
+
+#: public name -> the submodule that defines it; a submodule's own name maps to itself
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing a submodule binds it here; a name read from it is bound here
+    # too, so each name passes through this function at most once
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+        globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import check_all_rows, figure1_rows, figure3_rows, prior_rows, write_row_dicts
 import qpke
-from qpke import bayes, cli, symmetry
+from qpke import bayes, cli, montecarlo, symmetry, symspace
 from qpke.cli import CHUNK_ROWS, Table, main, _parse_int_list
 
 
@@ -296,21 +296,80 @@ def test_prior_rejects_out_of_range(capsys):
     assert "error" in err
 
 
-def imported_modules(*args):
-    """Modules a fresh ``python -X importtime *args`` imports, read from its stderr."""
+LOADED_MODULES = """
+import sys
+import qpke.cli
+code = qpke.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(*sorted(sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_modules(argv):
+    """Modules a fresh interpreter holds after ``import qpke.cli`` and, for a non-empty argv, ``main(argv)``.
+
+    ``sys.modules`` is printed as the last stderr line; ``-X importtime``
+    would miss a submodule imported by ``from . import name``.
+    """
     src = os.path.dirname(os.path.dirname(qpke.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return set(proc.stderr.splitlines()[-1].split())
 
 
-def test_only_monte_carlo_loads_numpy_random():
+FIGURE_MODULES = {"bayes", "protocol", "symmetry"}
+# (argv, the qpke submodules besides cli that it loads); an empty argv only imports qpke.cli
+COMMAND_MODULES = [
+    ([], set()),
+    (["prior", "--tau", "4", "--n", "3"], {"protocol", "symspace"}),
+    (["figure", "--id", "1", "--n", "4"], FIGURE_MODULES),
+    (["figure", "--id", "2", "--n", "4"], FIGURE_MODULES | {"symspace"}),
+    (["figure", "--id", "3", "--n", "4"], FIGURE_MODULES),
+    (["figure", "--id", "4", "--n", "4"], FIGURE_MODULES),
+    (["figure", "--id", "5", "--n", "4", "--s", "3"], FIGURE_MODULES),
+    (["security", "--epsilon", "0.25", "--T", "1-4"], FIGURE_MODULES),
+    (["montecarlo", "--attack", "symmetry-test", "--n", "4", "--s", "2", "--trials", "2000"],
+     FIGURE_MODULES | {"montecarlo"}),
+    (["montecarlo", "--attack", "bayes-projective", "--n", "4", "--trials", "2000"], FIGURE_MODULES | {"montecarlo"}),
+    (["check-all"], FIGURE_MODULES | {"montecarlo", "symspace"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv[:3]) or "import qpke.cli" for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_its_modules(argv, modules):
+    loaded = loaded_modules(argv)
+    assert {m for m in loaded if m.startswith("qpke.")} == {"qpke.cli", *(f"qpke.{m}" for m in modules)}
     # numpy.random costs every process ~17 ms of CPU at start-up
-    assert "numpy.random" not in imported_modules("-c", "import qpke.cli")
-    assert "numpy.random" not in imported_modules("-m", "qpke.cli", "prior", "--tau", "4", "--n", "3")
-    montecarlo = ["montecarlo", "--attack", "symmetry-test", "--n", "4", "--s", "2", "--trials", "2000"]
-    assert "numpy.random" in imported_modules("-m", "qpke.cli", *montecarlo)
+    assert ("numpy.random" in loaded) == ("montecarlo" in modules)
+
+
+def test_unknown_attack_is_a_usage_error(capsys):
+    # TrialConfig is the one check of --attack, so building the parser
+    # imports no montecarlo; the usage line still lists the attacks
+    code, out, err = run_cli(["montecarlo", "--attack", "nope", "--trials", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: attack must be one of {montecarlo.ATTACKS}, got 'nope'\n"
+    with pytest.raises(SystemExit):
+        main(["montecarlo", "--help"])
+    assert "--attack {" + ",".join(montecarlo.ATTACKS) + "}" in capsys.readouterr().out
+
+
+def test_package_names_resolve_to_their_submodules():
+    # qpke binds a name on first use; it is the object its submodule defines,
+    # and a submodule's own name is the submodule
+    assert len(qpke.__all__) == 51 and set(qpke.__all__) <= set(dir(qpke))
+    for module, names in qpke._EXPORTS.items():
+        source = importlib.import_module(f"qpke.{module}")
+        assert qpke.__getattr__(module) is source
+        for name in names:
+            assert getattr(qpke, name) is qpke.__getattr__(name) is getattr(source, name)
+    namespace = {}
+    exec("from qpke import *", namespace)
+    assert set(qpke.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        qpke.no_such_name
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -334,9 +393,27 @@ def test_benchmark_tracer_targets_exist():
     assert missing <= {"symspace.jacobi_eigh"}
 
 
+def loaded_names(tree):
+    """Names that ``tree`` reads: loaded names and attribute names."""
+    nodes = list(ast.walk(tree))
+    return {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
+def unread_imports(statements, read):
+    """Names bound by the imports among ``statements`` that are not in ``read``."""
+    return [
+        bound for node in statements
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for bound in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        if bound not in read
+    ]
+
+
 def test_library_has_no_unused_imports_or_private_names():
-    # no linter is run on the package: an import its module never reads, or
-    # a module-level _private name that no module of the package reads, is a
+    # no linter is run on the package: an import its module never reads, an
+    # import inside a function that the function never reads, or a
+    # module-level _private name that no module of the package reads, is a
     # leftover of deleted code
     package = os.path.dirname(qpke.__file__)
     trees = {}
@@ -344,23 +421,19 @@ def test_library_has_no_unused_imports_or_private_names():
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 trees[name] = ast.parse(fh.read(), name)
-    read = {}
-    for name, tree in trees.items():
-        nodes = list(ast.walk(tree))
-        read[name] = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        read[name] |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-        read[name] |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
-    read_anywhere = set().union(*read.values())
+    # a name imported from another module of the package is read there
+    read_anywhere = set().union(*(
+        loaded_names(tree) | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                              for alias in node.names}
+        for tree in trees.values()))
     unused, unread = [], []
     for name, tree in trees.items():
+        unused += [f"{name}: {bound}" for bound in unread_imports(tree.body, loaded_names(tree))]
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unused += [f"{name}: {function.name}: {bound}"
+                           for bound in unread_imports(ast.walk(function), loaded_names(function))]
         for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and name != "__init__.py":
-                if getattr(node, "module", None) == "__future__":
-                    continue
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in read[name]:
-                        unused.append(f"{name}: {bound}")
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined = [node.name]
             elif isinstance(node, ast.Assign):
@@ -494,6 +567,52 @@ def test_forward_equivalence_reads_the_pair_verdict(monkeypatch):
     pair_success = symmetry.pair_success
     monkeypatch.setattr(symmetry, "pair_success", lambda omega: pair_success(omega) + 1e-9)
     assert cli._check_forward_equivalence() == (False, "single-copy equivalence broken at s=1")
+
+
+def nan(*args):
+    return math.nan
+
+
+# (module, function, stand-in, check): with the function replaced by its
+# stand-in, the check must fail; max() and a ">" test would pass a NaN
+NAN_CHECKS = [
+    (bayes, "codeword_success", nan, "_check_parity_identity"),
+    (bayes, "codeword_success", nan, "_check_codeword_bound"),
+    (bayes, "information_gain", nan, "_check_information_gain"),
+    (bayes, "mean_success", nan, "_check_mean_success"),
+    (bayes, "mean_success", nan, "_check_optimal_collective"),
+    (bayes, "evidence", nan, "_check_bayes_normalization"),
+    (symspace, "von_neumann_entropy", nan, "_check_entropy_bounds"),
+    (symspace, "binomial_spectrum", nan, "_check_binomial_spectrum"),
+    (symspace, "prior_density", lambda tau, n: argparse.Namespace(matrix=np.full((tau + 1, tau + 1), np.nan)),
+     "_check_parity_zeros"),
+]
+
+
+@pytest.mark.parametrize("module, function, stand_in, check", NAN_CHECKS,
+                         ids=[f"{check} {function}" for _, function, _, check in NAN_CHECKS])
+def test_checks_fail_on_nan(module, function, stand_in, check):
+    with mock.patch.object(module, function, stand_in):
+        passed, detail = getattr(cli, check)()
+    assert not passed, detail
+
+
+NAN_COMMANDS = [
+    (symspace, "shannon_entropy", ["prior", "--tau", "4", "--n", "3"], {"entropy-dimension-bound"}),
+    (bayes, "information_gain", ["figure", "--id", "2", "--n", "6"], {"information-gain-below-bound"}),
+    (bayes, "mean_success", ["figure", "--id", "4", "--n", "6", "--T", "2,3"],
+     {"mean-success-bound", "mean-below-optimal"}),
+    (bayes, "codeword_success", ["figure", "--id", "5", "--n", "6", "--T", "2", "--s", "3"], {"codeword-bound"}),
+]
+
+
+@pytest.mark.parametrize("module, function, argv, violated", NAN_COMMANDS,
+                         ids=[" ".join(argv[:3]) for _, _, argv, _ in NAN_COMMANDS])
+def test_commands_report_nan_as_a_violation(module, function, argv, violated, capsys):
+    with mock.patch.object(module, function, nan):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert {v["check"] for v in json.loads(err)["violations"]} == violated
 
 
 def render(write, *args) -> str:
