@@ -294,7 +294,9 @@ def codeword_success(p_bit: float, s: int) -> float:
     error counts a of binom(s, a) (1-p)**a p**(s-a) is 1/2 + (2p - 1)**s / 2.
     """
     if not 0.0 <= p_bit <= 1.0:
-        raise ValueError(f"bit success probability must lie in [0, 1], got {p_bit}")
+        # a NaN is a failed computation upstream, not a bad argument
+        error = FloatingPointError if math.isnan(p_bit) else ValueError
+        raise error(f"bit success probability must lie in [0, 1], got {p_bit}")
     return parity_success(2.0 * p_bit - 1.0, s)
 
 

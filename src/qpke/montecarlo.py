@@ -12,6 +12,16 @@ is its integer cipher unit c = k XOR (w << (n-1)), as in
 :func:`qpke.protocol.encrypt`, and its Born probability in the estimated
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
 sin(c*theta) U_x, is gathered from cached key and cell tables in row blocks.
+
+A campaign owns its batch memory: :func:`estimate` keeps one workspace of
+named buffers, sized by its first (largest) batch, and every batch fills
+and computes into views of it (``out=`` on the draws, ufuncs and takes),
+so no batch after the first faults in fresh pages.  The inversion search
+runs in blocks of ``BATCH_SIZE`` elements, so its buffers stay one block
+in size at any codeword length.  Per batch, only what numpy cannot write
+in place (the keys and codeword bits of ``integers`` and the
+``Generator.binomial`` fallback) and the small row-block temporaries of
+the Born-probability stage still allocate.
 """
 
 from __future__ import annotations
@@ -70,15 +80,43 @@ class EstimateWithError:
             raise ValueError(f"standard error must be >= 0, got {self.std_error}")
 
 
-def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> np.ndarray:
+def _take(work: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array of ``shape``: a view of the campaign buffer ``name``, or fresh.
+
+    ``work`` holds one campaign's buffers by name (:func:`estimate`), so no
+    batch but the first faults in new pages.  A buffer is allocated on first
+    use and grown when a larger shape asks for it; a campaign's first batch
+    is its largest, so a short last batch gets views of the same memory.
+    Without a workspace (a lone batch) the array is fresh and freed when
+    dropped, as it would be in a campaign of one batch.
+    """
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    buf = work.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = work[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """XOR every column of the (rows, s) bit array ``bits`` into ``out`` (rows,), in place.
+
+    Column by column is 2-10x faster than ``np.bitwise_xor.reduce`` over
+    rows of up to 16 bytes, the codeword lengths the campaigns run.
+    """
+    for j in range(bits.shape[1]):
+        out ^= bits[:, j]
+    return out
+
+
+def _draw_codewords(count: int, s: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     # uniform parity-matched codewords of uniform messages (drawn first), shape (count, s)
     m = rng.integers(0, 2, size=count, dtype=np.int8)
-    w = np.empty((count, s), dtype=np.int8)
+    w = np.empty((count, s), dtype=np.int8) if out is None else out
     if s > 1:
         w[:, :-1] = rng.integers(0, 2, size=(count, s - 1), dtype=np.int8)
-        w[:, -1] = m ^ np.bitwise_xor.reduce(w[:, :-1], axis=1)
-    else:
-        w[:, 0] = m
+    w[:, -1] = _xor_columns(w[:, :-1], m)
     return w
 
 
@@ -130,62 +168,87 @@ def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
     return (*arrays, int(bound.min()))
 
 
-def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np.ndarray) -> np.ndarray:
+def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndarray,
+            work: dict | None) -> bool:
+    """Fill ``x`` with the inversion-search counts of ``keys``; False where numpy would redraw.
+
+    numpy consumes one uniform per element with p0 > 0 (none where
+    p0 == 0), so one ``rng.random`` fill feeds a vectorized search over the
+    tabulated terms, which drops the finished elements once fewer than half
+    go on.  The elements still going are compacted into two alternating
+    sets of buffers, since ``take`` copies when its output overlaps its
+    input.
+    """
+    terms, fold, zero, bound, min_bound = table
+    block_keys = keys
+    drawn = zero.take(keys, out=_take(work, "drawn", keys.size, bool), mode="clip")
+    np.logical_not(drawn, out=drawn)
+    u = _take(work, "u0", keys.size)
+    u.fill(0.0)
+    # the uniforms pass through the term buffer, free until the search starts
+    u[drawn] = rng.random(out=_take(work, "term", keys.size)[:np.count_nonzero(drawn)])
+    del drawn
+    x.fill(0)
+    # the elements still searching: flat positions (None while that is all
+    # of them), keys, leftover uniforms and counts so far; a search that
+    # stops leaves u <= 0, below every later term
+    pos, counts, compactions = None, x, 0
+    for j in range(terms.shape[0]):
+        term = terms[j].take(keys, out=_take(work, "term", keys.size), mode="clip")
+        step = np.greater(u, term, out=_take(work, "step", keys.size, bool))
+        going = np.count_nonzero(step)
+        if going == 0:
+            break
+        if j >= min_bound and np.any(bound.take(keys[step]) <= j):
+            return False  # a count passes its bound (all do at j = T): numpy redraws
+        counts += step.view(np.uint8)
+        u -= term
+        del term
+        if 2 * going < step.size:
+            # the c-th compaction keeps fewer than 1/2**c of the block: buffers
+            # of that size, which no later batch outgrows
+            compactions += 1
+            half, buf = block_keys.size >> compactions, compactions % 2
+            sub = np.flatnonzero(step)
+            if pos is None:
+                pos = sub
+            else:
+                x[pos] = counts
+                pos = pos.take(sub, out=_take(work, f"pos{buf}", half, np.intp)[:going], mode="clip")
+            keys = keys.take(sub, out=_take(work, f"keys{buf}", half, keys.dtype)[:going], mode="clip")
+            u = u.take(sub, out=_take(work, f"u{buf}", half)[:going], mode="clip")
+            counts = counts.take(sub, out=_take(work, f"counts{buf}", half, counts.dtype)[:going], mode="clip")
+    if pos is not None:
+        x[pos] = counts
+    # unfold without branches: x ^ (x ^ (T - x)) is T - x
+    flip = np.subtract(terms.shape[0] - 1, x, out=_take(work, "flip", x.size, x.dtype))
+    flip ^= x
+    flip *= fold.take(block_keys, out=_take(work, "fold", x.size, x.dtype), mode="clip")
+    x ^= flip
+    return True
+
+
+def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np.ndarray,
+                     work: dict | None = None) -> np.ndarray:
     """``rng.binomial(T, p0[k])`` for one basis's P("0" | k): same values, same stream use.
 
-    The counts come in the smallest unsigned dtype that holds T.  numpy
-    consumes one uniform per element with p0 > 0 (none where p0 == 0), so
-    one ``rng.random`` block feeds a vectorized search over the tabulated
-    terms, which drops the finished elements once fewer than half go on.
-    numpy itself draws for a batch smaller than the key range (where the
-    table would cost more than it saves), for a (T, n) that reaches its
-    BTPE path, and, after the generator is rewound, for a batch in which
-    some search would redraw.
+    The counts come in the smallest unsigned dtype that holds T.  The
+    search (:func:`_search`) runs in blocks of ``BATCH_SIZE`` elements, so
+    its temporaries stay one block in size.  numpy itself draws for a batch
+    smaller than the key range (where the table would cost more than it
+    saves), for a (T, n) that reaches its BTPE path, and, after the
+    generator is rewound to its state before the first block, for a batch
+    in which some search would redraw.
     """
     dtype = np.min_scalar_type(T)
     table = _inversion_table(T, n, basis) if k.size >= 1 << n else None
     if table is not None:
-        terms, fold, zero, bound, min_bound = table
         state = rng.bit_generator.state
         keys = k.ravel()
-        drawn = ~zero.take(keys)
-        u = np.zeros(keys.size)
-        u[drawn] = rng.random(np.count_nonzero(drawn))
-        del drawn
-        x = np.zeros(keys.size, dtype=dtype)
-        # the elements still searching: flat positions (None while that is
-        # all of them), keys, leftover uniforms and counts so far; a search
-        # that stops leaves u <= 0, below every later term
-        pos, counts = None, x
-        for j in range(T + 1):
-            term = terms[j].take(keys)
-            step = u > term
-            going = np.count_nonzero(step)
-            if going == 0:
-                break
-            if j >= min_bound and np.any(bound.take(keys[step]) <= j):
-                break  # a count passes its bound (all do at j = T): numpy redraws
-            counts += step.view(np.uint8)
-            u -= term
-            del term
-            if 2 * going < step.size:
-                sub = np.flatnonzero(step)
-                if pos is None:
-                    pos = sub
-                else:
-                    x[pos] = counts
-                    pos = pos.take(sub)
-                keys, u, counts = keys.take(sub), u.take(sub), counts.take(sub)
-        if going == 0:
-            if pos is not None:
-                x[pos] = counts
-            x = x.reshape(k.shape)
-            # unfold without branches: x ^ (x ^ (T - x)) is T - x
-            flip = np.subtract(T, x)
-            flip ^= x
-            flip *= fold.take(k)
-            x ^= flip
-            return x
+        x = _take(work, f"t0_{basis}", keys.size, dtype)
+        blocks = range(0, keys.size, BATCH_SIZE)
+        if all(_search(rng, table, keys[i:i + BATCH_SIZE], x[i:i + BATCH_SIZE], work) for i in blocks):
+            return x.reshape(k.shape)
         rng.bit_generator.state = state
     return rng.binomial(T, bayes._prob0_tables(n)[basis][k]).astype(dtype)
 
@@ -197,17 +260,18 @@ def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return units
 
 
-def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -> np.ndarray:
+def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
+                 work: dict | None = None) -> np.ndarray:
     """Simulate ``count`` runs of the projective-measurement attack; returns success flags."""
     T, n, s = params.T, params.n, params.s
     cos_unit, sin_unit = bayes._key_bloch(n)
     half_z, half_x, degenerate = _estimate_tables(T, n)
 
     k = rng.integers(0, 1 << n, size=(count, s))
-    t0z = _binomial_counts(rng, T, n, 0, k)
-    t0x = _binomial_counts(rng, T, n, 1, k)
-    w = _draw_codewords(count, s, rng)
-    u = rng.random(size=(count, s))
+    t0z = _binomial_counts(rng, T, n, 0, k, work)
+    t0x = _binomial_counts(rng, T, n, 1, k, work)
+    w = _draw_codewords(count, s, rng, _take(work, "w", (count, s), np.int8))
+    u = rng.random(out=_take(work, "born", (count, s)))
 
     # the cipher qubit, unit c, measured in the estimated basis of its
     # outcome cell; the outcome bit is the guess of w
@@ -239,6 +303,7 @@ def _symmetry_batch(
     rng: np.random.Generator,
     count: int,
     omega: float | np.ndarray | None = None,
+    work: dict | None = None,
 ) -> np.ndarray:
     """Simulate ``count`` runs of the pairwise symmetry test; returns success flags.
 
@@ -246,34 +311,42 @@ def _symmetry_batch(
     pair instead of drawing the bases uniformly (testing seam).
     """
     n, s = params.n, params.s
+    shape = (count, s)
 
-    k = rng.integers(0, 1 << n, size=(count, s))
-    w = _draw_codewords(count, s, rng)
+    k = rng.integers(0, 1 << n, size=shape)
+    w = _draw_codewords(count, s, rng, _take(work, "w", shape, np.int8))
     flip = w.view(bool)
-    p_outcome0 = np.multiply(k, params.theta)
+    p_outcome0 = np.multiply(k, params.theta, out=_take(work, "p", shape))
+    # the keys are spent: their memory holds the uniforms from here on
+    u = k.view(np.float64)
     del k
     if omega is None:
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=(count, s))
+        # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
+        phi = rng.random(out=u)
+        phi *= 2.0 * math.pi
     else:
-        phi = p_outcome0 - np.broadcast_to(np.asarray(omega, dtype=float), (count, s))
+        phi = np.subtract(p_outcome0, omega, out=u)
 
     # P(outcome 0) of the public qubit in basis phi; the cipher qubit,
     # shifted by w*pi, has the complement where w = 1
     p_outcome0 -= phi
-    del phi
     p_outcome0 /= 2.0
     np.cos(p_outcome0, out=p_outcome0)
     np.square(p_outcome0, out=p_outcome0)
-    guess = rng.random(size=(count, s)) >= p_outcome0
-    u = rng.random(size=(count, s))
-    out_cipher = u >= p_outcome0
+    guess = np.greater_equal(rng.random(out=u), p_outcome0, out=_take(work, "guess", shape, bool))
+    rng.random(out=u)
+    out_cipher = np.greater_equal(u, p_outcome0, out=_take(work, "cipher", shape, bool))
     np.subtract(1.0, p_outcome0, out=p_outcome0)
-    out_cipher ^= flip & (out_cipher ^ (u >= p_outcome0))
+    complement = np.greater_equal(u, p_outcome0, out=_take(work, "complement", shape, bool))
+    complement ^= out_cipher
+    complement &= flip
+    out_cipher ^= complement
 
     # equal outcomes read as "parallel" (bit 0), unequal as "antiparallel" (bit 1)
     guess ^= out_cipher
     guess ^= flip
-    return np.bitwise_xor.reduce(guess.view(np.uint8), axis=1) == 0
+    flags = _xor_columns(guess[:, 1:], guess[:, 0].copy())
+    return np.logical_not(flags, out=flags)
 
 
 def analytic_success(cfg: TrialConfig) -> float:
@@ -293,12 +366,13 @@ def estimate(cfg: TrialConfig) -> EstimateWithError:
     batch_fn = _bayes_batch if cfg.attack == "bayes-projective" else _symmetry_batch
     n_batches = (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
     children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
+    work = {}  # the campaign's batch buffers (see _take)
     successes = 0
     remaining = cfg.trials
     for child in children:
         count = min(BATCH_SIZE, remaining)
         rng = np.random.Generator(np.random.Philox(child))
-        successes += int(np.sum(batch_fn(cfg.params, rng, count)))
+        successes += int(np.sum(batch_fn(cfg.params, rng, count, work=work)))
         remaining -= count
     mean = successes / cfg.trials
     std_error = math.sqrt(mean * (1.0 - mean) / cfg.trials)

@@ -305,6 +305,15 @@ def test_codeword_success_frozen_example():
     assert codeword_success(0.75, 2) == pytest.approx(0.625, abs=1e-15)
 
 
+@pytest.mark.parametrize("p_bit, error", [
+    (math.nan, FloatingPointError), (1.5, ValueError), (-0.1, ValueError), (math.inf, ValueError),
+])
+def test_codeword_success_rejects_out_of_range(p_bit, error):
+    # a NaN is a failed computation; a finite or infinite value out of range is a bad argument
+    with pytest.raises(error, match=r"bit success probability must lie in \[0, 1\]"):
+        codeword_success(p_bit, 3)
+
+
 def brute_force_parity_success(p, s):
     total = 0.0
     for pattern in range(1 << s):

@@ -615,6 +615,18 @@ def test_commands_report_nan_as_a_violation(module, function, argv, violated, ca
     assert {v["check"] for v in json.loads(err)["violations"]} == violated
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "5", "--n", "6", "--T", "2", "--s", "3"],
+    ["montecarlo", "--attack", "bayes-projective", "--n", "6", "--T", "2", "--trials", "100"],
+], ids=["figure 5", "montecarlo"])
+def test_nan_success_probability_is_an_internal_error(argv, capsys):
+    # a NaN bit success probability is a failed computation, not a usage error
+    with mock.patch.object(bayes, "mean_success", nan):
+        code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert err == "error: internal: FloatingPointError: bit success probability must lie in [0, 1], got nan\n"
+
+
 def render(write, *args) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):

@@ -183,17 +183,25 @@ def structural_keys(n):
     return np.flatnonzero((p0z == 0.0) | (p0z == 1.0) | (p0x == 0.0) | (p0x == 1.0))
 
 
+# key counts at the edges of the inversion search's BATCH_SIZE blocks
+SEARCH_BLOCK_EDGES = [montecarlo.BATCH_SIZE + d for d in (-1, 0, 1)] + [2 * montecarlo.BATCH_SIZE + 1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 14),
     st.one_of(st.integers(1, 60), st.sampled_from([61, 64, 70, 200, 300])),
     st.integers(0, 1),
     st.integers(0, 2**32 - 1),
-    st.integers(0, 300),
+    st.one_of(st.integers(0, 300), st.sampled_from(SEARCH_BLOCK_EDGES)),
 )
-def test_binomial_counts_match_generator(n, T, basis, seed, extra):
-    drawn = np.random.default_rng(seed).integers(0, 1 << n, size=(1 << n) + extra)
-    k = np.concatenate([np.tile(structural_keys(n), 2), drawn])
+def test_binomial_counts_match_generator(n, T, basis, seed, size):
+    # size is either the keys drawn past the 2**n key range or the total
+    # key count at a block edge
+    structural = np.tile(structural_keys(n), 2)
+    drawn_size = (1 << n) + size if size <= 300 else size - structural.size
+    drawn = np.random.default_rng(seed).integers(0, 1 << n, size=drawn_size)
+    k = np.concatenate([structural, drawn])
     p0 = bayes._prob0_tables(n)[basis]
     fast, direct = philox(seed), philox(seed)
     counts = montecarlo._binomial_counts(fast, T, n, basis, k)
@@ -232,6 +240,69 @@ def test_binomial_counts_rewinds_before_numpy_redraw(patch):
     assert fast.binomial_calls == 1
     assert np.array_equal(counts, direct.binomial(T, bayes._prob0_tables(n)[0][k]))
     assert fast.random() == direct.random()
+
+
+def test_binomial_counts_rewinds_when_a_later_block_redraws():
+    # only the second search block holds the key whose redraw bound is
+    # patched to 0: the first block's search passes on its own, and the
+    # whole batch still goes to numpy from the stream position before the
+    # first block's draws
+    T, n = 6, 8
+    terms, fold, zero, bound, _ = montecarlo._inversion_table(T, n, 0)
+    key = int(np.argmin(terms[0]))  # the key least likely to stop at a count of 0
+    bound = bound.copy()
+    bound[key] = 0
+    table = (terms, fold, zero, bound, 0)
+    keys = np.random.default_rng(4).integers(0, 1 << n, size=montecarlo.BATCH_SIZE + 200)
+    first = keys[:montecarlo.BATCH_SIZE]
+    first[first == key] = key - 1
+    keys[-100:] = key
+    p0 = bayes._prob0_tables(n)[0]
+    alone, fast, direct = CountingGenerator(np.random.Philox(9)), CountingGenerator(np.random.Philox(9)), philox(9)
+    with mock.patch.object(montecarlo, "_inversion_table", lambda *_: table):
+        assert np.array_equal(montecarlo._binomial_counts(alone, T, n, 0, first), philox(9).binomial(T, p0[first]))
+        counts = montecarlo._binomial_counts(fast, T, n, 0, keys)
+    assert alone.binomial_calls == 0
+    assert fast.binomial_calls == 1
+    assert np.array_equal(counts, direct.binomial(T, p0[keys]))
+    assert fast.random() == direct.random()
+
+
+@pytest.mark.parametrize("attack", montecarlo.ATTACKS)
+def test_campaign_workspace_matches_lone_batches(attack):
+    # one workspace across batches that shrink (the last one short, the
+    # first searched in two blocks) gives each lone batch's flags and
+    # stream use
+    params = ProtocolParams(n=10, N=5, T=6, s=5)
+    batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
+    work = {}
+    for seed, count in enumerate((14_000, 5_000, 1_234, 7)):
+        fast, lone = philox(seed), philox(seed)
+        assert np.array_equal(batch(params, fast, count, work=work), batch(params, lone, count))
+        assert fast.random() == lone.random()
+
+
+def test_campaign_workspace_is_reused_at_full_batch():
+    # a warm full batch at the montecarlo workload's largest codewords,
+    # given its campaign's workspace, allocates only what numpy cannot
+    # write in place, and no buffer is replaced
+    params = ProtocolParams(n=13, N=16, T=4, s=16)
+    count, qubits = montecarlo.BATCH_SIZE, montecarlo.BATCH_SIZE * params.s
+    work = {}
+    montecarlo._bayes_batch(params, philox(0), count, work=work)
+    buffers = dict(work)
+    tracemalloc.start()
+    try:
+        montecarlo._bayes_batch(params, philox(1), count, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(work[name] is buf for name, buf in buffers.items()) and work.keys() == buffers.keys()
+    # int64 keys, int8 codeword bits and messages, the success flags, and
+    # the search's compaction indices (under half a block, then a quarter, ...)
+    bound = 8 * qubits + qubits + count + 8 * montecarlo.BATCH_SIZE
+    assert peak <= bound
+    assert bound < 1.5 * qubits * 8  # the lone batch allows 4 float64 arrays per qubit
 
 
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
