@@ -13,15 +13,25 @@ is its integer cipher unit c = k XOR (w << (n-1)), as in
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
 sin(c*theta) U_x, is gathered from cached key and cell tables in row blocks.
 
+The symmetry test decides each outcome, u >= p for a Born probability
+p = cos(x)**2, from a float32 estimate of p: numpy's float32 cosine is
+SIMD, its float64 one scalar libm.  The estimate lies within 2**-20 of p,
+so only uniforms within ``P_MARGIN`` of it (~0.05 % per draw) are compared
+with p itself, from libm, block by block (a filtered predicate, as in
+Shewchuk, Discrete Comput. Geom. 18, 1997).  Every flag and every stream
+position is the one a float64 comparison gives.
+
 A campaign owns its batch memory: :func:`estimate` keeps one workspace of
 named buffers, sized by its first (largest) batch, and every batch fills
 and computes into views of it (``out=`` on the draws, ufuncs and takes),
 so no batch after the first faults in fresh pages.  The inversion search
 runs in blocks of ``BATCH_SIZE`` elements, so its buffers stay one block
-in size at any codeword length.  Per batch, only what numpy cannot write
-in place (the keys and codeword bits of ``integers`` and the
-``Generator.binomial`` fallback) and the small row-block temporaries of
-the Born-probability stage still allocate.
+in size at any codeword length, and the symmetry test draws its uniforms
+block by block into one block of memory and keeps its angles in the
+memory of its keys.  Per batch, only what numpy cannot write in place (the
+keys and codeword bits of ``integers`` and the ``Generator.binomial``
+fallback), the small row-block temporaries of the Born-probability stage
+and the symmetry test's libm cells still allocate.
 """
 
 from __future__ import annotations
@@ -42,6 +52,26 @@ BATCH_SIZE = 1 << 16
 
 #: elements per row block of a bayes batch's Born-probability stage
 BLOCK_SIZE = 1 << 13
+
+#: elements per block of a symmetry batch (angles, uniform fills and
+#: outcome decisions): ~30 numpy calls a block, which at 2**12 cost ~10 %
+#: more batch time than at 2**14; 2**16 gained under 5 % and holds four
+#: times the 13 B of scratch per block element
+DECISION_BLOCK = 1 << 14
+
+#: largest |x| at which a symmetry batch trusts the float32 cos(x)**2;
+#: drawn bases keep |x| <= pi
+X_MAX = 4.0
+
+#: half-width of the band around a threshold inside which a symmetry-test
+#: outcome is decided from numpy's float64 cosine (libm).  For |x| <= X_MAX,
+#: cos(float32(x))**2 in float32 is within 2**-20 of the float64 cos(x)**2:
+#: rounding x to float32 moves it by <= 2**-22 and cos**2 has slope
+#: |sin 2x| <= 1, numpy's float32 cosine and the squaring add a few units
+#: of 2**-24, and 10**7 draws of x in (-pi, pi) show at most 2**-22.0.
+#: 2**-12 keeps a 256-fold reserve and sends 2 * 2**-12, ~0.05 %, of each
+#: decision's uniforms to libm.
+P_MARGIN = 2.0 ** -12
 
 
 @dataclass(frozen=True)
@@ -298,6 +328,30 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
     return success
 
 
+def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None,
+            out: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """``out = u >= p`` for p = cos(x)**2 by numpy's float64 cosine (1 - p where ``flip``).
+
+    All arrays are flat blocks.  ``q`` is p's float32 estimate, within
+    2**-20 of p or NaN (:func:`_symmetry_batch`), and u - q is taken in
+    float32 (another 2**-24 at most).  So a uniform whose difference from q
+    is at least ``P_MARGIN`` lies on the same side of p as of q, and the
+    rest (NaN included) are compared with p itself, computed as in a
+    full-batch float64 stage.  ``diff`` is float32 scratch of at least
+    ``u``'s size.
+    """
+    d = np.subtract(u, q, out=diff[:u.size], dtype=np.float32)
+    np.greater_equal(d, 0.0, out=out)
+    np.abs(d, out=d)
+    near = np.flatnonzero(~(d >= P_MARGIN))
+    p = np.square(np.cos(x[near]))
+    if flip is not None:
+        f = flip[near]
+        p[f] = 1.0 - p[f]
+    out[near] = u[near] >= p
+    return out
+
+
 def _symmetry_batch(
     params: ProtocolParams,
     rng: np.random.Generator,
@@ -315,36 +369,52 @@ def _symmetry_batch(
 
     k = rng.integers(0, 1 << n, size=shape)
     w = _draw_codewords(count, s, rng, _take(work, "w", shape, np.int8))
-    flip = w.view(bool)
-    p_outcome0 = np.multiply(k, params.theta, out=_take(work, "p", shape))
-    # the keys are spent: their memory holds the uniforms from here on
-    u = k.view(np.float64)
-    del k
-    if omega is None:
-        # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
-        phi = rng.random(out=u)
-        phi *= 2.0 * math.pi
-    else:
-        phi = np.subtract(p_outcome0, omega, out=u)
+    # the keys are spent once scaled: their memory holds the angles x
+    x, k, flip = k.view(np.float64).ravel(), k.ravel(), w.view(bool).ravel()
+    if omega is not None:
+        omega = np.broadcast_to(omega, shape).ravel()
 
-    # P(outcome 0) of the public qubit in basis phi; the cipher qubit,
-    # shifted by w*pi, has the complement where w = 1
-    p_outcome0 -= phi
-    p_outcome0 /= 2.0
-    np.cos(p_outcome0, out=p_outcome0)
-    np.square(p_outcome0, out=p_outcome0)
-    guess = np.greater_equal(rng.random(out=u), p_outcome0, out=_take(work, "guess", shape, bool))
-    rng.random(out=u)
-    out_cipher = np.greater_equal(u, p_outcome0, out=_take(work, "cipher", shape, bool))
-    np.subtract(1.0, p_outcome0, out=p_outcome0)
-    complement = np.greater_equal(u, p_outcome0, out=_take(work, "complement", shape, bool))
-    complement ^= out_cipher
-    complement &= flip
-    out_cipher ^= complement
+    # every stage runs over flat blocks of DECISION_BLOCK elements; filled
+    # block by block, each draw gives the doubles of one whole-batch fill
+    blocks = [slice(start, start + DECISION_BLOCK) for start in range(0, x.size, DECISION_BLOCK)]
+    u = _take(work, "u", min(DECISION_BLOCK, x.size))
+    q = _take(work, "q", x.size, np.float32)
+    for b in blocks:
+        # scaling a block in place copies only that block of keys
+        xb = np.multiply(k[b], params.theta, out=x[b])
+        if omega is None:
+            # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
+            phi = rng.random(out=u[:xb.size])
+            phi *= 2.0 * math.pi
+        else:
+            phi = np.subtract(xb, omega[b], out=u[:xb.size])
+        # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
+        # float32 estimate q decides all outcomes but those near a threshold
+        xb -= phi
+        xb /= 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            qb = np.cos(xb, dtype=np.float32, out=q[b])
+        np.square(qb, out=qb)
+    if omega is not None:
+        # a drawn basis keeps |x| <= pi; a pinned offset may leave X_MAX
+        q[~(np.abs(x) <= X_MAX)] = np.nan
 
-    # equal outcomes read as "parallel" (bit 0), unequal as "antiparallel" (bit 1)
-    guess ^= out_cipher
-    guess ^= flip
+    guess = _take(work, "guess", shape, bool)
+    guess_flat = guess.ravel()
+    diff = _take(work, "diff", u.size, np.float32)
+    out_cipher = _take(work, "cipher", u.size, bool)
+    for b in blocks:
+        ub = rng.random(out=u[:x[b].size])
+        _decide(ub, q[b], x[b], None, guess_flat[b], diff)
+    for b in blocks:
+        ub = rng.random(out=u[:x[b].size])
+        # the cipher qubit, shifted by w*pi, has the complement where w = 1
+        qb = np.subtract(flip[b], q[b], out=q[b])
+        np.abs(qb, out=qb)
+        cipher = _decide(ub, qb, x[b], flip[b], out_cipher[:ub.size], diff)
+        # equal outcomes read as "parallel" (bit 0), unequal as "antiparallel" (bit 1)
+        cipher ^= flip[b]
+        guess_flat[b] ^= cipher
     flags = _xor_columns(guess[:, 1:], guess[:, 0].copy())
     return np.logical_not(flags, out=flags)
 

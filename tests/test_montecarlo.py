@@ -163,7 +163,7 @@ def test_bayes_batch_matches_direct_oracle(shape, seed):
 @given(
     batch_shapes(),
     st.integers(0, 2**32 - 1),
-    st.one_of(st.none(), st.sampled_from([0.0, 0.7, math.pi / 2, math.pi]), st.just("array")),
+    st.one_of(st.none(), st.sampled_from([0.0, 0.7, math.pi / 2, math.pi, 1e5, -1e5]), st.just("array")),
 )
 def test_symmetry_batch_matches_direct_oracle(shape, seed, omega):
     n, _, s, count = shape
@@ -175,6 +175,75 @@ def test_symmetry_batch_matches_direct_oracle(shape, seed, omega):
     expected = symmetry_batch_direct(params, direct, count, omega=omega)
     assert np.array_equal(flags, expected)
     assert fast.random() == direct.random()
+
+
+def test_symmetry_batch_far_offsets_match_direct_oracle():
+    # offsets far outside the float32 estimate's trusted range (its error
+    # reaches ~5e-4 at |x| ~ 1e4, past P_MARGIN) and NaN ones take libm
+    params = ProtocolParams(n=10, N=4, T=1, s=4)
+    omega = np.random.default_rng(5).uniform(-1e5, 1e5, size=(20_000, 4))
+    omega[::97] = np.nan
+    fast, direct = philox(5), philox(5)
+    flags = montecarlo._symmetry_batch(params, fast, len(omega), omega=omega)
+    assert np.array_equal(flags, symmetry_batch_direct(params, direct, len(omega), omega=omega))
+    assert fast.random() == direct.random()
+
+
+class ScriptedGenerator(np.random.Generator):
+    """Philox generator whose ``random(out=...)`` fills copy the next scripted uniforms."""
+
+    def __init__(self, seed, uniforms):
+        super().__init__(np.random.Philox(seed))
+        self.uniforms = np.concatenate([np.ravel(a) for a in uniforms])
+
+    def random(self, *args, out=None, **kwargs):
+        if out is None:
+            return super().random(*args, **kwargs)
+        out.flat = self.uniforms[:out.size]
+        self.uniforms = self.uniforms[out.size:]
+        return out
+
+
+@pytest.mark.parametrize("threshold", ["public", "cipher", "complement"])
+def test_symmetry_decisions_exact_between_float32_and_libm(threshold):
+    # the scripted uniforms lie strictly between each libm threshold (p, or
+    # 1 - p for the cipher qubit where w = 1) and its float32 estimate, so
+    # every outcome there is decided as u >= p only by the libm fallback
+    params = ProtocolParams(n=10, N=1, T=1, s=1)
+    count, seed = 20_000, 11
+    omega = np.random.default_rng(seed).uniform(-2 * math.pi, 2 * math.pi, size=(count, 1))
+    stream = philox(seed)
+    k = stream.integers(0, 1 << params.n, size=(count, 1))
+    w = montecarlo._draw_codewords(count, 1, stream)
+    public = k * params.theta
+    x = public - (public - omega)
+    x /= 2.0
+    p = np.square(np.cos(x))
+    p32 = np.square(np.cos(x, dtype=np.float32))
+    libm = {"public": p, "cipher": np.where(w == 1, 1.0 - p, p)}
+    estimate = {"public": p32, "cipher": np.abs(np.subtract(w, p32, dtype=np.float32))}
+    draw = "public" if threshold == "public" else "cipher"
+    u = (libm[draw] + estimate[draw]) / 2.0
+    cells = (u != libm[draw]) & (u != estimate[draw])
+    if threshold != "public":
+        cells &= w == (threshold == "complement")
+    cells = cells[:, 0]
+    assert np.count_nonzero(cells) > count // 4
+    other = np.random.default_rng(seed + 1).random((count, 1))
+    uniforms = {"public": other, "cipher": other}
+    uniforms[draw] = u
+
+    def flags(thresholds):
+        # success: the outcomes differ exactly where w = 1
+        public, cipher = (uniforms[name] >= thresholds[name] for name in ("public", "cipher"))
+        return ((public ^ cipher) == (w == 1))[:, 0]
+
+    expected = flags(libm)
+    # the float32 estimate alone decides every such cell the other way
+    assert np.all(flags(estimate)[cells] != expected[cells])
+    fast = ScriptedGenerator(seed, (uniforms["public"], uniforms["cipher"]))
+    assert np.array_equal(montecarlo._symmetry_batch(params, fast, count, omega=omega), expected)
+    assert fast.uniforms.size == 0
 
 
 def structural_keys(n):
@@ -348,3 +417,26 @@ def test_bayes_batch_memory_at_full_batch():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * count * params.s * 8
+
+
+def test_symmetry_batch_memory_at_full_batch():
+    # warm full batch at the montecarlo workload's largest codewords: the
+    # float32 Born estimates, the codeword bits and the public outcomes are
+    # the workspace, 6 B per qubit; the angles reuse the keys' memory, and
+    # the uniforms and the decisions' scratch stay one block in size
+    params = ProtocolParams(n=13, N=16, T=1, s=16)
+    count, qubits = montecarlo.BATCH_SIZE, montecarlo.BATCH_SIZE * params.s
+    montecarlo._symmetry_batch(params, philox(0), count)
+    tracemalloc.start()
+    try:
+        montecarlo._symmetry_batch(params, philox(1), count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the workspace and the int64 keys that hold the angles (14.3 B per
+    # qubit when measured)
+    assert peak <= 2 * qubits * 8
+    work = {}
+    montecarlo._symmetry_batch(params, philox(2), count, work=work)
+    workspace = sum(buf.nbytes for buf in work.values())
+    assert workspace <= 6 * qubits + 13 * montecarlo.DECISION_BLOCK
