@@ -1,10 +1,11 @@
 """Numerical laboratory for a quantum-public-key encryption scheme built on single-qubit rotations.
 
-Covers the exact protocol model (keys, parity-codeword encryption,
+Covers the exact protocol model (key and codeword values, encryption,
 decryption), the symmetric-subspace density operators of repeated public-key
 copies with their entropy bounds, the Bayesian projective-measurement attack,
 the single-copy symmetry-test attack with its forward-search closed forms,
-and seeded Monte Carlo validation of every analytic success probability.
+and seeded Monte Carlo validation of every analytic success probability,
+whose batches alone sample keys and codewords.
 
 The package's names resolve on first use (PEP 562): ``import qpke`` loads no
 submodule, and ``qpke.X`` or ``from qpke import X`` imports only the
@@ -16,8 +17,7 @@ import importlib
 #: submodule -> the public names it defines
 _EXPORTS = {
     "protocol": (
-        "CipherState", "Codeword", "PrivateKey", "ProtocolParams", "decrypt", "elementary_angle",
-        "encode_message", "encrypt", "generate_private_key",
+        "CipherState", "Codeword", "PrivateKey", "ProtocolParams", "decrypt", "elementary_angle", "encrypt",
     ),
     "symspace": (
         "Spectrum", "SymmetricDensityOperator", "binomial_spectrum", "critical_n", "eigendecompose",

@@ -1,4 +1,4 @@
-"""Protocol primitives: key generation, parity codewords, and their encryption as integer units.
+"""The exact protocol model: keys, parity codewords, integer-unit encryption, and decryption.
 
 States live on the x-z great circle of the Bloch sphere at key-grid angles
 k * pi / 2**(n-1), one integer k in Z_{2**n} each.  Encrypting a codeword bit
@@ -12,9 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-#: key integers are drawn as int64, so Z_{2**n} must fit below 2**63
+#: the Monte Carlo draws key integers as int64, so Z_{2**n} must fit below 2**63
 MAX_N = 63
 
 
@@ -83,12 +81,6 @@ class PrivateKey:
         return len(self.values)
 
 
-def generate_private_key(params: ProtocolParams, rng: np.random.Generator) -> PrivateKey:
-    """Draw N independent uniform integers from Z_{2**n}."""
-    values = rng.integers(0, 1 << params.n, size=params.N)
-    return PrivateKey(tuple(int(v) for v in values), params.n)
-
-
 @dataclass(frozen=True)
 class Codeword:
     """Bit string whose parity carries the one-bit message."""
@@ -107,16 +99,6 @@ class Codeword:
 
     def __len__(self) -> int:
         return len(self.bits)
-
-
-def encode_message(m: int, s: int, rng: np.random.Generator) -> Codeword:
-    """Draw a codeword uniformly from the 2**(s-1) length-s strings of parity m."""
-    if m not in (0, 1):
-        raise ValueError(f"message bit must be 0 or 1, got {m}")
-    if s < 1:
-        raise ValueError(f"codeword length must be >= 1, got {s}")
-    free = rng.integers(0, 2, size=s - 1).tolist()
-    return Codeword((*free, m ^ (sum(free) & 1)))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,16 @@ def test_T_past_the_exact_grid_cap_is_a_usage_error(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("figure, expected", [
+    ("3", (0, "T,k,success\n" + "".join(f"0,{k},0.5\n" for k in range(4)), "")),
+    ("4", (2, "", "error: T must be >= 1, got 0\n")),
+    ("5", (2, "", "error: T must be >= 1, got 0\n")),
+], ids=["id-3", "id-4", "id-5"])
+def test_figure_T_zero(figure, expected, capsys):
+    # with no measurement figure 3 prints the fair guess; figures 4 and 5 need T >= 1
+    assert run_cli(["figure", "--id", figure, "--n", "2", "--T", "0", "--s", "3"], capsys) == expected
+
+
 def test_montecarlo_rejects_n_above_63(capsys):
     code, out, err = run_cli(
         ["montecarlo", "--attack", "symmetry-test", "--n", "64", "--trials", "1000"], capsys
@@ -305,17 +315,22 @@ sys.exit(code)
 """
 
 
+def run_fresh(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this qpke; return its completed process."""
+    src = os.path.dirname(os.path.dirname(qpke.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def loaded_modules(argv):
     """Modules a fresh interpreter holds after ``import qpke.cli`` and, for a non-empty argv, ``main(argv)``.
 
     ``sys.modules`` is printed as the last stderr line; ``-X importtime``
     would miss a submodule imported by ``from . import name``.
     """
-    src = os.path.dirname(os.path.dirname(qpke.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    return set(run_fresh(LOADED_MODULES, *argv).stderr.splitlines()[-1].split())
 
 
 FIGURE_MODULES = {"bayes", "protocol", "symmetry"}
@@ -359,7 +374,7 @@ def test_unknown_attack_is_a_usage_error(capsys):
 def test_package_names_resolve_to_their_submodules():
     # qpke binds a name on first use; it is the object its submodule defines,
     # and a submodule's own name is the submodule
-    assert len(qpke.__all__) == 51 and set(qpke.__all__) <= set(dir(qpke))
+    assert len(qpke.__all__) == 49 and set(qpke.__all__) <= set(dir(qpke))
     for module, names in qpke._EXPORTS.items():
         source = importlib.import_module(f"qpke.{module}")
         assert qpke.__getattr__(module) is source
@@ -393,6 +408,80 @@ def test_benchmark_tracer_targets_exist():
     assert missing <= {"symspace.jacobi_eigh"}
 
 
+RAN_FUNCTIONS = """
+import contextlib, io, json, os, sys
+import qpke.cli
+package = os.path.dirname(qpke.cli.__file__) + os.sep
+ran, codes = set(), []
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(package):
+        ran.add(os.path.basename(code.co_filename)[:-3] + "." + code.co_qualname)
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        codes.append(qpke.cli.main(argv))
+        sys.setprofile(None)
+print(json.dumps({"codes": codes, "ran": sorted(ran)}))
+"""
+
+# one small argv per command; the Bayes campaign has trials * s >= 2**n, so
+# it reaches the tabulated binomial search
+REACH_ARGV = [
+    ["prior", "--tau", "2,4", "--n", "2,3"],
+    ["security", "--epsilon", "0.25", "--T", "1-3"],
+    ["check-all", "--trials", "1000"],
+    ["montecarlo", "--attack", "bayes-projective", "--n", "4", "--T", "4", "--s", "2", "--trials", "200"],
+    ["figure", "--id", "1", "--n", "3", "--format", "json"],
+    *(["figure", "--id", str(i), "--n", "4", "--T", "1-3", "--s", "3"] for i in range(2, 6)),
+]
+
+
+def package_trees():
+    """Module name -> parsed source of every module of the package."""
+    package = os.path.dirname(qpke.__file__)
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name[:-3]] = ast.parse(fh.read(), name)
+    return trees
+
+
+def library_functions():
+    """Qualified names ``module.qualname`` of every non-dunder ``def`` in the package."""
+    names = set()
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    names.add(f"{module}.{prefix}{child.name}")
+                walk(child, module, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, f"{prefix}{child.name}.")
+            else:
+                walk(child, module, prefix)
+
+    for module, tree in package_trees().items():
+        walk(tree, module, "")
+    return names
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_every_library_function_is_reached_by_a_command():
+    # a fresh interpreter, so no lru_cache warmed by other tests hides a call;
+    # a function that no command runs is dead code unless the benchmark's
+    # tracer hooks it, and dropping the hook then asks for its deletion
+    report = json.loads(run_fresh(RAN_FUNCTIONS, json.dumps(REACH_ARGV)).stdout)
+    assert report["codes"] == [0] * len(REACH_ARGV)
+    hooked = {f"{m}.{a}" for m, a in perfbench_module("tracer").HOOKS}
+    unreached = sorted(library_functions() - set(report["ran"]) - hooked)
+    assert unreached == [], f"run by no command and hooked by no benchmark span: {unreached}"
+
+
 def loaded_names(tree):
     """Names that ``tree`` reads: loaded names and attribute names."""
     nodes = list(ast.walk(tree))
@@ -415,12 +504,7 @@ def test_library_has_no_unused_imports_or_private_names():
     # import inside a function that the function never reads, or a
     # module-level _private name that no module of the package reads, is a
     # leftover of deleted code
-    package = os.path.dirname(qpke.__file__)
-    trees = {}
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                trees[name] = ast.parse(fh.read(), name)
+    trees = package_trees()
     # a name imported from another module of the package is read there
     read_anywhere = set().union(*(
         loaded_names(tree) | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import bayes_batch_direct, symmetry_batch_direct
@@ -125,6 +126,25 @@ def test_analytic_success_dispatch():
 
 def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_draw_codewords_law(s):
+    # the message is drawn first and is each row's parity, the free bits are
+    # the next draw, and a uniform message makes all 2**s strings uniform:
+    # chi-square on 10^5 rows below its quantile at the two-sided 3-sigma
+    # tail (at dof 1 that is z**2 < 9; dof + 3*sqrt(2*dof) is a 2.3-sigma
+    # bound there), on a frozen seed
+    rows = 100_000
+    w = montecarlo._draw_codewords(rows, s, philox(2024))
+    replay = philox(2024)
+    message = replay.integers(0, 2, size=rows, dtype=np.int8)
+    assert np.array_equal(np.bitwise_xor.reduce(w, axis=1), message)
+    assert np.array_equal(w[:, :-1], replay.integers(0, 2, size=(rows, s - 1), dtype=np.int8))
+    counts = np.bincount(w.astype(np.intp) @ (1 << np.arange(s)), minlength=1 << s)
+    expected = rows / (1 << s)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    assert chi2 < scipy.stats.chi2.isf(math.erfc(3 / math.sqrt(2)), (1 << s) - 1)
 
 
 # T values past 60 reach numpy's BTPE sampler for some keys

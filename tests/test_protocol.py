@@ -16,9 +16,7 @@ from qpke.protocol import (
     ProtocolParams,
     decrypt,
     elementary_angle,
-    encode_message,
     encrypt,
-    generate_private_key,
 )
 
 
@@ -50,77 +48,6 @@ def test_params_derived():
     params = ProtocolParams(n=3, N=8, T=4, s=2)
     assert params.theta == math.pi / 4
     assert 0.0 < params.theta <= math.pi
-
-
-def test_generate_private_key_reproducible():
-    params = ProtocolParams(n=1, N=3, T=1, s=1)
-    key_a = generate_private_key(params, np.random.default_rng(123))
-    key_b = generate_private_key(params, np.random.default_rng(123))
-    assert key_a == key_b
-    assert len(key_a) == 3
-    assert all(v in (0, 1) for v in key_a.values)
-
-
-def test_generate_private_key_single_value_range():
-    params = ProtocolParams(n=10, N=1, T=1, s=1)
-    key = generate_private_key(params, np.random.default_rng(5))
-    assert 0 <= key.values[0] <= 1023
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_key_sampler_uniformity(n):
-    # chi-square on 10^5 draws: statistic within 3 sigma of its dof mean,
-    # and every bin within 3 binomial sigmas of the uniform expectation
-    draws = 100_000
-    params = ProtocolParams(n=n, N=draws, T=1, s=1)
-    key = generate_private_key(params, np.random.default_rng(2024))
-    counts = np.bincount(key.values, minlength=1 << n)
-    bins = 1 << n
-    expected = draws / bins
-    sigma_bin = math.sqrt(draws * (1 / bins) * (1 - 1 / bins))
-    assert np.all(np.abs(counts - expected) < 3 * sigma_bin)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    dof = bins - 1
-    assert chi2 < dof + 3 * math.sqrt(2 * dof)
-
-
-def test_encode_message_trivial():
-    cw = encode_message(0, 1, np.random.default_rng(0))
-    assert cw.bits == (0,)
-
-
-def test_encode_message_parity_always_matches():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        s = int(rng.integers(1, 5))
-        m = int(rng.integers(0, 2))
-        assert encode_message(m, s, rng).parity == m
-
-
-def test_encode_message_uniform_over_parity_class():
-    rng = np.random.default_rng(77)
-    draws = 100_000
-    counts = {(0, 1): 0, (1, 0): 0}
-    for _ in range(draws):
-        counts[encode_message(1, 2, rng).bits] += 1
-    sigma = math.sqrt(draws * 0.25)
-    assert abs(counts[(0, 1)] - draws / 2) < 3 * sigma
-
-
-def test_codeword_sampler_uniformity():
-    rng = np.random.default_rng(99)
-    draws = 100_000
-    s = 4
-    counts = {}
-    for _ in range(draws):
-        bits = encode_message(0, s, rng).bits
-        counts[bits] = counts.get(bits, 0) + 1
-    bins = 2 ** (s - 1)
-    assert len(counts) == bins
-    expected = draws / bins
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    dof = bins - 1
-    assert chi2 < dof + 3 * math.sqrt(2 * dof)
 
 
 def test_decrypt_single_qubit_example():
