@@ -30,8 +30,8 @@ _EXPORTS = {
         "required_codeword_length", "success_by_key",
     ),
     "symmetry": (
-        "PairTableRow", "average_success_symmetry", "enumerate_pair_table", "forward_search_length",
-        "forward_search_success", "pair_fidelity", "pair_success", "parity_iteration", "parity_success",
+        "average_success_symmetry", "forward_search_length", "forward_search_success", "pair_fidelity",
+        "pair_success", "parity_iteration", "parity_success",
     ),
     "montecarlo": ("EstimateWithError", "TrialConfig", "analytic_success", "estimate"),
 }

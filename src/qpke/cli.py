@@ -157,7 +157,7 @@ def cmd_prior(args) -> tuple[Table, list[dict]]:
     critical = {tau: symspace.critical_n(tau) for tau in args.tau}
     pairs = [(tau, n) for tau in args.tau for n in args.n]
     spectra = [symspace.eigendecompose(symspace.prior_density(tau, n)) for tau, n in pairs]
-    entropy = [symspace.shannon_entropy(np.clip(s.eigenvalues, 0.0, None)) for s in spectra]
+    entropy = [symspace.shannon_entropy(s.eigenvalues) for s in spectra]
     loose = [symspace.holevo_bound_loose(tau) for tau, _ in pairs]
     violations = [
         {"check": "entropy-dimension-bound", "tau": tau, "n": n, "entropy": e, "bound": b}

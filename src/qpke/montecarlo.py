@@ -132,8 +132,10 @@ def _take(work: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
 def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """XOR every column of the (rows, s) bit array ``bits`` into ``out`` (rows,), in place.
 
-    Column by column is 2-10x faster than ``np.bitwise_xor.reduce`` over
-    rows of up to 16 bytes, the codeword lengths the campaigns run.
+    On one 8192-bit Bayes row block, column by column is ~9x faster than
+    ``np.bitwise_xor.reduce`` at s = 2, about even at s = 8, and 1.4-2x
+    slower at s = 16, the longest codeword the campaigns run: ~5-17 us per
+    block, under 2 % of a batch.
     """
     for j in range(bits.shape[1]):
         out ^= bits[:, j]
@@ -324,7 +326,7 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
         # the fair coin reads u < 1/2
         guess ^= degenerate.take(cell)
         guess ^= w[block].view(bool)
-        success[block] = np.bitwise_xor.reduce(guess.view(np.uint8), axis=1) == 0
+        np.logical_not(_xor_columns(guess[:, 1:], guess[:, 0].copy()), out=success[block])
     return success
 
 

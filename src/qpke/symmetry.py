@@ -1,17 +1,17 @@
-"""Single-copy symmetry-test attack and collective forward-search closed forms.
+"""Closed forms of the single-copy symmetry-test attack and the collective forward search.
 
 The symmetry test pairs each cipher qubit with one public-key copy, measures
 both in a random shared basis, and reads the parity of the guessed bits; the
 verdict on a pair survives when both single-qubit outcomes are right or both
-are wrong.  The forward-search expressions cover the collective variant that
-consumes all 2T copies; only its success probability is modeled here.
+are wrong, so the parity guess succeeds exactly when the number of wrong
+outcomes is even.  The forward-search expressions cover the collective
+variant that consumes all 2T copies.  Only success probabilities live here,
+on ``math`` alone; ``qpke.montecarlo`` samples the attack itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 
 def pair_fidelity(omega: float) -> float:
@@ -71,39 +71,3 @@ def parity_success(bias: float, s: int) -> float:
     if s < 1:
         raise ValueError(f"codeword length must be >= 1, got {s}")
     return 0.5 + 0.5 * bias ** s
-
-
-@dataclass(frozen=True)
-class PairTableRow:
-    """One true/false outcome combination for the two-pair case (s = 2)."""
-
-    public: tuple[str, str]
-    cipher: tuple[str, str]
-    e1: int
-    e2: int
-    e: int
-    success: bool
-
-
-def enumerate_pair_table() -> list[PairTableRow]:
-    """All 16 true/false outcome combinations for s = 2 with their wrong counts.
-
-    The parity guess succeeds exactly when the total wrong count e is even;
-    8 of the 16 combinations qualify.
-    """
-    rows = []
-    for pub1, pub2, ciph1, ciph2 in itertools.product("tf", repeat=4):
-        e1 = (pub1 == "f") + (ciph1 == "f")
-        e2 = (pub2 == "f") + (ciph2 == "f")
-        e = e1 + e2
-        rows.append(
-            PairTableRow(
-                public=(pub1, pub2),
-                cipher=(ciph1, ciph2),
-                e1=e1,
-                e2=e2,
-                e=e,
-                success=e % 2 == 0,
-            )
-        )
-    return rows

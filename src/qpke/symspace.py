@@ -134,8 +134,7 @@ def shannon_entropy(probs: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: SymmetricDensityOperator) -> float:
     """Von Neumann entropy in bits: Shannon entropy of the eigenvalue spectrum."""
-    values = eigendecompose(rho).eigenvalues
-    return shannon_entropy(np.clip(values, 0.0, None))
+    return shannon_entropy(eigendecompose(rho).eigenvalues)
 
 
 def binomial_spectrum(tau: int) -> np.ndarray:

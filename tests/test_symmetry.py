@@ -16,7 +16,6 @@ from oracles import (
 from qpke.bayes import codeword_bound, codeword_success, mean_success
 from qpke.symmetry import (
     average_success_symmetry,
-    enumerate_pair_table,
     forward_search_length,
     forward_search_success,
     pair_fidelity,
@@ -145,28 +144,3 @@ def test_parity_iteration_matches_enumeration_and_closed_form(q1, s):
     value = parity_iteration(q1, s)
     assert value == pytest.approx(brute_force_even_error(q1, s), abs=1e-12)
     assert value == pytest.approx(0.5 + (2.0 * q1 - 1.0) ** s / 2.0, abs=1e-12)
-
-
-# the eight even-error combinations for s = 2: (public, cipher, e1, e2, e)
-TWO_PAIR_SUCCESS_ROWS = {
-    (("t", "t"), ("t", "t"), 0, 0, 0),
-    (("t", "f"), ("t", "f"), 0, 2, 2),
-    (("t", "t"), ("f", "f"), 1, 1, 2),
-    (("t", "f"), ("f", "t"), 1, 1, 2),
-    (("f", "t"), ("t", "f"), 1, 1, 2),
-    (("f", "f"), ("t", "t"), 1, 1, 2),
-    (("f", "t"), ("f", "t"), 2, 0, 2),
-    (("f", "f"), ("f", "f"), 2, 2, 4),
-}
-
-
-def test_enumerate_pair_table():
-    rows = enumerate_pair_table()
-    assert len(rows) == 16
-    success_rows = {
-        (row.public, row.cipher, row.e1, row.e2, row.e) for row in rows if row.success
-    }
-    assert success_rows == TWO_PAIR_SUCCESS_ROWS
-    for row in rows:
-        assert row.e == row.e1 + row.e2
-        assert row.success == (row.e % 2 == 0)

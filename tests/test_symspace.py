@@ -175,6 +175,8 @@ def test_entropy_examples():
 
 def test_shannon_entropy_handles_zeros():
     assert shannon_entropy([0.5, 0.5, 0.0]) == pytest.approx(1.0, abs=1e-15)
+    # LAPACK's tiny negative eigenvalues count as zeros
+    assert shannon_entropy([0.5, 0.5, -1e-17]) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("tau,expected", [(1, 1.0), (3, 2.0), (7, 3.0)])
