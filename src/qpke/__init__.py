@@ -2,10 +2,12 @@
 
 Covers the exact protocol model (key and codeword values, encryption,
 decryption), the symmetric-subspace density operators of repeated public-key
-copies with their entropy bounds, the Bayesian projective-measurement attack,
-the single-copy symmetry-test attack with its forward-search closed forms,
-and seeded Monte Carlo validation of every analytic success probability,
-whose batches alone sample keys and codewords.
+copies with their entropies, the likelihood tables of the Bayesian
+projective-measurement attack, every scalar closed form of the analysis
+(symmetry-test and forward-search laws, codeword laws and lengths, the
+collective optimum and the Holevo bounds), and seeded Monte Carlo validation
+of every analytic success probability, whose batches alone sample keys and
+codewords.
 
 The package's names resolve on first use (PEP 562): ``import qpke`` loads no
 submodule, and ``qpke.X`` or ``from qpke import X`` imports only the
@@ -21,17 +23,16 @@ _EXPORTS = {
     ),
     "symspace": (
         "Spectrum", "SymmetricDensityOperator", "binomial_spectrum", "critical_n", "eigendecompose",
-        "holevo_bound_loose", "holevo_bound_tight", "mixture_density", "prior_density", "shannon_entropy",
-        "von_neumann_entropy",
+        "mixture_density", "prior_density", "shannon_entropy", "von_neumann_entropy",
     ),
     "bayes": (
-        "ImpossibleOutcomeError", "MeasurementOutcome", "PosteriorDistribution", "bound_U", "codeword_bound",
-        "codeword_success", "evidence", "information_gain", "mean_success", "optimal_collective", "posterior",
-        "required_codeword_length", "success_by_key",
+        "ImpossibleOutcomeError", "MeasurementOutcome", "PosteriorDistribution", "evidence", "information_gain",
+        "mean_success", "posterior", "success_by_key",
     ),
     "symmetry": (
-        "average_success_symmetry", "forward_search_length", "forward_search_success", "pair_fidelity",
-        "pair_success", "parity_iteration", "parity_success",
+        "average_success_symmetry", "bound_U", "codeword_bound", "codeword_success", "forward_search_length",
+        "forward_search_success", "holevo_bound_loose", "holevo_bound_tight", "optimal_collective",
+        "pair_fidelity", "pair_success", "parity_iteration", "parity_success", "required_codeword_length",
     ),
     "montecarlo": ("EstimateWithError", "TrialConfig", "analytic_success", "estimate"),
 }

@@ -3,8 +3,11 @@
 The attacker splits 2T public-key copies evenly between the z and x bases,
 counts the "0" outcomes per basis, and updates a uniform prior over the 2**n
 key values by Bayes' rule.  The posterior yields an estimated Bloch vector,
-the measurement basis for the cipher qubit, and from there per-bit and
-per-codeword success probabilities together with their closed-form bounds.
+the measurement basis for the cipher qubit, and from there the per-key and
+ensemble-average bit-recovery probabilities.  This module holds only the
+likelihood tables and what is summed from them; the closed forms that bound
+or extend these values (the collective optimum, the 1 - 1/(6T) cap and the
+codeword laws) live in ``qpke.symmetry``.
 
 The bases are measured independently, so the outcome likelihood factors as
 P_z[t0z, k] * P_x[t0x, k]: every exact sum over Z_{2**n} and the outcome grid
@@ -28,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from .protocol import elementary_angle
-from .symmetry import parity_success
 
 MAX_N = 14
 
@@ -263,63 +265,3 @@ def mean_success(T: int, n: int) -> float:
     """
     _, _, norms, directed = _bloch_sums(T, n)
     return min(1.0, float(0.5 + np.sum(norms[directed]) / (1 << (_outcome_n(T, n) + 1))))
-
-
-def bound_U(T: int) -> float:
-    """Empirical cap 1 - 1/(6T) on the ensemble-average bit-recovery probability (T > 1)."""
-    if T <= 1:
-        raise ValueError(f"bound requires T > 1, got {T}")
-    return 1.0 - 1.0 / (6.0 * T)
-
-
-def optimal_collective(T: int) -> float:
-    """Best possible state-estimation success with collective measurements on 2T copies.
-
-    1/2 + 2**-(2T+1) * sum_i sqrt(binom(2T, i) binom(2T, i+1)); approaches
-    1 - 1/(8T) for large T.
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    m = 2 * T
-    # in log space: binom(2T, i) * binom(2T, i+1) passes the float range from T = 259
-    log_comb = [math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1) for i in range(m + 1)]
-    log_scale = (m + 1) * math.log(2.0)
-    return 0.5 + sum(math.exp((a + b) / 2.0 - log_scale) for a, b in zip(log_comb, log_comb[1:]))
-
-
-def codeword_success(p_bit: float, s: int) -> float:
-    """Probability of guessing the parity of s independent bits, each recovered with probability p_bit.
-
-    The guess survives any even number of bit errors, and the sum over even
-    error counts a of binom(s, a) (1-p)**a p**(s-a) is 1/2 + (2p - 1)**s / 2.
-    """
-    if not 0.0 <= p_bit <= 1.0:
-        # a NaN is a failed computation upstream, not a bad argument
-        error = FloatingPointError if math.isnan(p_bit) else ValueError
-        raise error(f"bit success probability must lie in [0, 1], got {p_bit}")
-    return parity_success(2.0 * p_bit - 1.0, s)
-
-
-def codeword_bound(T: int, s: int) -> float:
-    """Closed-form cap 1/2 + (1/2)(1 - 1/(3T))**s on the parity-guess probability (T > 1)."""
-    if T <= 1:
-        raise ValueError(f"bound requires T > 1, got {T}")
-    return parity_success(1.0 - 1.0 / (3.0 * T), s)
-
-
-def required_codeword_length(epsilon: float, T: int) -> tuple[int, int]:
-    """Codeword lengths that pin the parity-guess advantage below epsilon.
-
-    Returns (exact, simple): the exact requirement
-    ceil(|1 + log2(eps)| / |log2((3T-1)/(3T))|) and the weaker but simpler
-    ceil(3T |1 + log2(eps)|), which always dominates it.
-    """
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError(f"security parameter must lie in (0, 1/2], got {epsilon}")
-    if T <= 1:
-        raise ValueError(f"requires T > 1, got {T}")
-    numerator = abs(1.0 + math.log2(epsilon))
-    denominator = abs(math.log2((3.0 * T - 1.0) / (3.0 * T)))
-    s_exact = math.ceil(numerator / denominator)
-    s_simple = math.ceil(3.0 * T * numerator)
-    return s_exact, s_simple

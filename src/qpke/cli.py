@@ -11,13 +11,16 @@ list on stderr and turns the exit code to 1.  Usage errors and an unwritable
 ``--out`` exit with 2, any other failure with 3.  Column schemas and the
 output contract are documented in docs/formats.md.
 
-Each command imports the ``qpke`` modules it runs inside its own builders
-and checks, so ``import qpke.cli`` loads none of them: ``prior`` loads
-``symspace`` (and the ``protocol`` it reads), figures 1 and 3-5 and
-``security`` load ``bayes`` (with ``protocol`` and ``symmetry``), figure 2
-adds ``symspace``, ``montecarlo`` loads all but ``symspace``, and
-``check-all`` loads all five.  A local import reads the module's attributes
-at call time, so a patched or wrapped function is seen there as well.
+Each command imports the ``qpke`` modules it runs, and numpy, inside its
+own builders and checks, so ``import qpke.cli``, ``--help`` and usage errors
+load none of them, and the writer tells an array from a list by its
+``dtype``.  ``security`` loads only ``symmetry`` (closed forms on ``math``,
+so no numpy); ``prior`` loads ``symspace`` (and the ``protocol`` it reads)
+with ``symmetry``; figures 1 and 3 load ``bayes`` (with ``protocol``), and
+figures 2, 4 and 5 add ``symmetry``; ``montecarlo`` loads all but
+``symspace``, and ``check-all`` loads all five.  A local import reads the
+module's attributes at call time, so a patched or wrapped function is seen
+there as well.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import json
 import math
 import sys
 from itertools import chain
-
-import numpy as np
 
 FIGURE1_EVENTS = {8: (0, 2, 4, 6, 8), 9: (2, 4, 6)}
 
@@ -104,7 +105,7 @@ def _csv_column(column, alone: bool) -> tuple[str, list]:
     Numeric arrays are formatted by the spec itself; every other cell is
     rendered and quoted first, so that its text never enters the template.
     """
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    kind = column.dtype.kind if hasattr(column, "dtype") else "O"
     if kind in "iu":
         return "%d", column.tolist()
     if kind == "f":
@@ -116,7 +117,7 @@ def _csv_column(column, alone: bool) -> tuple[str, list]:
 
 def _json_cells(column) -> list:
     """Native Python values for ``json``: an array's ``tolist()``, a list's own cells."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
+    return column.tolist() if hasattr(column, "tolist") else column
 
 
 def _write_rows(table: Table, fmt: str, out_path: str | None) -> None:
@@ -147,18 +148,18 @@ def _write_rows(table: Table, fmt: str, out_path: str | None) -> None:
             out.close()
 
 
-def _spectrum_str(values: np.ndarray) -> str:
+def _spectrum_str(values) -> str:
     return ";".join(format(float(v), ".12g") for v in values)
 
 
 def cmd_prior(args) -> tuple[Table, list[dict]]:
-    from . import symspace
+    from . import symmetry, symspace
 
     critical = {tau: symspace.critical_n(tau) for tau in args.tau}
     pairs = [(tau, n) for tau in args.tau for n in args.n]
     spectra = [symspace.eigendecompose(symspace.prior_density(tau, n)) for tau, n in pairs]
     entropy = [symspace.shannon_entropy(s.eigenvalues) for s in spectra]
-    loose = [symspace.holevo_bound_loose(tau) for tau, _ in pairs]
+    loose = [symmetry.holevo_bound_loose(tau) for tau, _ in pairs]
     violations = [
         {"check": "entropy-dimension-bound", "tau": tau, "n": n, "entropy": e, "bound": b}
         for (tau, n), e, b in zip(pairs, entropy, loose)
@@ -172,13 +173,15 @@ def cmd_prior(args) -> tuple[Table, list[dict]]:
         "n_critical": [critical[tau] for tau, _ in pairs],
         "at_or_above_critical": [n >= critical[tau] for tau, n in pairs],
         "bound_loose_bits": loose,
-        "bound_tight_bits": [symspace.holevo_bound_tight(tau) for tau, _ in pairs],
+        "bound_tight_bits": [symmetry.holevo_bound_tight(tau) for tau, _ in pairs],
         "spectrum": [_spectrum_str(s.eigenvalues) for s in spectra],
     })
     return table, violations
 
 
 def _figure1(args):
+    import numpy as np
+
     from . import bayes
 
     grids, posteriors = [], []
@@ -205,11 +208,11 @@ def _figure1(args):
 
 
 def _figure2(args):
-    from . import bayes, symspace
+    from . import bayes, symmetry
 
     copies = [2 * T for T in range(1, 9)]
     gain = [bayes.information_gain(T, args.n) for T in range(1, 9)]
-    bound = [symspace.holevo_bound_tight(c) for c in copies]
+    bound = [symmetry.holevo_bound_tight(c) for c in copies]
     gap = [b - g for b, g in zip(bound, gain)]
     violations = [
         {"check": "information-gain-below-bound", "copies": c, "gap": d} for c, d in zip(copies, gap) if not d > 0.0
@@ -225,6 +228,8 @@ def _figure2(args):
 
 
 def _figure3(args):
+    import numpy as np
+
     from . import bayes
 
     size = 1 << args.n
@@ -238,11 +243,11 @@ def _figure3(args):
 
 
 def _figure4(args):
-    from . import bayes
+    from . import bayes, symmetry
 
     mean = [bayes.mean_success(T, args.n) for T in args.T]
-    optimal = [bayes.optimal_collective(T) for T in args.T]
-    bound = [bayes.bound_U(T) if T > 1 else "" for T in args.T]
+    optimal = [symmetry.optimal_collective(T) for T in args.T]
+    bound = [symmetry.bound_U(T) if T > 1 else "" for T in args.T]
     violations = []
     for T, m, o, b in zip(args.T, mean, optimal, bound):
         # on 2**n <= 2T+1 keys the states are far apart and the attack beats
@@ -258,7 +263,7 @@ def _figure4(args):
 
 
 def _figure5(args):
-    from . import bayes
+    from . import bayes, symmetry
 
     if args.s < 1:
         raise ValueError(f"codeword length --s must be >= 1, got {args.s}")
@@ -266,8 +271,8 @@ def _figure5(args):
         raise ValueError(f"T must be >= 1, got {min(args.T)}")
     pairs = [(T, s) for T in args.T for s in range(1, args.s + 1)]
     per_bit = {T: bayes.mean_success(T, args.n) for T in args.T}
-    success = [bayes.codeword_success(per_bit[T], s) for T, s in pairs]
-    bound = [bayes.codeword_bound(T, s) if T > 1 else "" for T, s in pairs]
+    success = [symmetry.codeword_success(per_bit[T], s) for T, s in pairs]
+    bound = [symmetry.codeword_bound(T, s) if T > 1 else "" for T, s in pairs]
     violations = [
         {"check": "codeword-bound", "T": T, "s": s, "success": p, "bound": b}
         for (T, s), p, b in zip(pairs, success, bound)
@@ -292,12 +297,12 @@ def cmd_figure(args) -> tuple[Table, list[dict]]:
 
 
 def cmd_security(args) -> tuple[Table, list[dict]]:
-    from . import bayes, symmetry
+    from . import symmetry
 
     forward = [symmetry.forward_search_length(args.epsilon, T) for T in args.T]
     # the 1 - 1/(3T) bound behind both lengths is undefined at T = 1, whose
     # row keeps only the forward search (blank lengths, as in figures 4 and 5)
-    lengths = [bayes.required_codeword_length(args.epsilon, T) if T > 1 else ("", "") for T in args.T]
+    lengths = [symmetry.required_codeword_length(args.epsilon, T) if T > 1 else ("", "") for T in args.T]
     violations = [
         {"check": "simple-dominates-exact", "T": T, "s_exact": s_exact, "s_simple": s_simple}
         for T, (s_exact, s_simple) in zip(args.T, lengths)
@@ -372,6 +377,8 @@ def _check_roundtrip() -> tuple[bool, str]:
 
 
 def _check_parity_zeros() -> tuple[bool, str]:
+    import numpy as np
+
     from . import symspace
 
     deviations = []
@@ -387,6 +394,8 @@ def _check_parity_zeros() -> tuple[bool, str]:
 
 
 def _check_binomial_spectrum() -> tuple[bool, str]:
+    import numpy as np
+
     from . import symspace
 
     deviations = []
@@ -398,23 +407,27 @@ def _check_binomial_spectrum() -> tuple[bool, str]:
 
 
 def _check_entropy_bounds() -> tuple[bool, str]:
-    from . import symspace
+    from . import symmetry, symspace
 
     for tau in range(2, 65):
         entropy = symspace.von_neumann_entropy(symspace.prior_density(tau, symspace.critical_n(tau)))
-        if not entropy <= symspace.holevo_bound_tight(tau) + 1e-9:
+        if not entropy <= symmetry.holevo_bound_tight(tau) + 1e-9:
             return False, f"entropy above tight bound at tau={tau}"
-        if not entropy <= symspace.holevo_bound_loose(tau) + 1e-9:
+        if not entropy <= symmetry.holevo_bound_loose(tau) + 1e-9:
             return False, f"entropy above dimension bound at tau={tau}"
     return True, "entropy bounds hold for tau in [2, 64]"
 
 
 def _check_information_gain() -> tuple[bool, str]:
+    import numpy as np
+
     table, violations = _figure2(argparse.Namespace(n=10))
     return not violations, f"smallest bound-gain gap = {float(np.min(table['gap_bits'])):.6f} bits"
 
 
 def _check_mean_success() -> tuple[bool, str]:
+    import numpy as np
+
     table, violations = _figure4(argparse.Namespace(n=10, T=list(range(2, 11))))
     worst = float(np.max(np.subtract(table["mean_success"], table["upper_bound"])))
     passed = all(v["check"] != "mean-success-bound" for v in violations)
@@ -430,16 +443,20 @@ def _check_optimal_collective() -> tuple[bool, str]:
 
 
 def _check_codeword_bound() -> tuple[bool, str]:
+    import numpy as np
+
     table, violations = _figure5(argparse.Namespace(n=10, T=[2, 4, 8], s=50))
     worst = float(np.max(np.subtract(table["success"], table["upper_bound"])))
     return not violations, f"max excess over the codeword bound = {worst:.3e}"
 
 
 def _check_parity_identity() -> tuple[bool, str]:
-    from . import bayes, symmetry
+    import numpy as np
+
+    from . import symmetry
 
     worst = float(np.max([
-        abs(symmetry.parity_iteration(q1, s) - bayes.codeword_success(q1, s))
+        abs(symmetry.parity_iteration(q1, s) - symmetry.codeword_success(q1, s))
         for q1 in (0.5, 0.6, 0.75, 0.9, 1.0)
         for s in range(1, 13)
     ]))
@@ -459,12 +476,12 @@ def _check_forward_equivalence() -> tuple[bool, str]:
 
 
 def _check_factor_three() -> tuple[bool, str]:
-    from . import bayes, symmetry
+    from . import symmetry
 
     for exponent in range(3, 11):
         epsilon = 2.0 ** -exponent
         for T in range(2, 9):
-            _, s_simple = bayes.required_codeword_length(epsilon, T)
+            _, s_simple = symmetry.required_codeword_length(epsilon, T)
             forward = symmetry.forward_search_length(epsilon, T)
             if abs(s_simple - 3 * forward) > 1:
                 return False, f"length ratio far from 3 at epsilon=2^-{exponent}, T={T}"

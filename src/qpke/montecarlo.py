@@ -44,7 +44,7 @@ import numpy as np
 
 from . import bayes
 from .protocol import ProtocolParams
-from .symmetry import average_success_symmetry
+from .symmetry import average_success_symmetry, codeword_success
 
 ATTACKS = ("bayes-projective", "symmetry-test")
 
@@ -425,7 +425,7 @@ def analytic_success(cfg: TrialConfig) -> float:
     """Analytic counterpart of the empirical success frequency for this configuration."""
     if cfg.attack == "bayes-projective":
         per_bit = bayes.mean_success(cfg.params.T, cfg.params.n)
-        return bayes.codeword_success(per_bit, cfg.params.s)
+        return codeword_success(per_bit, cfg.params.s)
     return average_success_symmetry(cfg.params.s)
 
 

@@ -3,8 +3,9 @@
 tau identically prepared copies of a public-key qubit never leave the
 (tau+1)-dimensional permutation-symmetric subspace, so the mixture over all
 key values is a small real symmetric matrix indexed by Hamming weight.  This
-module builds those operators, diagonalizes them, and evaluates the entropy
-bounds that cap an eavesdropper's information gain.
+module builds those operators, diagonalizes them, and takes their entropies;
+the Holevo bounds those entropies are checked against are closed forms in
+``qpke.symmetry``.
 """
 
 from __future__ import annotations
@@ -141,20 +142,6 @@ def binomial_spectrum(tau: int) -> np.ndarray:
     """Reference spectrum binom(tau, i) / 2**tau, i = 0..tau, in descending order."""
     vals = np.array([math.comb(tau, i) for i in range(tau + 1)], dtype=float) / 2.0 ** tau
     return np.sort(vals)[::-1]
-
-
-def holevo_bound_loose(tau: int) -> float:
-    """Dimension bound on extractable information from tau copies: log2(tau + 1) bits."""
-    if tau < 1:
-        raise ValueError(f"copy count must be >= 1, got {tau}")
-    return math.log2(tau + 1)
-
-
-def holevo_bound_tight(tau: int) -> float:
-    """Gaussian bound on the binomial-spectrum entropy: (1/2) log2(tau) + (1/2) log2(pi e / 2) bits."""
-    if tau < 1:
-        raise ValueError(f"copy count must be >= 1, got {tau}")
-    return 0.5 * math.log2(tau) + 0.5 * math.log2(math.pi * math.e / 2.0)
 
 
 def critical_n(tau: int) -> int:

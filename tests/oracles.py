@@ -50,7 +50,7 @@ import sys
 
 import numpy as np
 
-from qpke import bayes, cli, montecarlo, symspace
+from qpke import bayes, cli, montecarlo, symmetry, symspace
 from qpke.bayes import DEGENERATE_NORM, _binomial_pmf_rows, _prob0_tables
 from qpke.protocol import elementary_angle
 from qpke.symspace import symmetric_state_components
@@ -401,8 +401,8 @@ def prior_rows(taus: list[int], ns: list[int]) -> tuple[list[dict], list[str]]:
                     "rank": spectrum.rank,
                     "n_critical": n_c,
                     "at_or_above_critical": n >= n_c,
-                    "bound_loose_bits": symspace.holevo_bound_loose(tau),
-                    "bound_tight_bits": symspace.holevo_bound_tight(tau),
+                    "bound_loose_bits": symmetry.holevo_bound_loose(tau),
+                    "bound_tight_bits": symmetry.holevo_bound_tight(tau),
                     "spectrum": ";".join(format(float(v), ".12g") for v in spectrum.eigenvalues),
                 }
             )

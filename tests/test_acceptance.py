@@ -64,9 +64,9 @@ def test_criterion_03_entropy_bounds():
         assert n_c is not None
         for n in (1, max(1, n_c // 2), n_c, n_c + 1):
             entropy = symspace.von_neumann_entropy(symspace.prior_density(tau, n))
-            assert entropy <= symspace.holevo_bound_loose(tau) + 1e-9
+            assert entropy <= symmetry.holevo_bound_loose(tau) + 1e-9
             if n >= n_c:
-                assert entropy <= symspace.holevo_bound_tight(tau) + 1e-9
+                assert entropy <= symmetry.holevo_bound_tight(tau) + 1e-9
     report(3, "entropies below the Gaussian and dimension bounds for tau in [2, 64]")
 
 
@@ -74,7 +74,7 @@ def test_criterion_04_information_gain_below_holevo():
     with runtime_limit(120.0):
         smallest_gap = math.inf
         for T in range(1, 9):
-            gap = symspace.holevo_bound_tight(2 * T) - bayes.information_gain(T, 10)
+            gap = symmetry.holevo_bound_tight(2 * T) - bayes.information_gain(T, 10)
             smallest_gap = min(smallest_gap, gap)
         assert smallest_gap > 0.0
     report(4, f"information gain below the Holevo bound, smallest gap {smallest_gap:.4f} bits")
@@ -94,8 +94,8 @@ def test_criterion_05_mean_success_bound_and_oscillation():
 
 def test_criterion_06_collective_optimum():
     for T in range(1, 11):
-        assert bayes.mean_success(T, 10) <= bayes.optimal_collective(T)
-    assert bayes.optimal_collective(1) == pytest.approx(0.5 + math.sqrt(2.0) / 4.0, abs=1e-12)
+        assert bayes.mean_success(T, 10) <= symmetry.optimal_collective(T)
+    assert symmetry.optimal_collective(1) == pytest.approx(0.5 + math.sqrt(2.0) / 4.0, abs=1e-12)
     report(6, "individual attack never beats the collective optimum; T=1 value exact")
 
 
@@ -104,7 +104,7 @@ def test_criterion_07_codeword_bound():
     for T in (2, 4, 8):
         per_bit = bayes.mean_success(T, 10)
         for s in range(1, 51):
-            excess = bayes.codeword_success(per_bit, s) - bayes.codeword_bound(T, s)
+            excess = symmetry.codeword_success(per_bit, s) - symmetry.codeword_bound(T, s)
             worst = max(worst, excess)
     assert worst <= 1e-9
     report(7, f"codeword success below its bound for T in {{2,4,8}}, s <= 50 (max excess {worst:.2e})")
@@ -148,7 +148,7 @@ def test_criterion_11_factor_of_three():
     for exponent in range(3, 11):
         epsilon = 2.0 ** -exponent
         for T in range(2, 9):
-            _, s_simple = bayes.required_codeword_length(epsilon, T)
+            _, s_simple = symmetry.required_codeword_length(epsilon, T)
             forward = symmetry.forward_search_length(epsilon, T)
             assert abs(s_simple - 3 * forward) <= 1
     report(11, "simple length bound is three forward-search lengths (up to ceiling)")
@@ -191,7 +191,7 @@ def test_criterion_14_bayes_monte_carlo():
             params = ProtocolParams(n=10, N=s, T=4, s=s)
             cfg = montecarlo.TrialConfig(params, "bayes-projective", 100_000, MC_SEED)
             result = montecarlo.estimate(cfg)
-            expected = bayes.codeword_success(per_bit, s)
+            expected = symmetry.codeword_success(per_bit, s)
             z = (result.mean - expected) / result.std_error
             assert abs(z) < 3.0, f"s={s}: z={z:.2f}"
             details.append(f"s={s}: z={z:+.2f}")

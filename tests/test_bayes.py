@@ -21,19 +21,22 @@ from qpke.bayes import (
     ImpossibleOutcomeError,
     MeasurementOutcome,
     PosteriorDistribution,
-    bound_U,
-    codeword_bound,
-    codeword_success,
     evidence,
     information_gain,
     mean_success,
-    optimal_collective,
     posterior,
-    required_codeword_length,
     success_by_key,
 )
 from qpke.protocol import elementary_angle
-from qpke.symspace import eigendecompose, holevo_bound_tight, mixture_density, prior_density, von_neumann_entropy
+from qpke.symmetry import (
+    bound_U,
+    codeword_bound,
+    codeword_success,
+    holevo_bound_tight,
+    optimal_collective,
+    required_codeword_length,
+)
+from qpke.symspace import eigendecompose, mixture_density, prior_density, von_neumann_entropy
 
 
 def uniform_posterior(T, n):

@@ -309,41 +309,48 @@ def test_prior_rejects_out_of_range(capsys):
 LOADED_MODULES = """
 import sys
 import qpke.cli
-code = qpke.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+try:
+    code = qpke.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as stop:  # --help and argparse usage errors
+    code = stop.code
 print(*sorted(sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def run_fresh(script, *args):
+def run_fresh(script, *args, code=0):
     """Run ``script`` with ``args`` in a fresh interpreter that imports this qpke; return its completed process."""
     src = os.path.dirname(os.path.dirname(qpke.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
-def loaded_modules(argv):
+def loaded_modules(argv, code=0):
     """Modules a fresh interpreter holds after ``import qpke.cli`` and, for a non-empty argv, ``main(argv)``.
 
     ``sys.modules`` is printed as the last stderr line; ``-X importtime``
     would miss a submodule imported by ``from . import name``.
     """
-    return set(run_fresh(LOADED_MODULES, *argv).stderr.splitlines()[-1].split())
+    return set(run_fresh(LOADED_MODULES, *argv, code=code).stderr.splitlines()[-1].split())
 
 
+#: an argparse usage error (a reversed range), which exits 2
+USAGE_ERROR = ["prior", "--tau", "5-1"]
 FIGURE_MODULES = {"bayes", "protocol", "symmetry"}
 # (argv, the qpke submodules besides cli that it loads); an empty argv only imports qpke.cli
 COMMAND_MODULES = [
     ([], set()),
-    (["prior", "--tau", "4", "--n", "3"], {"protocol", "symspace"}),
-    (["figure", "--id", "1", "--n", "4"], FIGURE_MODULES),
-    (["figure", "--id", "2", "--n", "4"], FIGURE_MODULES | {"symspace"}),
-    (["figure", "--id", "3", "--n", "4"], FIGURE_MODULES),
+    (["--help"], set()),
+    (USAGE_ERROR, set()),
+    (["prior", "--tau", "4", "--n", "3"], {"protocol", "symspace", "symmetry"}),
+    (["figure", "--id", "1", "--n", "4"], {"bayes", "protocol"}),
+    (["figure", "--id", "2", "--n", "4"], FIGURE_MODULES),
+    (["figure", "--id", "3", "--n", "4"], {"bayes", "protocol"}),
     (["figure", "--id", "4", "--n", "4"], FIGURE_MODULES),
     (["figure", "--id", "5", "--n", "4", "--s", "3"], FIGURE_MODULES),
-    (["security", "--epsilon", "0.25", "--T", "1-4"], FIGURE_MODULES),
+    (["security", "--epsilon", "0.25", "--T", "1-4"], {"symmetry"}),
     (["montecarlo", "--attack", "symmetry-test", "--n", "4", "--s", "2", "--trials", "2000"],
      FIGURE_MODULES | {"montecarlo"}),
     (["montecarlo", "--attack", "bayes-projective", "--n", "4", "--trials", "2000"], FIGURE_MODULES | {"montecarlo"}),
@@ -354,10 +361,47 @@ COMMAND_MODULES = [
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
                          ids=[" ".join(argv[:3]) or "import qpke.cli" for argv, _ in COMMAND_MODULES])
 def test_each_command_loads_only_its_modules(argv, modules):
-    loaded = loaded_modules(argv)
+    loaded = loaded_modules(argv, code=2 if argv == USAGE_ERROR else 0)
     assert {m for m in loaded if m.startswith("qpke.")} == {"qpke.cli", *(f"qpke.{m}" for m in modules)}
-    # numpy.random costs every process ~17 ms of CPU at start-up
+    # numpy costs every process ~0.1 s of CPU at start-up, and numpy.random
+    # ~17 ms more; protocol and symmetry run on math alone
+    assert ("numpy" in loaded) == bool(modules - {"protocol", "symmetry"})
     assert ("numpy.random" in loaded) == ("montecarlo" in modules)
+
+
+NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import qpke.cli
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = qpke.cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_commands_that_need_no_numpy_run_without_it(tmp_path):
+    # the writer's list path, --help and argparse's usage errors, run where
+    # numpy cannot be imported, print what they print with it
+    security = ["security", "--epsilon", "0.25", "--T", "1-12"]
+    argv = [security, [*security, "--format", "json"], [*security, "--out", "{out}"], ["--help"], USAGE_ERROR]
+    runs, files = {}, {}
+    for mode in ("blocked", "open"):
+        out = str(tmp_path / f"{mode}.csv")
+        batch = [[out if arg == "{out}" else arg for arg in args] for args in argv]
+        runs[mode] = json.loads(run_fresh(NUMPY_BLOCKED, mode, json.dumps(batch)).stdout)
+        with open(out, "rb") as fh:
+            files[mode] = fh.read()
+    assert [code for code, _, _ in runs["open"]] == [0, 0, 0, 0, 2]
+    assert runs["blocked"] == runs["open"]
+    assert files["blocked"] == files["open"] and files["open"].startswith(b"epsilon,T,")
 
 
 def test_closed_form_modules_load_no_numpy():
@@ -664,8 +708,8 @@ def nan(*args):
 # (module, function, stand-in, check): with the function replaced by its
 # stand-in, the check must fail; max() and a ">" test would pass a NaN
 NAN_CHECKS = [
-    (bayes, "codeword_success", nan, "_check_parity_identity"),
-    (bayes, "codeword_success", nan, "_check_codeword_bound"),
+    (symmetry, "codeword_success", nan, "_check_parity_identity"),
+    (symmetry, "codeword_success", nan, "_check_codeword_bound"),
     (bayes, "information_gain", nan, "_check_information_gain"),
     (bayes, "mean_success", nan, "_check_mean_success"),
     (bayes, "mean_success", nan, "_check_optimal_collective"),
@@ -690,7 +734,7 @@ NAN_COMMANDS = [
     (bayes, "information_gain", ["figure", "--id", "2", "--n", "6"], {"information-gain-below-bound"}),
     (bayes, "mean_success", ["figure", "--id", "4", "--n", "6", "--T", "2,3"],
      {"mean-success-bound", "mean-below-optimal"}),
-    (bayes, "codeword_success", ["figure", "--id", "5", "--n", "6", "--T", "2", "--s", "3"], {"codeword-bound"}),
+    (symmetry, "codeword_success", ["figure", "--id", "5", "--n", "6", "--T", "2", "--s", "3"], {"codeword-bound"}),
 ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import bayes_batch_direct, symmetry_batch_direct
 from qpke import bayes, montecarlo
-from qpke.bayes import codeword_success, mean_success
+from qpke.bayes import mean_success
 from qpke.montecarlo import (
     EstimateWithError,
     TrialConfig,
@@ -19,7 +19,7 @@ from qpke.montecarlo import (
     estimate,
 )
 from qpke.protocol import Codeword, PrivateKey, ProtocolParams, encrypt
-from qpke.symmetry import average_success_symmetry
+from qpke.symmetry import average_success_symmetry, codeword_success
 
 
 def make_cfg(attack, n=10, T=4, s=1, trials=1000, seed=0):

@@ -13,9 +13,11 @@ from oracles import (
     codeword_success_direct,
     forward_search_success_direct,
 )
-from qpke.bayes import codeword_bound, codeword_success, mean_success
+from qpke.bayes import mean_success
 from qpke.symmetry import (
     average_success_symmetry,
+    codeword_bound,
+    codeword_success,
     forward_search_length,
     forward_search_success,
     pair_fidelity,

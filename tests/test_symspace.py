@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qpke import cli
+from qpke.symmetry import holevo_bound_loose, holevo_bound_tight
 from qpke.symspace import (
     MAX_TAU,
     Spectrum,
@@ -16,8 +17,6 @@ from qpke.symspace import (
     binomial_spectrum,
     critical_n,
     eigendecompose,
-    holevo_bound_loose,
-    holevo_bound_tight,
     mixture_density,
     prior_density,
     shannon_entropy,
