@@ -59,16 +59,13 @@ BLOCK_SIZE = 1 << 13
 #: times the 13 B of scratch per block element
 DECISION_BLOCK = 1 << 14
 
-#: largest |x| at which a symmetry batch trusts the float32 cos(x)**2;
-#: drawn bases keep |x| <= pi
-X_MAX = 4.0
-
 #: half-width of the band around a threshold inside which a symmetry-test
-#: outcome is decided from numpy's float64 cosine (libm).  For |x| <= X_MAX,
-#: cos(float32(x))**2 in float32 is within 2**-20 of the float64 cos(x)**2:
-#: rounding x to float32 moves it by <= 2**-22 and cos**2 has slope
-#: |sin 2x| <= 1, numpy's float32 cosine and the squaring add a few units
-#: of 2**-24, and 10**7 draws of x in (-pi, pi) show at most 2**-22.0.
+#: outcome is decided from numpy's float64 cosine (libm).  A drawn basis
+#: keeps |x| <= pi, where cos(float32(x))**2 in float32 is within 2**-20 of
+#: the float64 cos(x)**2: rounding x to float32 moves it by <= 2**-22 and
+#: cos**2 has slope |sin 2x| <= 1, numpy's float32 cosine and the squaring
+#: add a few units of 2**-24, and 10**7 draws of x in (-pi, pi) show at
+#: most 2**-22.0.
 #: 2**-12 keeps a 256-fold reserve and sends 2 * 2**-12, ~0.05 %, of each
 #: decision's uniforms to libm.
 P_MARGIN = 2.0 ** -12
@@ -335,12 +332,11 @@ def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None
     """``out = u >= p`` for p = cos(x)**2 by numpy's float64 cosine (1 - p where ``flip``).
 
     All arrays are flat blocks.  ``q`` is p's float32 estimate, within
-    2**-20 of p or NaN (:func:`_symmetry_batch`), and u - q is taken in
-    float32 (another 2**-24 at most).  So a uniform whose difference from q
-    is at least ``P_MARGIN`` lies on the same side of p as of q, and the
-    rest (NaN included) are compared with p itself, computed as in a
-    full-batch float64 stage.  ``diff`` is float32 scratch of at least
-    ``u``'s size.
+    2**-20 of p for |x| <= pi (``P_MARGIN``), and u - q is taken in float32
+    (another 2**-24 at most).  So a uniform whose difference from q is at
+    least ``P_MARGIN`` lies on the same side of p as of q, and the rest are
+    compared with p itself, computed as in a full-batch float64 stage.
+    ``diff`` is float32 scratch of at least ``u``'s size.
     """
     d = np.subtract(u, q, out=diff[:u.size], dtype=np.float32)
     np.greater_equal(d, 0.0, out=out)
@@ -354,17 +350,13 @@ def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None
     return out
 
 
-def _symmetry_batch(
-    params: ProtocolParams,
-    rng: np.random.Generator,
-    count: int,
-    omega: float | np.ndarray | None = None,
-    work: dict | None = None,
-) -> np.ndarray:
+def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
+                    work: dict | None = None) -> np.ndarray:
     """Simulate ``count`` runs of the pairwise symmetry test; returns success flags.
 
-    ``omega`` pins the basis offset (state angle minus basis angle) of every
-    pair instead of drawing the bases uniformly (testing seam).
+    Each pair's basis angle is drawn as phi = 2*pi*u, so the half offset
+    x = (k*theta - phi) / 2 keeps |x| <= pi for every n <= 63.  A test pins
+    the bases by scripting the generator's uniform fills.
     """
     n, s = params.n, params.s
     shape = (count, s)
@@ -373,8 +365,6 @@ def _symmetry_batch(
     w = _draw_codewords(count, s, rng, _take(work, "w", shape, np.int8))
     # the keys are spent once scaled: their memory holds the angles x
     x, k, flip = k.view(np.float64).ravel(), k.ravel(), w.view(bool).ravel()
-    if omega is not None:
-        omega = np.broadcast_to(omega, shape).ravel()
 
     # every stage runs over flat blocks of DECISION_BLOCK elements; filled
     # block by block, each draw gives the doubles of one whole-batch fill
@@ -384,22 +374,15 @@ def _symmetry_batch(
     for b in blocks:
         # scaling a block in place copies only that block of keys
         xb = np.multiply(k[b], params.theta, out=x[b])
-        if omega is None:
-            # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
-            phi = rng.random(out=u[:xb.size])
-            phi *= 2.0 * math.pi
-        else:
-            phi = np.subtract(xb, omega[b], out=u[:xb.size])
+        # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
+        phi = rng.random(out=u[:xb.size])
+        phi *= 2.0 * math.pi
         # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
         # float32 estimate q decides all outcomes but those near a threshold
         xb -= phi
         xb /= 2.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            qb = np.cos(xb, dtype=np.float32, out=q[b])
+        qb = np.cos(xb, dtype=np.float32, out=q[b])
         np.square(qb, out=qb)
-    if omega is not None:
-        # a drawn basis keeps |x| <= pi; a pinned offset may leave X_MAX
-        q[~(np.abs(x) <= X_MAX)] = np.nan
 
     guess = _take(work, "guess", shape, bool)
     guess_flat = guess.ravel()

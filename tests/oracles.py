@@ -322,7 +322,7 @@ def bayes_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarr
     return np.bitwise_xor.reduce(errors, axis=1) == 0
 
 
-def symmetry_batch_direct(params, rng: np.random.Generator, count: int, omega=None) -> np.ndarray:
+def symmetry_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarray:
     """The symmetry-test batch with both Born probabilities computed from their own angles."""
     n, s = params.n, params.s
     theta = params.theta
@@ -330,10 +330,7 @@ def symmetry_batch_direct(params, rng: np.random.Generator, count: int, omega=No
     k = rng.integers(0, 1 << n, size=(count, s))
     w = montecarlo._draw_codewords(count, s, rng)
     public_angle = k * theta
-    if omega is None:
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=(count, s))
-    else:
-        phi = public_angle - np.broadcast_to(np.asarray(omega, dtype=float), (count, s))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(count, s))
 
     cipher_angle = public_angle + w * math.pi
     out_public = (rng.random(size=(count, s)) >= np.cos((public_angle - phi) / 2.0) ** 2).astype(np.int8)

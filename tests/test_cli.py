@@ -458,22 +458,40 @@ def test_benchmark_tracer_targets_exist():
 
 
 RAN_FUNCTIONS = """
-import contextlib, io, json, os, sys
+import contextlib, inspect, io, json, os, sys
 import qpke.cli
 package = os.path.dirname(qpke.cli.__file__) + os.sep
-ran, codes = set(), []
+ran, passed, codes, defaults = set(), set(), [], {}
+
+def defaults_of(module, qualname):
+    # parameter -> default of the function named by its module and qualname,
+    # read through lru_cache's __wrapped__; {} where the name does not resolve
+    func = sys.modules["qpke" if module == "__init__" else "qpke." + module]
+    for part in qualname.split("."):
+        func = getattr(func, part, None)
+    func = getattr(func, "__wrapped__", func)
+    if not inspect.isfunction(func):
+        return {}
+    return {p.name: p.default for p in inspect.signature(func).parameters.values() if p.default is not p.empty}
 
 def profile(frame, event, arg):
     code = frame.f_code
     if event == "call" and code.co_filename.startswith(package):
-        ran.add(os.path.basename(code.co_filename)[:-3] + "." + code.co_qualname)
+        module = os.path.basename(code.co_filename)[:-3]
+        name = module + "." + code.co_qualname
+        ran.add(name)
+        if code not in defaults:
+            defaults[code] = defaults_of(module, code.co_qualname)
+        if defaults[code]:
+            given = frame.f_locals
+            passed.update(f"{name}: {p}" for p, default in defaults[code].items() if given[p] is not default)
 
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         sys.setprofile(profile)
         codes.append(qpke.cli.main(argv))
         sys.setprofile(None)
-print(json.dumps({"codes": codes, "ran": sorted(ran)}))
+print(json.dumps({"codes": codes, "ran": sorted(ran), "passed": sorted(passed)}))
 """
 
 # one small argv per command; the Bayes campaign has trials * s >= 2**n, so
@@ -500,14 +518,14 @@ def package_trees():
 
 
 def library_functions():
-    """Qualified names ``module.qualname`` of every non-dunder ``def`` in the package."""
-    names = set()
+    """Every non-dunder ``def`` in the package: qualified name ``module.qualname`` -> its AST node."""
+    functions = {}
 
     def walk(node, module, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not (child.name.startswith("__") and child.name.endswith("__")):
-                    names.add(f"{module}.{prefix}{child.name}")
+                    functions[f"{module}.{prefix}{child.name}"] = child
                 walk(child, module, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, module, f"{prefix}{child.name}.")
@@ -516,18 +534,43 @@ def library_functions():
 
     for module, tree in package_trees().items():
         walk(tree, module, "")
-    return names
+    return functions
+
+
+def defaulted_parameters(node):
+    """Names of the parameters of the ``def`` ``node`` that have a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    return [a.arg for a in positional[len(positional) - len(args.defaults):]] + [
+        a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
+@functools.cache
+def command_profile():
+    """What the ``REACH_ARGV`` commands run, profiled in a fresh interpreter, so no warmed lru_cache hides a call."""
+    return json.loads(run_fresh(RAN_FUNCTIONS, json.dumps(REACH_ARGV)).stdout)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
 def test_every_library_function_is_reached_by_a_command():
-    # a fresh interpreter, so no lru_cache warmed by other tests hides a call;
     # a function that no command runs is dead code, save the one reference
     # the test oracles build priors with (tests/oracles.py)
-    report = json.loads(run_fresh(RAN_FUNCTIONS, json.dumps(REACH_ARGV)).stdout)
+    report = command_profile()
     assert report["codes"] == [0] * len(REACH_ARGV)
-    unreached = sorted(library_functions() - set(report["ran"]))
+    unreached = sorted(set(library_functions()) - set(report["ran"]))
     assert unreached == ["symspace.mixture_density"], f"run by no command: {unreached}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_every_library_parameter_is_set_by_a_command():
+    # a parameter that every command leaves at its default is a path only
+    # tests take; tests reach such a path through a seam the commands use
+    # (a scripted generator, a patched table), not through a parameter
+    report = command_profile()
+    assert report["codes"] == [0] * len(REACH_ARGV)
+    declared = {f"{name}: {p}" for name, node in library_functions().items() for p in defaulted_parameters(node)}
+    unset = sorted(declared - set(report["passed"]))
+    assert unset == [], f"set by no command: {unset}"
 
 
 def loaded_names(tree):

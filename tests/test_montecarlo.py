@@ -50,9 +50,13 @@ def test_estimate_with_error_validation():
 
 
 def test_symmetry_trial_certain_with_aligned_bases():
+    # basis uniforms k / 2**n put every basis on its key's state: x = 0
+    # exactly, so both outcomes are certain (quarter_turn_uniforms)
     params = ProtocolParams(n=4, N=3, T=1, s=3)
-    flags = montecarlo._symmetry_batch(params, np.random.default_rng(3), 2000, omega=0.0)
-    assert flags.all()
+    count, seed = 2000, 3
+    rng = ScriptedGenerator(seed, quarter_turn_uniforms(params, seed, count, 0))
+    assert montecarlo._symmetry_batch(params, rng, count).all()
+    assert rng.uniforms.size == 0
 
 
 def test_estimate_reproducible():
@@ -179,49 +183,74 @@ def test_bayes_batch_matches_direct_oracle(shape, seed):
     assert fast.random() == direct.random()  # same stream position
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    batch_shapes(),
-    st.integers(0, 2**32 - 1),
-    st.one_of(st.none(), st.sampled_from([0.0, 0.7, math.pi / 2, math.pi, 1e5, -1e5]), st.just("array")),
-)
-def test_symmetry_batch_matches_direct_oracle(shape, seed, omega):
-    n, _, s, count = shape
-    params = ProtocolParams(n=n, N=s, T=1, s=s)
-    if omega == "array":
-        omega = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(count, s))
-    fast, direct = philox(seed), philox(seed)
-    flags = montecarlo._symmetry_batch(params, fast, count, omega=omega)
-    expected = symmetry_batch_direct(params, direct, count, omega=omega)
-    assert np.array_equal(flags, expected)
-    assert fast.random() == direct.random()
-
-
-def test_symmetry_batch_far_offsets_match_direct_oracle():
-    # offsets far outside the float32 estimate's trusted range (its error
-    # reaches ~5e-4 at |x| ~ 1e4, past P_MARGIN) and NaN ones take libm
-    params = ProtocolParams(n=10, N=4, T=1, s=4)
-    omega = np.random.default_rng(5).uniform(-1e5, 1e5, size=(20_000, 4))
-    omega[::97] = np.nan
-    fast, direct = philox(5), philox(5)
-    flags = montecarlo._symmetry_batch(params, fast, len(omega), omega=omega)
-    assert np.array_equal(flags, symmetry_batch_direct(params, direct, len(omega), omega=omega))
-    assert fast.random() == direct.random()
-
-
 class ScriptedGenerator(np.random.Generator):
-    """Philox generator whose ``random(out=...)`` fills copy the next scripted uniforms."""
+    """Philox generator whose uniform draws (``random`` and ``uniform``) take the next scripted uniforms."""
 
     def __init__(self, seed, uniforms):
         super().__init__(np.random.Philox(seed))
         self.uniforms = np.concatenate([np.ravel(a) for a in uniforms])
 
-    def random(self, *args, out=None, **kwargs):
+    def random(self, size=None, dtype=np.float64, out=None):
         if out is None:
-            return super().random(*args, **kwargs)
+            out = np.empty(() if size is None else size, dtype)
         out.flat = self.uniforms[:out.size]
         self.uniforms = self.uniforms[out.size:]
         return out
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        # numpy's uniform is low + (high - low) * next_double
+        return low + (high - low) * self.random(size)
+
+
+def quarter_turn_uniforms(params, seed, count, turns):
+    """Basis, public-outcome and cipher-outcome uniforms of a symmetry batch, basis ``turns``/4 of a turn off.
+
+    The basis uniform (k / 2**n + turns / 4) mod 1 puts the basis angle
+    phi = 2*pi*u a whole number of quarter turns from the key state k*theta,
+    so P(outcome 0) is 1, 1/2 or 0 up to rounding (exactly 1 at turns = 0).
+    """
+    k = philox(seed).integers(0, 1 << params.n, size=(count, params.s))
+    basis = (k / (1 << params.n) + turns / 4) % 1.0
+    return basis, np.random.default_rng(seed).random((2, count, params.s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_shapes(), st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 3)))
+# count * s one below, at and one past a decision block, and past three
+# with a short last block
+@example((10, 1, 3, (montecarlo.DECISION_BLOCK - 1) // 3), 3, None)
+@example((12, 1, 16, montecarlo.DECISION_BLOCK // 16), 4, 2)
+@example((7, 1, 5, (montecarlo.DECISION_BLOCK + 1) // 5), 5, None)
+@example((14, 1, 1, 3 * montecarlo.DECISION_BLOCK + 5), 6, 1)
+def test_symmetry_batch_matches_direct_oracle(shape, seed, turns):
+    # drawn bases, or bases a whole number of quarter turns from the key
+    # states (both generators replay the same scripted uniforms)
+    n, _, s, count = shape
+    params = ProtocolParams(n=n, N=s, T=1, s=s)
+    if turns is None:
+        fast, direct = philox(seed), philox(seed)
+    else:
+        uniforms = quarter_turn_uniforms(params, seed, count, turns)
+        fast, direct = ScriptedGenerator(seed, uniforms), ScriptedGenerator(seed, uniforms)
+    flags = montecarlo._symmetry_batch(params, fast, count)
+    expected = symmetry_batch_direct(params, direct, count)
+    assert np.array_equal(flags, expected)
+    if turns is None:
+        assert fast.random() == direct.random()
+    else:
+        assert fast.uniforms.size == direct.uniforms.size == 0
+
+
+def test_float32_born_estimates_within_two_to_minus_20():
+    # the premise of P_MARGIN: over |x| <= pi (endpoints included), the
+    # float32 estimates of p = cos(x)**2 and of 1 - p lie within 2**-20 of
+    # their float64 values (this sample shows 2**-22.0)
+    x = np.concatenate([np.linspace(-math.pi, math.pi, (1 << 21) + 1),
+                        np.random.default_rng(7).uniform(-math.pi, math.pi, 1 << 21)])
+    p = np.square(np.cos(x))
+    q = np.square(np.cos(x, dtype=np.float32))
+    assert np.max(np.abs(q - p)) <= 2.0 ** -20
+    assert np.max(np.abs(np.abs(np.subtract(1, q, dtype=np.float32)) - (1.0 - p))) <= 2.0 ** -20
 
 
 @pytest.mark.parametrize("threshold", ["public", "cipher", "complement"])
@@ -231,12 +260,12 @@ def test_symmetry_decisions_exact_between_float32_and_libm(threshold):
     # every outcome there is decided as u >= p only by the libm fallback
     params = ProtocolParams(n=10, N=1, T=1, s=1)
     count, seed = 20_000, 11
-    omega = np.random.default_rng(seed).uniform(-2 * math.pi, 2 * math.pi, size=(count, 1))
     stream = philox(seed)
     k = stream.integers(0, 1 << params.n, size=(count, 1))
     w = montecarlo._draw_codewords(count, 1, stream)
-    public = k * params.theta
-    x = public - (public - omega)
+    # x exactly as the batch computes it from its basis uniforms
+    basis = np.random.default_rng(seed + 2).random((count, 1))
+    x = k * params.theta - basis * (2.0 * math.pi)
     x /= 2.0
     p = np.square(np.cos(x))
     p32 = np.square(np.cos(x, dtype=np.float32))
@@ -261,8 +290,8 @@ def test_symmetry_decisions_exact_between_float32_and_libm(threshold):
     expected = flags(libm)
     # the float32 estimate alone decides every such cell the other way
     assert np.all(flags(estimate)[cells] != expected[cells])
-    fast = ScriptedGenerator(seed, (uniforms["public"], uniforms["cipher"]))
-    assert np.array_equal(montecarlo._symmetry_batch(params, fast, count, omega=omega), expected)
+    fast = ScriptedGenerator(seed, (basis, uniforms["public"], uniforms["cipher"]))
+    assert np.array_equal(montecarlo._symmetry_batch(params, fast, count), expected)
     assert fast.uniforms.size == 0
 
 
