@@ -2,14 +2,18 @@
 
 Subcommands: ``prior``, ``figure``, ``security``, ``montecarlo``, ``check-all``.
 Each command returns its table as columns; ``_write_rows`` writes it as CSV
-(default) or JSON, ``CHUNK_ROWS`` rows at a time.  A CSV chunk is one
-%-format call on a row template that holds one spec per column: ``%d`` for
-integer arrays, ``%.12g`` for float arrays, and ``%s`` for cells rendered and
-quoted first (``_csv_field``, the ``csv.QUOTE_MINIMAL`` rule), so no cell text
-enters the template.  Any violated inequality check is reported as a JSON
-list on stderr and turns the exit code to 1.  Usage errors and an unwritable
-``--out`` exit with 2, any other failure with 3.  Column schemas and the
-output contract are documented in docs/formats.md.
+(default) or JSON, ``CHUNK_ROWS`` rows at a time.  A CSV chunk takes one of
+two paths.  Where every column is an int, uint or float array (figures 1 and
+3), ``cells.csv_rows`` computes the ``%d`` / ``%.12g`` bytes in numpy, and
+hands each float cell whose digits it cannot prove (non-finite, zero,
+beyond 1e±300, or next to a rounding tie) to ``'%.12g' % x`` itself.  Any
+other chunk is rendered cell by cell by ``_fmt`` (an int's ``%d``, a
+float's ``%.12g``, a bool's ``true``/``false``) and quoted by the
+``csv.QUOTE_MINIMAL`` rule (``_csv_field``), so both paths write the same
+bytes for the same values.  Any violated inequality check is reported as a
+JSON list on stderr and turns the exit code to 1.  Usage errors and an
+unwritable ``--out`` exit with 2, any other failure with 3.  Column schemas
+and the output contract are documented in docs/formats.md.
 
 Each command imports the ``qpke`` modules it runs, and numpy, inside its
 own builders and checks, so ``import qpke.cli``, ``--help`` and usage errors
@@ -18,18 +22,17 @@ load none of them, and the writer tells an array from a list by its
 so no numpy); ``prior`` loads ``symspace`` (and the ``protocol`` it reads)
 with ``symmetry``; figures 1 and 3 load ``bayes`` (with ``protocol``), and
 figures 2, 4 and 5 add ``symmetry``; ``montecarlo`` loads all but
-``symspace``, and ``check-all`` loads all five.  A local import reads the
-module's attributes at call time, so a patched or wrapped function is seen
-there as well.
+``symspace``, and ``check-all`` loads all five.  Only an all-array CSV table
+loads ``cells``, and only JSON output or a violated check loads ``json``.  A
+local import reads the module's attributes at call time, so a patched or
+wrapped function is seen there as well.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from itertools import chain
 
 FIGURE1_EVENTS = {8: (0, 2, 4, 6, 8), 9: (2, 4, 6)}
 
@@ -99,24 +102,8 @@ def _csv_field(text: str, alone: bool) -> str:
     return '""' if alone and not text else text
 
 
-def _csv_column(column, alone: bool) -> tuple[str, list]:
-    """The %-spec of a column's CSV cells and the values it formats.
-
-    Numeric arrays are formatted by the spec itself; every other cell is
-    rendered and quoted first, so that its text never enters the template.
-    """
-    kind = column.dtype.kind if hasattr(column, "dtype") else "O"
-    if kind in "iu":
-        return "%d", column.tolist()
-    if kind == "f":
-        return "%.12g", column.tolist()
-    if kind == "b":
-        return "%s", ["true" if v else "false" for v in column.tolist()]
-    return "%s", [_csv_field(_fmt(v), alone) for v in column]
-
-
-def _json_cells(column) -> list:
-    """Native Python values for ``json``: an array's ``tolist()``, a list's own cells."""
+def _py_cells(column) -> list:
+    """Native Python values of a column: an array's ``tolist()``, a list's own cells."""
     return column.tolist() if hasattr(column, "tolist") else column
 
 
@@ -127,19 +114,27 @@ def _write_rows(table: Table, fmt: str, out_path: str | None) -> None:
         if fmt == "csv":
             alone = len(table.fields) == 1
             out.write(",".join(_csv_field(field, alone) for field in table.fields) + "\n")
+            # a table of int, uint and float arrays only takes the numpy cell
+            # kernel, which prints the bytes _fmt gives its values
+            numeric = all(hasattr(column, "dtype") and column.dtype.kind in "iuf" for column in table.columns)
+            if numeric:
+                from .cells import csv_rows
             for start in range(0, len(table), CHUNK_ROWS):
-                stop = start + CHUNK_ROWS
-                specs, cells = zip(*(_csv_column(column[start:stop], alone) for column in table.columns))
-                # one template per chunk; the cells are interleaved row by row
-                row = ",".join(specs) + "\n"
-                out.write((row * len(cells[0])) % tuple(chain.from_iterable(zip(*cells))))
+                chunk = [column[start:start + CHUNK_ROWS] for column in table.columns]
+                if numeric:
+                    out.write(csv_rows(chunk))
+                    continue
+                cells = ([_csv_field(_fmt(v), alone) for v in _py_cells(column)] for column in chunk)
+                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
         else:
+            import json
+
             # each chunk is one json.dumps list with its brackets cut off, so the
             # joined text is that of one json.dumps over all rows
             out.write("[")
             for start in range(0, len(table), CHUNK_ROWS):
                 stop = start + CHUNK_ROWS
-                cells = zip(*(_json_cells(column[start:stop]) for column in table.columns))
+                cells = zip(*(_py_cells(column[start:stop]) for column in table.columns))
                 text = json.dumps([dict(zip(table.fields, row)) for row in cells], indent=2)
                 out.write(("," if start else "") + text[1:-2])
             out.write("\n]\n" if len(table) else "]\n")
@@ -606,6 +601,8 @@ def _run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if violations:
+        import json
+
         print(json.dumps({"violations": violations}), file=sys.stderr)
         return 1
     return 0

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import check_all_rows, figure1_rows, figure3_rows, prior_rows, write_row_dicts
 import qpke
-from qpke import bayes, cli, montecarlo, symmetry, symspace
+from qpke import bayes, cells, cli, montecarlo, symmetry, symspace
 from qpke.cli import CHUNK_ROWS, Table, main, _parse_int_list
 
 
@@ -345,9 +346,10 @@ COMMAND_MODULES = [
     (["--help"], set()),
     (USAGE_ERROR, set()),
     (["prior", "--tau", "4", "--n", "3"], {"protocol", "symspace", "symmetry"}),
-    (["figure", "--id", "1", "--n", "4"], {"bayes", "protocol"}),
+    # an all-array CSV table loads the numpy cell kernel
+    (["figure", "--id", "1", "--n", "4"], {"bayes", "protocol", "cells"}),
     (["figure", "--id", "2", "--n", "4"], FIGURE_MODULES),
-    (["figure", "--id", "3", "--n", "4"], {"bayes", "protocol"}),
+    (["figure", "--id", "3", "--n", "4"], {"bayes", "protocol", "cells"}),
     (["figure", "--id", "4", "--n", "4"], FIGURE_MODULES),
     (["figure", "--id", "5", "--n", "4", "--s", "3"], FIGURE_MODULES),
     (["security", "--epsilon", "0.25", "--T", "1-4"], {"symmetry"}),
@@ -367,6 +369,9 @@ def test_each_command_loads_only_its_modules(argv, modules):
     # ~17 ms more; protocol and symmetry run on math alone
     assert ("numpy" in loaded) == bool(modules - {"protocol", "symmetry"})
     assert ("numpy.random" in loaded) == ("montecarlo" in modules)
+    # json is loaded only to write JSON or to report a violated check, and
+    # none of these argv does either
+    assert "json" not in loaded
 
 
 NUMPY_BLOCKED = """
@@ -855,14 +860,90 @@ def test_column_writer_matches_row_writer(table):
             assert render(cli._write_rows, Table(dict(zip(fields, columns))), fmt, None) == expected
 
 
+INT64 = np.iinfo(np.int64)
+# the edges of the kernel's fast range and the values it must hand to '%.12g' % x
+EDGE_FLOATS = [1e300, np.nextafter(1e300, 0), 1e-300, np.nextafter(1e-300, 0), np.nextafter(1e-300, 1),
+               5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308,
+               0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 1e12 - 0.5, 99999999999.95, 0.0001, 1e16]
+
+
+def powers_of_ten_and_neighbours(exponents):
+    """10**k (correctly rounded) and its 1 and 2 ulp neighbours on both sides, for each k."""
+    powers = np.array([float(f"1e{k}") for k in exponents])
+    below = np.nextafter(powers, 0)
+    above = np.nextafter(powers, np.inf)
+    return np.concatenate([np.nextafter(below, 0), below, powers, above, np.nextafter(above, np.inf)])
+
+
+@st.composite
+def kernel_chunks(draw):
+    """Float, int64 and uint64 columns of thousands of values: drawn floats and
+    integers, 10**k with its ulp neighbours and the values that round up to
+    it, 12-digit rounding ties, and the edges of the fast range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ties = [float(f"{m}5e{e}") for m, e in zip(rng.integers(10 ** 11, 10 ** 12, 300).tolist(),
+                                                 rng.integers(-311, 288, 300).tolist())]
+    powers = powers_of_ten_and_neighbours(rng.integers(-300, 301, 300))
+    floats = np.concatenate([
+        np.array(draw(st.lists(st.floats(), max_size=200)), np.float64),
+        # the ulp neighbours of 10**k, and values 1e-15 to 5e-13 below it,
+        # whose 12 digits round up to the next decade
+        powers, powers * (1.0 - 10.0 ** -rng.uniform(12.3, 15.0, len(powers))),
+        ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf),
+        rng.integers(0, 10 ** 6, 500) / 10.0 ** rng.integers(-12, 12, 500).astype(float),
+        rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000).astype(float),
+        EDGE_FLOATS,
+    ])
+    floats *= rng.choice([-1.0, 1.0], len(floats))
+    ints = np.concatenate([
+        [INT64.min, INT64.max, -1, 0, 1],
+        np.array(draw(st.lists(st.integers(INT64.min, INT64.max), max_size=100)), np.int64),
+        rng.integers(INT64.min, INT64.max, len(floats), endpoint=True) >> rng.integers(0, 64, len(floats)),
+    ])[:len(floats)]
+    uints = rng.integers(0, 2 ** 64 - 1, len(floats), np.uint64, endpoint=True) >> rng.integers(
+        0, 64, len(floats)).astype(np.uint64)
+    uints[:2] = 0, 2 ** 64 - 1
+    return floats, ints, uints
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_chunks())
+def test_cell_kernel_matches_percent_format(chunk):
+    # the numpy cells are the bytes of '%.12g' % x and '%d' % v, cell for cell
+    floats, ints, uints = chunk
+    expected = ["%d,%.12g,%d" % row for row in zip(ints.tolist(), floats.tolist(), uints.tolist())]
+    lines = cells.csv_rows([ints, floats, uints]).split("\n")
+    assert lines[-1] == "" and len(lines) == len(expected) + 1
+    wrong = [(line, want) for line, want in zip(lines, expected) if line != want]
+    assert not wrong, f"{len(wrong)} rows differ, first {wrong[:5]}"
+    # narrower dtypes print the values their tolist() gives
+    with np.errstate(over="ignore"):
+        narrow = [ints.astype(np.int16), floats.astype(np.float32), uints.astype(np.uint8)]
+    assert cells.csv_rows(narrow) == "".join("%d,%.12g,%d\n" % row for row in zip(*(c.tolist() for c in narrow)))
+
+
+def test_cell_kernel_scaled_mantissa_within_its_error_bound():
+    # the premise of SLACK: y = |x| * SCALE * SCALE_EXACT lies within 3.4e-4
+    # of the exact |x| * 10**(11 - e) at every exponent of the fast range,
+    # the two-factor scales below 1e-289 included
+    rng = np.random.default_rng(5)
+    x = np.concatenate([powers_of_ten_and_neighbours(range(-300, 300)),
+                        (1.0 + 9.0 * rng.random(6000)) * 10.0 ** np.repeat(np.arange(-300, 300), 10).astype(float)])
+    x = x[(x >= 1e-300) & (x < 1e300)]
+    exponent = np.floor(np.log10(x)).astype(np.intp)
+    y = x * cells.SCALE[exponent + 301] * cells.SCALE_EXACT[exponent + 301]
+    worst = max(abs(Fraction(yi) - Fraction(xi) * Fraction(10) ** (11 - e))
+                for xi, yi, e in zip(x.tolist(), y.tolist(), exponent.tolist()))
+    assert worst <= Fraction(34, 100000) < cells.SLACK
+
+
 QUOTING_CASES = ["", "a,b", 'a"b', "a\nb", "a\rb", " a", "%s", "%d%%", "x;y"]
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_csv_quoting_matches_csv_module(width):
     # every string is a header name and a cell of each column, plus one row of
-    # empty cells; "%" in them must come out verbatim, so no cell or field
-    # text may enter the row template
+    # empty cells; "%" in them must come out verbatim
     size = len(QUOTING_CASES)
     for offset in range(size):
         fields = [QUOTING_CASES[(offset + j) % size] for j in range(width)]

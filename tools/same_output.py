@@ -1,0 +1,100 @@
+"""Compare the output of this tree's qpke with that of another source tree, argv by argv.
+
+    python tools/same_output.py OTHER_SRC
+
+OTHER_SRC is the ``src`` directory of another checkout.  Every argv of a
+fixed corpus runs in a fresh interpreter, once with this tree's ``src`` and
+once with OTHER_SRC first on ``PYTHONPATH``; every argv that writes a table
+runs once more with ``--out FILE``.  The tool prints each argv whose stdout,
+stderr, ``--out`` bytes or exit code differ between the two trees, then a
+count, and exits 1 if any differ, else 0.  The corpus:
+
+* every op of the first pass of each benchmark workload, and the first round
+  of probe campaigns, as ``perfbench/workloads.py`` generates them for seed 1;
+* ``check-all --seed 0..127``;
+* ``figure --id 1`` at n = 1..13, and ``figure --id 3 --T 0-16`` at n = 1..12;
+* every argv that ``tests/test_cli.py`` writes out as one list of string
+  literals (most of its usage errors among them), and every ``--help``.
+
+Both trees run with the benchmark's one-thread BLAS setting
+(``perfbench/run.py``'s ``THREAD_ENV``), two commands at a time.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (perfbench is a directory of scripts)
+from run import THREAD_ENV  # noqa: E402
+
+COMMANDS = ("prior", "figure", "security", "montecarlo", "check-all")
+
+
+def cli_test_argvs() -> list[list[str]]:
+    """Every argv written out in ``tests/test_cli.py`` (a list of string literals that starts with a command), once."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    lists = (node.elts for node in ast.walk(tree) if isinstance(node, ast.List) and node.elts)
+    argvs = (tuple(item.value for item in items) for items in lists
+             if all(isinstance(item, ast.Constant) and isinstance(item.value, str) for item in items)
+             and items[0].value in COMMANDS)
+    return [list(argv) for argv in dict.fromkeys(argvs)]
+
+
+def corpus() -> list[list[str]]:
+    """The argv the two trees are compared on, in a fixed order."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    argvs = [op for workload in workloads.WORKLOADS
+             for op in next(workloads.passes(workload, 1, reference["check_all_seeds"]))]
+    argvs += next(workloads.probe_rounds(1))
+    argvs += [["check-all", "--seed", str(seed)] for seed in range(128)]
+    argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 14)]
+    argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 13)]
+    return argvs
+
+
+def run(src: str, argv: list[str], workdir: str) -> tuple:
+    """Exit code, stdout, stderr and ``--out`` bytes (None without ``--out``) of one fresh ``qpke`` process."""
+    os.makedirs(workdir)
+    env = dict(os.environ, PYTHONPATH=src, **THREAD_ENV)
+    proc = subprocess.run([sys.executable, "-m", "qpke.cli", *argv], cwd=workdir, env=env, capture_output=True)
+    out = Path(workdir, "table.out")
+    return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+
+
+def differences(trees: list[str], argv: list[str], workdir: str) -> list[str]:
+    """What differs between the runs of ``argv`` on the two ``trees``."""
+    ours, theirs = (run(src, argv, os.path.join(workdir, str(side))) for side, src in enumerate(trees))
+    return [name for name, a, b in zip(("exit code", "stdout", "stderr", "--out bytes"), ours, theirs) if a != b]
+
+
+def main() -> int:
+    if len(sys.argv) != 2 or not Path(sys.argv[1], "qpke", "cli.py").is_file():
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        print("error: OTHER_SRC must be a source directory that holds qpke/cli.py", file=sys.stderr)
+        return 2
+    trees = [str(ROOT / "src"), str(Path(sys.argv[1]).resolve())]
+    argvs = corpus()
+    argvs += [argv + ["--out", "table.out"] for argv in argvs]
+    argvs += cli_test_argvs() + [["--help"]] + [[command, "--help"] for command in COMMANDS]
+    differ = 0
+    with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(max_workers=2) as pool:
+        workdirs = [os.path.join(scratch, str(i)) for i in range(len(argvs))]
+        for argv, parts in zip(argvs, pool.map(differences, [trees] * len(argvs), argvs, workdirs)):
+            if parts:
+                differ += 1
+                print(f"{' '.join(argv)}: {', '.join(parts)} differ", flush=True)
+    print(f"{len(argvs)} argv compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
