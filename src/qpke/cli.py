@@ -174,12 +174,23 @@ def cmd_prior(args) -> tuple[Table, list[dict]]:
     return table, violations
 
 
+def _key_column(n: int, grids: int):
+    """Key values 0..2^n - 1 once per grid, in the smallest unsigned dtype that holds them."""
+    import numpy as np
+
+    size = 1 << n
+    return np.tile(np.arange(size, dtype=np.min_scalar_type(size - 1)), grids)
+
+
 def _figure1(args):
     import numpy as np
 
     from . import bayes
 
-    grids, posteriors = [], []
+    size = 1 << args.n
+    candidates = sum(len(events) * (T + 1) for T, events in FIGURE1_EVENTS.items())
+    posterior = np.empty((candidates, size))
+    grids = []
     for T, events in sorted(FIGURE1_EVENTS.items()):
         for t0z in events:
             for t0x in range(T + 1):
@@ -188,16 +199,15 @@ def _figure1(args):
                     post = bayes.posterior(outcome, T, args.n)
                 except bayes.ImpossibleOutcomeError:
                     continue
+                posterior[len(grids)] = post.probabilities
                 grids.append((T, t0z, t0x))
-                posteriors.append(post.probabilities)
-    size = 1 << args.n
-    labels = np.repeat(np.array(grids), size, axis=0)
+    labels = np.repeat(np.array(grids, dtype=np.uint8), size, axis=0)
     table = Table({
         "T": labels[:, 0],
         "t0z": labels[:, 1],
         "t0x": labels[:, 2],
-        "k": np.tile(np.arange(size), len(grids)),
-        "posterior": np.concatenate(posteriors),
+        "k": _key_column(args.n, len(grids)),
+        "posterior": posterior[:len(grids)].ravel(),
     })
     return table, []
 
@@ -228,11 +238,13 @@ def _figure3(args):
     from . import bayes
 
     size = 1 << args.n
-    success = [bayes.success_by_key(T, args.n) for T in args.T]
+    success = np.empty((len(args.T), size))
+    for i, T in enumerate(args.T):
+        success[i] = bayes.success_by_key(T, args.n)
     table = Table({
-        "T": np.repeat(args.T, size),
-        "k": np.tile(np.arange(size), len(args.T)),
-        "success": np.concatenate(success),
+        "T": np.repeat(np.array(args.T, dtype=np.min_scalar_type(max(args.T))), size),
+        "k": _key_column(args.n, len(args.T)),
+        "success": success.ravel(),
     })
     return table, []
 

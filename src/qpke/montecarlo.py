@@ -26,12 +26,13 @@ named buffers, sized by its first (largest) batch, and every batch fills
 and computes into views of it (``out=`` on the draws, ufuncs and takes),
 so no batch after the first faults in fresh pages.  The inversion search
 runs in blocks of ``BATCH_SIZE`` elements, so its buffers stay one block
-in size at any codeword length, and the symmetry test draws its uniforms
-block by block into one block of memory and keeps its angles in the
-memory of its keys.  Per batch, only what numpy cannot write in place (the
-keys and codeword bits of ``integers`` and the ``Generator.binomial``
-fallback), the small row-block temporaries of the Born-probability stage
-and the symmetry test's libm cells still allocate.
+in size at any codeword length.  Both attacks draw their Born uniforms
+block by block into one block of memory (a bayes row block, a symmetry
+decision block), and the symmetry test keeps its angles in the memory of
+its keys.  Per batch, only what numpy cannot write in place (the keys and
+codeword bits of ``integers`` and the ``Generator.binomial`` fallback),
+the small row-block temporaries of the Born-probability stage and the
+symmetry test's libm cells still allocate.
 """
 
 from __future__ import annotations
@@ -300,14 +301,17 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
     t0z = _binomial_counts(rng, T, n, 0, k, work)
     t0x = _binomial_counts(rng, T, n, 1, k, work)
     w = _draw_codewords(count, s, rng, _take(work, "w", (count, s), np.int8))
-    u = rng.random(out=_take(work, "born", (count, s)))
 
     # the cipher qubit, unit c, measured in the estimated basis of its
-    # outcome cell; the outcome bit is the guess of w
+    # outcome cell; the outcome bit is the guess of w.  Nothing else draws
+    # from here on, so the Born uniforms, filled block by block into one
+    # block of memory, are the doubles of one whole-batch fill
     success = np.empty(count, dtype=bool)
     rows = max(1, BLOCK_SIZE // s)
+    born = _take(work, "born", (min(rows, count), s))
     for start in range(0, count, rows):
         block = slice(start, start + rows)
+        u = rng.random(out=born[:count - start])
         cell = t0z[block].astype(np.intp)
         cell *= T + 1
         cell += t0x[block]
@@ -318,7 +322,7 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
         term *= half_x.take(cell)
         p_outcome0 += term
         p_outcome0 += 0.5
-        guess = u[block] >= p_outcome0
+        guess = u >= p_outcome0
         # a vanishing Bloch estimate leaves no preferred basis: p = 1/2, and
         # the fair coin reads u < 1/2
         guess ^= degenerate.take(cell)

@@ -990,9 +990,11 @@ def test_output_matches_row_writer(command, tmp_path, capsys, monkeypatch):
 
 
 def test_figure1_memory_ceiling(tmp_path):
-    # the five int64/float64 columns, the two cached per-basis likelihood
-    # tables (T = 8 and 9), and one chunk of formatted cells at 128 B each;
-    # a writer that formats or holds all rows at once needs several times this
+    # the five columns at 8 B each (they hold 13 B a row: uint8 T, t0z and
+    # t0x, uint16 k and float64 posteriors), the two cached per-basis
+    # likelihood tables (T = 8 and 9), and one chunk of formatted cells at
+    # 128 B each; a writer that formats or holds all rows at once needs
+    # several times this (2.16 MB of the 4.31 MB bound when measured)
     n = 9
     target = tmp_path / "figure1.csv"
     bayes._prob0_tables.cache_clear()

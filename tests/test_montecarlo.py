@@ -172,6 +172,13 @@ def batch_shapes(draw):
 @given(batch_shapes(), st.integers(0, 2**32 - 1))
 @example((6, 2, 4, 400), 1)  # 3 % of the T = 2 outcome pairs take the fair coin
 @example((1, 200, 3, 40), 2)  # the z basis is tabulated, the x basis goes to BTPE
+# the oracle draws its Born uniforms in one whole-batch fill: s that does not
+# divide a row block, count one row block minus one, exactly one and one
+# plus one, and three row blocks with a short last one
+@example((10, 4, 3, montecarlo.BLOCK_SIZE // 3 - 1), 3)
+@example((12, 8, 6, montecarlo.BLOCK_SIZE // 6), 4)
+@example((7, 3, 10, montecarlo.BLOCK_SIZE // 10 + 1), 5)
+@example((13, 4, 10, 3 * (montecarlo.BLOCK_SIZE // 10) + 7), 6)
 def test_bayes_batch_matches_direct_oracle(shape, seed):
     n, T, s, count = shape
     params = ProtocolParams(n=n, N=s, T=T, s=s)
@@ -454,10 +461,11 @@ def test_cipher_units_match_encrypt(n, s, seed):
 
 def test_bayes_batch_memory_at_full_batch():
     # warm full batch at the montecarlo workload's largest codewords: the
-    # Born-probability stage runs in row blocks, so the binomial draws set
-    # the peak (3.82 arrays of float64 per qubit when measured)
+    # Born-probability stage and its uniforms run in row blocks, so the
+    # binomial draws set the peak (1.50 arrays of float64 per qubit when
+    # measured)
     params = ProtocolParams(n=13, N=16, T=4, s=16)
-    count = montecarlo.BATCH_SIZE
+    count, qubits = montecarlo.BATCH_SIZE, montecarlo.BATCH_SIZE * params.s
     montecarlo._bayes_batch(params, philox(0), count)
     tracemalloc.start()
     try:
@@ -465,7 +473,16 @@ def test_bayes_batch_memory_at_full_batch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * count * params.s * 8
+    assert peak <= 4 * qubits * 8
+    # the workspace: the uint8 counts of both bases and the codeword bits,
+    # 3 B per qubit; the search's buffers, 20 B per element of one search
+    # block and two compaction sets of at most 25 B per element of a half
+    # and a quarter block; and one row block of Born uniforms (5.17 B per
+    # qubit when measured)
+    work = {}
+    montecarlo._bayes_batch(params, philox(2), count, work=work)
+    workspace = sum(buf.nbytes for buf in work.values())
+    assert workspace <= 3 * qubits + 40 * montecarlo.BATCH_SIZE + 8 * montecarlo.BLOCK_SIZE
 
 
 def test_symmetry_batch_memory_at_full_batch():

@@ -10,9 +10,14 @@ stderr, ``--out`` bytes or exit code differ between the two trees, then a
 count, and exits 1 if any differ, else 0.  The corpus:
 
 * every op of the first pass of each benchmark workload, and the first round
-  of probe campaigns, as ``perfbench/workloads.py`` generates them for seed 1;
+  of probe campaigns, as ``perfbench/workloads.py`` generates them for seed 1
+  (the montecarlo pass includes bayes campaigns whose last Born-uniform row
+  block is short, such as s = 16 at 629,267 trials and s = 6 at 5,985);
 * ``check-all --seed 0..127``;
 * ``figure --id 1`` at n = 1..13, and ``figure --id 3 --T 0-16`` at n = 1..12;
+* the same figures with ``--format json``, figure 1 at n = 1..9 and figure 3
+  at n = 1..6, since their array columns reach the JSON writer through
+  ``tolist()``;
 * every argv that ``tests/test_cli.py`` writes out as one list of string
   literals (most of its usage errors among them), and every ``--help``.
 
@@ -58,6 +63,8 @@ def corpus() -> list[list[str]]:
     argvs += [["check-all", "--seed", str(seed)] for seed in range(128)]
     argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 14)]
     argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 13)]
+    argvs += [["figure", "--id", "1", "--n", str(n), "--format", "json"] for n in range(1, 10)]
+    argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16", "--format", "json"] for n in range(1, 7)]
     return argvs
 
 
