@@ -24,7 +24,7 @@ MAX_N = 20
 #: numerical-rank threshold, relative to the largest eigenvalue
 RANK_RTOL = 1e-10
 
-#: largest entrywise distance from the exact prior that ``critical_n`` accepts
+#: largest entrywise distance from the exact prior that defines ``critical_n``
 CRITICAL_TOL = 1e-12
 
 
@@ -145,13 +145,13 @@ def binomial_spectrum(tau: int) -> np.ndarray:
 
 
 def critical_n(tau: int) -> int:
-    """Smallest n at which the prior density operator stops depending on n.
-
-    The prior is exact from n = tau.bit_length() on (see ``prior_density``); walk
-    down while the next-smaller grid's prior stays within CRITICAL_TOL of it.
-    """
+    """Smallest n whose prior lies within CRITICAL_TOL of the exact one, in closed form."""
+    _check_ranges(tau, 1)
+    # 2**n > tau keys average the degree-tau entries exactly (see ``prior_density``).  One grid
+    # below, a power-of-two tau aliases only its top frequency +-tau, which moves no entry by more
+    # than 2 C(tau, tau/2) / 4**tau; any other tau <= MAX_TAU moves one by more than CRITICAL_TOL.
+    # Past MAX_TAU this fails (tau = 65 moves none by 1e-16 at n = 6): the law holds to MAX_TAU.
     n = tau.bit_length()
-    exact = prior_density(tau, n).matrix
-    while n > 1 and np.max(np.abs(prior_density(tau, n - 1).matrix - exact)) < CRITICAL_TOL:
-        n -= 1
+    if tau & (tau - 1) == 0 and 2 * math.comb(tau, tau // 2) / 4.0 ** tau < CRITICAL_TOL:
+        return n - 1
     return n

@@ -6,7 +6,7 @@ by cyclic Jacobi rotations.  Both are slow, independent of BLAS/LAPACK, and
 used only to check the library's matrix-product mixture and its LAPACK
 eigensolver.  ``critical_n_search`` is the open-ended search for the
 resolution at which full-grid priors stop changing, which checks the
-library's walk down from the exact key grid.  ``prior_density_direct`` builds
+library's closed form of the aliasing law.  ``prior_density_direct`` builds
 each prior's 2**min(n, tau.bit_length()) key grid on its own, which checks the
 library's row strides of one component table per tau.  ``coefficient_f`` is
 the amplitude of one Hamming-weight basis state at one angle, the integrand

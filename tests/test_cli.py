@@ -629,6 +629,7 @@ def test_library_has_no_unused_imports_or_private_names():
 
 @pytest.mark.parametrize("argv", [
     ["prior", "--tau", "4,8", "--n", "10,12"],
+    ["prior", "--tau", "32,64", "--n", "12,14"],
     ["figure", "--id", "1", "--n", "10"],
     ["figure", "--id", "2", "--n", "10"],
     ["figure", "--id", "3", "--n", "12", "--T", "4,8"],

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from qpke import cli
 from qpke.symmetry import holevo_bound_loose, holevo_bound_tight
 from qpke.symspace import (
+    CRITICAL_TOL,
     MAX_TAU,
     Spectrum,
     SymmetricDensityOperator,
@@ -303,9 +304,30 @@ def test_critical_n_is_bit_length():
     # exactly once 2**n > tau, so the prior stops changing at n = bit_length
     for tau in range(1, 64):
         assert critical_n(tau) == tau.bit_length()
-    # at tau = 64 the aliased term at n = 6 is ~2**-127, below the search
-    # tolerance, so the search reports 6 where the exact value is 7
+    # at tau = 64 the aliased term at n = 6 is 2*C(64,32)/4**64 ~ 1.1e-20 (the
+    # measured gap, 8.3e-17, is round-off), below the tolerance, so critical_n
+    # reports 6 where the exact value is 7
     assert critical_n(64) == 6
+
+
+def test_critical_n_builds_no_operator():
+    symmetric_state_components.cache_clear()
+    for tau in range(1, MAX_TAU + 1):
+        critical_n(tau)
+    assert symmetric_state_components.cache_info().misses == 0
+
+
+def test_power_of_two_aliases_by_its_top_frequency_weight():
+    # one grid below the exact one, a power-of-two tau aliases only its top
+    # frequency, which moves the largest entry by 2*C(tau, tau/2)/4**tau
+    def weight(tau):
+        return 2 * math.comb(tau, tau // 2) / 4.0 ** tau
+
+    for tau in (2, 4, 8, 16, 32):
+        n = tau.bit_length() - 1
+        gap = np.max(np.abs(prior_density(tau, n).matrix - prior_density(tau, n + 1).matrix))
+        assert abs(gap - weight(tau)) <= 1e-15, tau
+    assert weight(64) < CRITICAL_TOL < weight(32)
 
 
 def test_prior_matches_full_grid():
@@ -335,7 +357,7 @@ def test_prior_strides_match_direct_grid_oracle():
 
 
 def test_entropy_bounds_check_builds_one_component_table_per_tau():
-    # tau = 2..64: one 2**bit_length table each, shared by critical_n and the prior
+    # tau = 2..64: one 2**bit_length table each, built by the prior
     symmetric_state_components.cache_clear()
     assert cli._check_entropy_bounds()[0]
     assert symmetric_state_components.cache_info().misses <= 63

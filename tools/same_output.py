@@ -14,6 +14,7 @@ count, and exits 1 if any differ, else 0.  The corpus:
   (the montecarlo pass includes bayes campaigns whose last Born-uniform row
   block is short, such as s = 16 at 629,267 trials and s = 6 at 5,985);
 * ``check-all --seed 0..127``;
+* ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table;
 * ``figure --id 1`` at n = 1..13, and ``figure --id 3 --T 0-16`` at n = 1..12;
 * the same figures with ``--format json``, figure 1 at n = 1..9 and figure 3
   at n = 1..6, since their array columns reach the JSON writer through
@@ -61,6 +62,7 @@ def corpus() -> list[list[str]]:
              for op in next(workloads.passes(workload, 1, reference["check_all_seeds"]))]
     argvs += next(workloads.probe_rounds(1))
     argvs += [["check-all", "--seed", str(seed)] for seed in range(128)]
+    argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 14)]
     argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 13)]
     argvs += [["figure", "--id", "1", "--n", str(n), "--format", "json"] for n in range(1, 10)]
