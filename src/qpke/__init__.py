@@ -22,8 +22,8 @@ _EXPORTS = {
         "CipherState", "Codeword", "PrivateKey", "ProtocolParams", "decrypt", "elementary_angle", "encrypt",
     ),
     "symspace": (
-        "Spectrum", "SymmetricDensityOperator", "binomial_spectrum", "critical_n", "eigendecompose",
-        "mixture_density", "prior_density", "shannon_entropy", "von_neumann_entropy",
+        "Spectrum", "SymmetricDensityOperator", "critical_n", "eigendecompose", "mixture_density",
+        "prior_density", "prior_spectrum", "shannon_entropy", "von_neumann_entropy",
     ),
     "bayes": (
         "ImpossibleOutcomeError", "MeasurementOutcome", "PosteriorDistribution", "evidence", "information_gain",

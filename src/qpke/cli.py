@@ -152,7 +152,7 @@ def cmd_prior(args) -> tuple[Table, list[dict]]:
 
     critical = {tau: symspace.critical_n(tau) for tau in args.tau}
     pairs = [(tau, n) for tau in args.tau for n in args.n]
-    spectra = [symspace.eigendecompose(symspace.prior_density(tau, n)) for tau, n in pairs]
+    spectra = [symspace.prior_spectrum(tau, n) for tau, n in pairs]
     entropy = [symspace.shannon_entropy(s.eigenvalues) for s in spectra]
     loose = [symmetry.holevo_bound_loose(tau) for tau, _ in pairs]
     violations = [
@@ -407,8 +407,9 @@ def _check_binomial_spectrum() -> tuple[bool, str]:
 
     deviations = []
     for tau in (2, 4, 8, 16):
-        spectrum = symspace.eigendecompose(symspace.prior_density(tau, symspace.critical_n(tau)))
-        deviations.append(np.max(np.abs(spectrum.eigenvalues - symspace.binomial_spectrum(tau))))
+        n_c = symspace.critical_n(tau)
+        spectrum = symspace.eigendecompose(symspace.prior_density(tau, n_c))
+        deviations.append(np.max(np.abs(spectrum.eigenvalues - symspace.prior_spectrum(tau, n_c).eigenvalues)))
     worst = float(np.max(deviations))
     return worst < 1e-10, f"max eigenvalue deviation = {worst:.3e}"
 

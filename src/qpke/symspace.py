@@ -4,14 +4,15 @@ tau identically prepared copies of a public-key qubit never leave the
 (tau+1)-dimensional permutation-symmetric subspace, so the mixture over all
 key values is a small real symmetric matrix indexed by Hamming weight.  This
 module builds those operators, diagonalizes them, and takes their entropies;
-the Holevo bounds those entropies are checked against are closed forms in
+the prior's spectrum is also a closed form (``prior_spectrum``), and the
+Holevo bounds those entropies are checked against are closed forms in
 ``qpke.symmetry``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -104,10 +105,10 @@ def _check_ranges(tau: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a density operator, descending, with the numerical rank."""
+    """Eigenvalues of a density operator, descending, and their rank: how many exceed RANK_RTOL times the largest."""
 
     eigenvalues: np.ndarray
-    rank: int
+    rank: int = field(init=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -117,13 +118,26 @@ class Spectrum:
             raise ValueError("eigenvalues must lie in [-1e-10, 1 + 1e-10]")
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "rank", int(np.sum(vals > RANK_RTOL * max(vals[0], 0.0))))
 
 
 def eigendecompose(rho: SymmetricDensityOperator) -> Spectrum:
     """Full spectrum of a density operator via LAPACK's symmetric eigensolver."""
-    values = np.linalg.eigvalsh(rho.matrix)[::-1]
-    rank = int(np.sum(values > RANK_RTOL * max(values[0], 0.0)))
-    return Spectrum(values, rank)
+    return Spectrum(np.linalg.eigvalsh(rho.matrix)[::-1])
+
+
+def prior_spectrum(tau: int, n: int) -> Spectrum:
+    """Spectrum of ``prior_density(tau, n)`` in closed form, each eigenvalue correctly rounded.
+
+    Key k turns the copies by exp(-i k theta J_y), and the average over 2**n keys keeps a
+    coherence only between J_y eigenvalues 2**n apart: one rank-1 block per class r of
+    j mod 2**n, of eigenvalue sum over j = r mod 2**n of binom(tau, j) / 2**tau.
+    """
+    _check_ranges(tau, n)
+    sums = [0] * (tau + 1)
+    for j in range(tau + 1):
+        sums[j % (1 << n)] += math.comb(tau, j)
+    return Spectrum(np.sort(np.array(sums, dtype=float) / 2.0 ** tau)[::-1])
 
 
 def shannon_entropy(probs: np.ndarray) -> float:
@@ -136,12 +150,6 @@ def shannon_entropy(probs: np.ndarray) -> float:
 def von_neumann_entropy(rho: SymmetricDensityOperator) -> float:
     """Von Neumann entropy in bits: Shannon entropy of the eigenvalue spectrum."""
     return shannon_entropy(eigendecompose(rho).eigenvalues)
-
-
-def binomial_spectrum(tau: int) -> np.ndarray:
-    """Reference spectrum binom(tau, i) / 2**tau, i = 0..tau, in descending order."""
-    vals = np.array([math.comb(tau, i) for i in range(tau + 1)], dtype=float) / 2.0 ** tau
-    return np.sort(vals)[::-1]
 
 
 def critical_n(tau: int) -> int:

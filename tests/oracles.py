@@ -39,7 +39,10 @@ and in-place probabilities draw for draw.
 ``write_row_dicts`` is the CLI's row-by-row table writer (one dict per row
 through ``csv.DictWriter``, per-cell type dispatch), and the ``*_rows``
 builders produce the row dicts the CLI commands used to hand it; together
-they check that the column writer prints the same bytes.
+they check that the column writer prints the same bytes.  ``prior_rows``
+takes each spectrum from ``prior_spectrum_exact``, the prior's residue-class
+sums of binomial weights as exact rationals, so it needs neither the
+library's closed form nor LAPACK.
 """
 
 import csv
@@ -47,6 +50,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -382,25 +386,34 @@ def write_row_dicts(rows: list[dict], fieldnames: list[str], fmt: str, out_path:
         sys.stdout.write(text)
 
 
+def prior_spectrum_exact(tau: int, n: int) -> list[Fraction]:
+    """Prior eigenvalues of tau copies over 2**n keys, descending: binom(tau, j) / 2**tau summed by j mod 2**n."""
+    classes = [Fraction(0)] * (tau + 1)
+    for j in range(tau + 1):
+        classes[j % 2**n] += Fraction(math.comb(tau, j), 2**tau)
+    return sorted(classes, reverse=True)
+
+
 def prior_rows(taus: list[int], ns: list[int]) -> tuple[list[dict], list[str]]:
     """Row dicts of ``qpke prior``."""
     rows = []
     critical = {tau: symspace.critical_n(tau) for tau in taus}
     for tau in taus:
         for n in ns:
-            spectrum = symspace.eigendecompose(symspace.prior_density(tau, n))
+            exact = prior_spectrum_exact(tau, n)
+            values = np.array([float(v) for v in exact])
             n_c = critical[tau]
             rows.append(
                 {
                     "tau": tau,
                     "n": n,
-                    "entropy_bits": symspace.shannon_entropy(np.clip(spectrum.eigenvalues, 0.0, None)),
-                    "rank": spectrum.rank,
+                    "entropy_bits": symspace.shannon_entropy(values),
+                    "rank": sum(v > Fraction(symspace.RANK_RTOL) * exact[0] for v in exact),
                     "n_critical": n_c,
                     "at_or_above_critical": n >= n_c,
                     "bound_loose_bits": symmetry.holevo_bound_loose(tau),
                     "bound_tight_bits": symmetry.holevo_bound_tight(tau),
-                    "spectrum": ";".join(format(float(v), ".12g") for v in spectrum.eigenvalues),
+                    "spectrum": ";".join(format(float(v), ".12g") for v in exact),
                 }
             )
     fields = [

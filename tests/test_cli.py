@@ -630,6 +630,7 @@ def test_library_has_no_unused_imports_or_private_names():
 @pytest.mark.parametrize("argv", [
     ["prior", "--tau", "4,8", "--n", "10,12"],
     ["prior", "--tau", "32,64", "--n", "12,14"],
+    ["prior", "--tau", "64", "--n", "6,7"],
     ["figure", "--id", "1", "--n", "10"],
     ["figure", "--id", "2", "--n", "10"],
     ["figure", "--id", "3", "--n", "12", "--T", "4,8"],
@@ -764,7 +765,8 @@ NAN_CHECKS = [
     (bayes, "mean_success", nan, "_check_optimal_collective"),
     (bayes, "evidence", nan, "_check_bayes_normalization"),
     (symspace, "von_neumann_entropy", nan, "_check_entropy_bounds"),
-    (symspace, "binomial_spectrum", nan, "_check_binomial_spectrum"),
+    (symspace, "prior_spectrum", lambda tau, n: argparse.Namespace(eigenvalues=np.full(tau + 1, np.nan)),
+     "_check_binomial_spectrum"),
     (symspace, "prior_density", lambda tau, n: argparse.Namespace(matrix=np.full((tau + 1, tau + 1), np.nan)),
      "_check_parity_zeros"),
 ]

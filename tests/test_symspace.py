@@ -12,20 +12,28 @@ from qpke import cli
 from qpke.symmetry import holevo_bound_loose, holevo_bound_tight
 from qpke.symspace import (
     CRITICAL_TOL,
+    MAX_N,
     MAX_TAU,
     Spectrum,
     SymmetricDensityOperator,
-    binomial_spectrum,
     critical_n,
     eigendecompose,
     mixture_density,
     prior_density,
+    prior_spectrum,
     shannon_entropy,
     symmetric_state_components,
     von_neumann_entropy,
 )
 
-from oracles import coefficient_f, critical_n_search, jacobi_eigh, mixture_density_loop, prior_density_direct
+from oracles import (
+    coefficient_f,
+    critical_n_search,
+    jacobi_eigh,
+    mixture_density_loop,
+    prior_density_direct,
+    prior_spectrum_exact,
+)
 
 
 def delta_mixture(k, tau, n):
@@ -161,7 +169,7 @@ def test_eigendecompose_residuals_on_prior():
 def test_binomial_spectrum_reached(tau, n, expected):
     spectrum = eigendecompose(prior_density(tau, n))
     assert np.allclose(spectrum.eigenvalues, expected, atol=1e-10)
-    assert np.allclose(spectrum.eigenvalues, binomial_spectrum(tau), atol=1e-10)
+    assert np.allclose(spectrum.eigenvalues, prior_spectrum(tau, MAX_N).eigenvalues, atol=1e-10)
 
 
 def test_entropy_examples():
@@ -224,7 +232,7 @@ def test_critical_n_rank_saturation():
 def test_spectrum_at_critical_is_binomial(tau):
     n_c = critical_n(tau)
     spectrum = eigendecompose(prior_density(tau, n_c))
-    assert np.allclose(spectrum.eigenvalues, binomial_spectrum(tau), atol=1e-10)
+    assert np.allclose(spectrum.eigenvalues, prior_spectrum(tau, MAX_N).eigenvalues, atol=1e-10)
 
 
 def test_entropy_within_tight_bound_at_critical():
@@ -250,11 +258,14 @@ def test_density_operator_validation():
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        Spectrum(np.array([0.6, 0.6]), 2)
+        Spectrum(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
-        Spectrum(np.array([1.2, -0.2]), 1)
+        Spectrum(np.array([1.2, -0.2]))
     with pytest.raises(ValueError):
-        Spectrum(np.array([np.nan, np.nan]), 2)
+        Spectrum(np.array([np.nan, np.nan]))
+    # the rank counts the eigenvalues above RANK_RTOL times the largest
+    assert Spectrum(np.array([1.0 - 2e-11, 1e-11, 1e-11, 0.0])).rank == 1
+    assert Spectrum(np.array([0.5, 0.5 - 1e-10, 1e-10])).rank == 3
 
 
 def test_mixture_weights_validation():
@@ -374,4 +385,42 @@ def test_prior_memory_ceiling_at_largest_resolution():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert np.allclose(spectrum.eigenvalues, binomial_spectrum(64), atol=1e-10)
+    assert np.allclose(spectrum.eigenvalues, prior_spectrum(64, MAX_N).eigenvalues, atol=1e-10)
+
+
+def test_prior_spectrum_matches_lapack_over_the_whole_domain():
+    # the closed form against LAPACK on the Gram operator, at every (tau, n);
+    # each eigenvalue is its exact rational class sum rounded once, and past
+    # the exact grid it is the sorted binomial weights, bit for bit
+    for tau in range(1, MAX_TAU + 1):
+        binomial = sorted((math.comb(tau, j) / 2**tau for j in range(tau + 1)), reverse=True)
+        for n in range(1, MAX_N + 1):
+            law, lapack = prior_spectrum(tau, n), eigendecompose(prior_density(tau, n))
+            assert np.max(np.abs(law.eigenvalues - lapack.eigenvalues)) <= 1e-15, (tau, n)
+            assert law.rank == lapack.rank, (tau, n)
+            assert law.eigenvalues.tolist() == [float(v) for v in prior_spectrum_exact(tau, n)], (tau, n)
+            if 1 << n > tau:
+                assert law.eigenvalues.tolist() == binomial, (tau, n)
+        symmetric_state_components.cache_clear()
+
+
+def test_prior_spectrum_coarse_grains_with_resolution():
+    # a coarser key grid merges residue classes, so the entropy cannot fall
+    # as n grows, and it stops changing once 2**n > tau; the table is exact,
+    # so one class per residue is nonzero and no eigenvalue is negative
+    for tau in range(1, MAX_TAU + 1):
+        entropies = []
+        for n in range(1, MAX_N + 1):
+            values = prior_spectrum(tau, n).eigenvalues
+            assert np.count_nonzero(values) == min(1 << n, tau + 1), (tau, n)
+            assert values.min() >= 0.0, (tau, n)
+            entropies.append(shannon_entropy(values))
+        assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:])), tau
+        assert len(set(entropies[tau.bit_length() - 1:])) == 1, tau
+
+
+def test_prior_command_builds_no_operator(capsys):
+    symmetric_state_components.cache_clear()
+    assert cli.main(["prior", "--tau", "1-64", "--n", "1-20"]) == 0
+    capsys.readouterr()
+    assert symmetric_state_components.cache_info().misses == 0
