@@ -20,12 +20,13 @@ own builders and checks, so ``import qpke.cli``, ``--help`` and usage errors
 load none of them, and the writer tells an array from a list by its
 ``dtype``.  ``security`` loads only ``symmetry`` (closed forms on ``math``,
 so no numpy); ``prior`` loads ``symspace`` (and the ``protocol`` it reads)
-with ``symmetry``; figures 1 and 3 load ``bayes`` (with ``protocol``), and
-figures 2, 4 and 5 add ``symmetry``; ``montecarlo`` loads all but
-``symspace``, and ``check-all`` loads all five.  Only an all-array CSV table
-loads ``cells``, and only JSON output or a violated check loads ``json``.  A
-local import reads the module's attributes at call time, so a patched or
-wrapped function is seen there as well.
+with ``symmetry``, and no numpy either, since its spectra, ranks and
+entropies are ``math`` sums; figures 1 and 3 load ``bayes`` (with
+``protocol``), and figures 2, 4 and 5 add ``symmetry``; ``montecarlo`` loads
+all but ``symspace``, and ``check-all`` loads all five.  Only an all-array
+CSV table loads ``cells``, and only JSON output or a violated check loads
+``json``.  A local import reads the module's attributes at call time, so a
+patched or wrapped function is seen there as well.
 """
 
 from __future__ import annotations
@@ -409,7 +410,8 @@ def _check_binomial_spectrum() -> tuple[bool, str]:
     for tau in (2, 4, 8, 16):
         n_c = symspace.critical_n(tau)
         spectrum = symspace.eigendecompose(symspace.prior_density(tau, n_c))
-        deviations.append(np.max(np.abs(spectrum.eigenvalues - symspace.prior_spectrum(tau, n_c).eigenvalues)))
+        law = symspace.prior_spectrum(tau, n_c)
+        deviations.append(np.max(np.abs(np.subtract(spectrum.eigenvalues, law.eigenvalues))))
     worst = float(np.max(deviations))
     return worst < 1e-10, f"max eigenvalue deviation = {worst:.3e}"
 

@@ -7,6 +7,12 @@ module builds those operators, diagonalizes them, and takes their entropies;
 the prior's spectrum is also a closed form (``prior_spectrum``), and the
 Holevo bounds those entropies are checked against are closed forms in
 ``qpke.symmetry``.
+
+numpy is imported only by the functions that build or diagonalize an
+operator (annotations name it as ``np``; they are never evaluated).
+``critical_n``, ``prior_spectrum``, ``shannon_entropy`` and ``Spectrum`` run
+on ``math`` alone, so importing this module, and the ``prior`` table, load
+no numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from .protocol import elementary_angle
 
@@ -37,6 +41,8 @@ def symmetric_state_components(tau: int, n: int) -> np.ndarray:
     A[k, l] = sqrt(binom(tau, l)) * cos(k*theta/2)**(tau-l) * sin(k*theta/2)**l,
     i.e. row k is the state vector of tau copies of key value k.
     """
+    import numpy as np
+
     theta = elementary_angle(n)
     half = np.arange(1 << n) * (theta / 2.0)
     weights = np.arange(tau + 1)
@@ -57,6 +63,8 @@ class SymmetricDensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.tau + 1, self.tau + 1):
             raise ValueError(f"expected shape {(self.tau + 1, self.tau + 1)}, got {m.shape}")
@@ -70,6 +78,8 @@ class SymmetricDensityOperator:
 
 def mixture_density(weights: np.ndarray, tau: int, n: int) -> SymmetricDensityOperator:
     """Density operator A^T diag(weights) A of tau copies, ``weights`` a probability vector over Z_{2**n}."""
+    import numpy as np
+
     _check_ranges(tau, n)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (1 << n,):
@@ -84,6 +94,8 @@ def prior_density(tau: int, n: int) -> SymmetricDensityOperator:
     2**m > tau equally spaced keys average exactly; so the mixture is over every
     2**(bit_length - m)-th row of the 2**bit_length table, m = min(n, bit_length).
     """
+    import numpy as np
+
     _check_ranges(tau, n)
     m = min(n, tau.bit_length())
     comps = symmetric_state_components(tau, tau.bit_length())[:: 1 << (tau.bit_length() - m)]
@@ -105,25 +117,32 @@ def _check_ranges(tau: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a density operator, descending, and their rank: how many exceed RANK_RTOL times the largest."""
+    """Eigenvalues of a density operator, a non-increasing tuple of floats, and their rank.
 
-    eigenvalues: np.ndarray
+    The rank counts the eigenvalues above RANK_RTOL times the first, the largest.
+    """
+
+    eigenvalues: tuple[float, ...]
     rank: int = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if not abs(np.sum(vals) - 1.0) <= 1e-10:
-            raise ValueError(f"eigenvalues must sum to 1 to 1e-10, got {np.sum(vals)}")
-        if not (-1e-10 <= np.min(vals) and np.max(vals) <= 1.0 + 1e-10):
+        vals = tuple(map(float, self.eigenvalues))
+        # checked before the sum, so a NaN fails here and the sum cannot overflow
+        if not all(-1e-10 <= v <= 1.0 + 1e-10 for v in vals):
             raise ValueError("eigenvalues must lie in [-1e-10, 1 + 1e-10]")
-        vals.flags.writeable = False
+        if not abs(math.fsum(vals) - 1.0) <= 1e-10:
+            raise ValueError(f"eigenvalues must sum to 1 to 1e-10, got {math.fsum(vals)}")
+        if any(a < b for a, b in zip(vals, vals[1:])):
+            raise ValueError("eigenvalues must be non-increasing")
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "rank", int(np.sum(vals > RANK_RTOL * max(vals[0], 0.0))))
+        object.__setattr__(self, "rank", sum(v > RANK_RTOL * max(vals[0], 0.0) for v in vals))
 
 
 def eigendecompose(rho: SymmetricDensityOperator) -> Spectrum:
     """Full spectrum of a density operator via LAPACK's symmetric eigensolver."""
-    return Spectrum(np.linalg.eigvalsh(rho.matrix)[::-1])
+    import numpy as np
+
+    return Spectrum(np.linalg.eigvalsh(rho.matrix)[::-1].tolist())
 
 
 def prior_spectrum(tau: int, n: int) -> Spectrum:
@@ -137,14 +156,12 @@ def prior_spectrum(tau: int, n: int) -> Spectrum:
     sums = [0] * (tau + 1)
     for j in range(tau + 1):
         sums[j % (1 << n)] += math.comb(tau, j)
-    return Spectrum(np.sort(np.array(sums, dtype=float) / 2.0 ** tau)[::-1])
+    return Spectrum(sorted((s / 2.0 ** tau for s in sums), reverse=True))
 
 
-def shannon_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in bits, with 0 * log 0 = 0."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+def shannon_entropy(probs) -> float:
+    """Shannon entropy in bits of a sequence of probabilities, with 0 * log 0 = 0; entries not above 0 are skipped."""
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
 def von_neumann_entropy(rho: SymmetricDensityOperator) -> float:

@@ -43,6 +43,11 @@ they check that the column writer prints the same bytes.  ``prior_rows``
 takes each spectrum from ``prior_spectrum_exact``, the prior's residue-class
 sums of binomial weights as exact rationals, so it needs neither the
 library's closed form nor LAPACK.
+
+``shannon_entropy_numpy`` and ``spectrum_rank_numpy`` are the entropy and
+the ``Spectrum`` rank rule as the library once took them, one numpy sum and
+one numpy comparison each; they check the ``math.fsum`` entropy and the
+tuple ``Spectrum`` that let ``symspace`` run the prior without numpy.
 """
 
 import csv
@@ -392,6 +397,23 @@ def prior_spectrum_exact(tau: int, n: int) -> list[Fraction]:
     for j in range(tau + 1):
         classes[j % 2**n] += Fraction(math.comb(tau, j), 2**tau)
     return sorted(classes, reverse=True)
+
+
+def shannon_entropy_numpy(probs) -> float:
+    """Shannon entropy in bits as one numpy sum over the entries above 0."""
+    p = np.asarray(probs, dtype=float)
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def spectrum_rank_numpy(eigenvalues) -> int | None:
+    """Rank by the numpy ``Spectrum`` rule, which assumes descending order, or None where that rule rejects."""
+    vals = np.asarray(eigenvalues, dtype=float)
+    if not abs(np.sum(vals) - 1.0) <= 1e-10:
+        return None
+    if not (-1e-10 <= np.min(vals) and np.max(vals) <= 1.0 + 1e-10):
+        return None
+    return int(np.sum(vals > symspace.RANK_RTOL * max(vals[0], 0.0)))
 
 
 def prior_rows(taus: list[int], ns: list[int]) -> tuple[list[dict], list[str]]:

@@ -40,7 +40,7 @@ def test_criterion_01_binomial_spectrum_above_critical():
             for n in (n_c, n_c + 1):
                 values = symspace.eigendecompose(symspace.prior_density(tau, n)).eigenvalues
                 binomial = symspace.prior_spectrum(tau, symspace.MAX_N).eigenvalues
-                worst = max(worst, float(np.max(np.abs(values - binomial))))
+                worst = max(worst, float(np.max(np.abs(np.subtract(values, binomial)))))
         assert worst < 1e-10
     report(1, f"spectra match binomial weights, max deviation {worst:.2e}")
 

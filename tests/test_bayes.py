@@ -198,7 +198,7 @@ def test_posterior_density_from_measurement_is_valid():
     post = posterior(MeasurementOutcome(1, 1), 2, 3)
     rho = mixture_density(post.probabilities, 2, post.n)
     assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-12)
-    assert eigendecompose(rho).eigenvalues.min() >= -1e-10
+    assert min(eigendecompose(rho).eigenvalues) >= -1e-10
 
 
 def test_bloch_estimate_examples():

@@ -340,34 +340,39 @@ def loaded_modules(argv, code=0):
 #: an argparse usage error (a reversed range), which exits 2
 USAGE_ERROR = ["prior", "--tau", "5-1"]
 FIGURE_MODULES = {"bayes", "protocol", "symmetry"}
-# (argv, the qpke submodules besides cli that it loads); an empty argv only imports qpke.cli
+PRIOR_MODULES = {"protocol", "symspace", "symmetry"}
+# (argv, the qpke submodules besides cli that it loads, whether it loads
+# numpy); an empty argv only imports qpke.cli
 COMMAND_MODULES = [
-    ([], set()),
-    (["--help"], set()),
-    (USAGE_ERROR, set()),
-    (["prior", "--tau", "4", "--n", "3"], {"protocol", "symspace", "symmetry"}),
+    ([], set(), False),
+    (["--help"], set(), False),
+    (USAGE_ERROR, set(), False),
+    # the prior table is math sums, so symspace builds no operator there
+    (["prior", "--tau", "4", "--n", "3"], PRIOR_MODULES, False),
+    (["prior", "--tau", "1-64", "--n", "1-20"], PRIOR_MODULES, False),
     # an all-array CSV table loads the numpy cell kernel
-    (["figure", "--id", "1", "--n", "4"], {"bayes", "protocol", "cells"}),
-    (["figure", "--id", "2", "--n", "4"], FIGURE_MODULES),
-    (["figure", "--id", "3", "--n", "4"], {"bayes", "protocol", "cells"}),
-    (["figure", "--id", "4", "--n", "4"], FIGURE_MODULES),
-    (["figure", "--id", "5", "--n", "4", "--s", "3"], FIGURE_MODULES),
-    (["security", "--epsilon", "0.25", "--T", "1-4"], {"symmetry"}),
+    (["figure", "--id", "1", "--n", "4"], {"bayes", "protocol", "cells"}, True),
+    (["figure", "--id", "2", "--n", "4"], FIGURE_MODULES, True),
+    (["figure", "--id", "3", "--n", "4"], {"bayes", "protocol", "cells"}, True),
+    (["figure", "--id", "4", "--n", "4"], FIGURE_MODULES, True),
+    (["figure", "--id", "5", "--n", "4", "--s", "3"], FIGURE_MODULES, True),
+    (["security", "--epsilon", "0.25", "--T", "1-4"], {"symmetry"}, False),
     (["montecarlo", "--attack", "symmetry-test", "--n", "4", "--s", "2", "--trials", "2000"],
-     FIGURE_MODULES | {"montecarlo"}),
-    (["montecarlo", "--attack", "bayes-projective", "--n", "4", "--trials", "2000"], FIGURE_MODULES | {"montecarlo"}),
-    (["check-all"], FIGURE_MODULES | {"montecarlo", "symspace"}),
+     FIGURE_MODULES | {"montecarlo"}, True),
+    (["montecarlo", "--attack", "bayes-projective", "--n", "4", "--trials", "2000"],
+     FIGURE_MODULES | {"montecarlo"}, True),
+    (["check-all"], FIGURE_MODULES | {"montecarlo", "symspace"}, True),
 ]
 
 
-@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
-                         ids=[" ".join(argv[:3]) or "import qpke.cli" for argv, _ in COMMAND_MODULES])
-def test_each_command_loads_only_its_modules(argv, modules):
+@pytest.mark.parametrize("argv, modules, numpy", COMMAND_MODULES,
+                         ids=[" ".join(argv[:3]) or "import qpke.cli" for argv, _, _ in COMMAND_MODULES])
+def test_each_command_loads_only_its_modules(argv, modules, numpy):
     loaded = loaded_modules(argv, code=2 if argv == USAGE_ERROR else 0)
     assert {m for m in loaded if m.startswith("qpke.")} == {"qpke.cli", *(f"qpke.{m}" for m in modules)}
     # numpy costs every process ~0.1 s of CPU at start-up, and numpy.random
-    # ~17 ms more; protocol and symmetry run on math alone
-    assert ("numpy" in loaded) == bool(modules - {"protocol", "symmetry"})
+    # ~17 ms more
+    assert ("numpy" in loaded) == numpy
     assert ("numpy.random" in loaded) == ("montecarlo" in modules)
     # json is loaded only to write JSON or to report a violated check, and
     # none of these argv does either
@@ -412,6 +417,16 @@ def test_commands_that_need_no_numpy_run_without_it(tmp_path):
 def test_closed_form_modules_load_no_numpy():
     script = "import sys, qpke.protocol, qpke.symmetry; print(*sorted(sys.modules))"
     assert "numpy" not in run_fresh(script).stdout.split()
+    # symspace imports numpy only where it builds or diagonalizes an operator
+    script = """
+import sys
+from qpke.symspace import critical_n, prior_spectrum, shannon_entropy
+spectrum = prior_spectrum(64, 3)
+print(critical_n(64), spectrum.rank, shannon_entropy(spectrum.eigenvalues))
+print(*sorted(sys.modules))
+"""
+    first, modules = run_fresh(script).stdout.splitlines()
+    assert first.split()[:2] == ["6", "8"] and "numpy" not in modules.split()
 
 
 def test_unknown_attack_is_a_usage_error(capsys):

@@ -1,5 +1,7 @@
 """Symmetric-subspace density operators: construction, spectra, entropy bounds."""
 
+import csv
+import io
 import math
 import tracemalloc
 
@@ -33,6 +35,8 @@ from oracles import (
     mixture_density_loop,
     prior_density_direct,
     prior_spectrum_exact,
+    shannon_entropy_numpy,
+    spectrum_rank_numpy,
 )
 
 
@@ -98,7 +102,7 @@ def test_prior_is_valid_density_operator(tau, n):
     assert np.max(np.abs(matrix - matrix.T)) <= 1e-14
     assert np.trace(matrix) == pytest.approx(1.0, abs=1e-12)
     spectrum = eigendecompose(rho)
-    assert spectrum.eigenvalues.min() >= -1e-10
+    assert min(spectrum.eigenvalues) >= -1e-10
     # entropy capped by the support dimension, itself capped by tau + 1
     entropy = von_neumann_entropy(rho)
     assert entropy <= math.log2(spectrum.rank) + 1e-9
@@ -268,6 +272,56 @@ def test_spectrum_validation():
     assert Spectrum(np.array([0.5, 0.5 - 1e-10, 1e-10])).rank == 3
 
 
+def test_spectrum_rejects_values_out_of_order():
+    # the rank reads the first eigenvalue as the largest; the numpy rule took
+    # ascending values and counted this rank-1 spectrum as rank 2
+    ascending = [1e-11, 1.0 - 1e-11]
+    assert spectrum_rank_numpy(ascending) == 2
+    with pytest.raises(ValueError, match="non-increasing"):
+        Spectrum(ascending)
+    with pytest.raises(ValueError, match="non-increasing"):
+        Spectrum(np.array([0.25, 0.25, 0.5]))
+    assert Spectrum(ascending[::-1]).rank == 1
+    # equal neighbours are in order, and the values are kept as a tuple of floats
+    assert Spectrum(np.array([0.5, 0.5, 0.0])).eigenvalues == (0.5, 0.5, 0.0)
+
+
+@st.composite
+def probability_vectors(draw):
+    """Descending probability vectors with exact zeros or LAPACK-style tiny negatives in their place, and NaN."""
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=MAX_TAU + 1))
+    total = math.fsum(raw)
+    vals = sorted((v / total for v in raw), reverse=True) if total > 0.0 else [1.0 / len(raw)] * len(raw)
+    # 34 or more zeros at -3e-12 move the sum past 1e-10, and -2e-10 is out of
+    # range; no count lands within 1e-12 of a bound, where the two sums could part
+    tiny = draw(st.sampled_from([0.0, 1e-17, 3e-12, 2e-10]))
+    vals = [v if v > 0.0 else -tiny for v in vals]
+    if draw(st.booleans()):
+        vals[draw(st.integers(0, len(vals) - 1))] = math.nan
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(probability_vectors())
+def test_math_laws_match_numpy_oracles(vals):
+    assert abs(shannon_entropy(vals) - shannon_entropy_numpy(vals)) <= 4e-15
+    rank = spectrum_rank_numpy(vals)
+    if rank is None:
+        with pytest.raises(ValueError):
+            Spectrum(vals)
+    else:
+        assert Spectrum(vals).rank == rank
+
+
+def test_prior_entropy_cells_match_numpy_oracle(capsys):
+    # the fsum entropy and one numpy sum part by a few ulps, far below the 12
+    # significant digits of a CSV cell, so every prior cell keeps its bytes
+    assert cli.main(["prior", "--tau", "1-64", "--n", "1-20"]) == 0
+    cells = [row["entropy_bits"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+    exact = (prior_spectrum_exact(tau, n) for tau in range(1, MAX_TAU + 1) for n in range(1, MAX_N + 1))
+    assert cells == [format(shannon_entropy_numpy([float(v) for v in values]), ".12g") for values in exact]
+
+
 def test_mixture_weights_validation():
     with pytest.raises(ValueError):
         mixture_density(np.ones(3), 2, 2)  # wrong length for n=2
@@ -396,11 +450,11 @@ def test_prior_spectrum_matches_lapack_over_the_whole_domain():
         binomial = sorted((math.comb(tau, j) / 2**tau for j in range(tau + 1)), reverse=True)
         for n in range(1, MAX_N + 1):
             law, lapack = prior_spectrum(tau, n), eigendecompose(prior_density(tau, n))
-            assert np.max(np.abs(law.eigenvalues - lapack.eigenvalues)) <= 1e-15, (tau, n)
+            assert np.max(np.abs(np.subtract(law.eigenvalues, lapack.eigenvalues))) <= 1e-15, (tau, n)
             assert law.rank == lapack.rank, (tau, n)
-            assert law.eigenvalues.tolist() == [float(v) for v in prior_spectrum_exact(tau, n)], (tau, n)
+            assert list(law.eigenvalues) == [float(v) for v in prior_spectrum_exact(tau, n)], (tau, n)
             if 1 << n > tau:
-                assert law.eigenvalues.tolist() == binomial, (tau, n)
+                assert list(law.eigenvalues) == binomial, (tau, n)
         symmetric_state_components.cache_clear()
 
 
@@ -413,7 +467,7 @@ def test_prior_spectrum_coarse_grains_with_resolution():
         for n in range(1, MAX_N + 1):
             values = prior_spectrum(tau, n).eigenvalues
             assert np.count_nonzero(values) == min(1 << n, tau + 1), (tau, n)
-            assert values.min() >= 0.0, (tau, n)
+            assert min(values) >= 0.0, (tau, n)
             entropies.append(shannon_entropy(values))
         assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:])), tau
         assert len(set(entropies[tau.bit_length() - 1:])) == 1, tau

@@ -5,7 +5,8 @@
 OTHER_SRC is the ``src`` directory of another checkout.  Every argv of a
 fixed corpus runs in a fresh interpreter, once with this tree's ``src`` and
 once with OTHER_SRC first on ``PYTHONPATH``; every argv that writes a table
-runs once more with ``--out FILE``.  The tool prints each argv whose stdout,
+runs once more with ``--out FILE``.  An argv that the corpus lists twice
+runs once, at its first place.  The tool prints each argv whose stdout,
 stderr, ``--out`` bytes or exit code differ between the two trees, then a
 count, and exits 1 if any differ, else 0.  The corpus:
 
@@ -14,7 +15,8 @@ count, and exits 1 if any differ, else 0.  The corpus:
   (the montecarlo pass includes bayes campaigns whose last Born-uniform row
   block is short, such as s = 16 at 629,267 trials and s = 6 at 5,985);
 * ``check-all --seed 0..127``;
-* ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table;
+* ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
+  with ``--format json``, which prints ``entropy_bits`` to its last digit;
 * ``figure --id 1`` at n = 1..13, and ``figure --id 3 --T 0-16`` at n = 1..12;
 * the same figures with ``--format json``, figure 1 at n = 1..9 and figure 3
   at n = 1..6, since their array columns reach the JSON writer through
@@ -46,13 +48,12 @@ COMMANDS = ("prior", "figure", "security", "montecarlo", "check-all")
 
 
 def cli_test_argvs() -> list[list[str]]:
-    """Every argv written out in ``tests/test_cli.py`` (a list of string literals that starts with a command), once."""
+    """Every argv written out in ``tests/test_cli.py``: a list of string literals that starts with a command."""
     tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
     lists = (node.elts for node in ast.walk(tree) if isinstance(node, ast.List) and node.elts)
-    argvs = (tuple(item.value for item in items) for items in lists
-             if all(isinstance(item, ast.Constant) and isinstance(item.value, str) for item in items)
-             and items[0].value in COMMANDS)
-    return [list(argv) for argv in dict.fromkeys(argvs)]
+    return [[item.value for item in items] for items in lists
+            if all(isinstance(item, ast.Constant) and isinstance(item.value, str) for item in items)
+            and items[0].value in COMMANDS]
 
 
 def corpus() -> list[list[str]]:
@@ -63,6 +64,7 @@ def corpus() -> list[list[str]]:
     argvs += next(workloads.probe_rounds(1))
     argvs += [["check-all", "--seed", str(seed)] for seed in range(128)]
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
+    argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
     argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 14)]
     argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 13)]
     argvs += [["figure", "--id", "1", "--n", str(n), "--format", "json"] for n in range(1, 10)]
@@ -94,6 +96,7 @@ def main() -> int:
     argvs = corpus()
     argvs += [argv + ["--out", "table.out"] for argv in argvs]
     argvs += cli_test_argvs() + [["--help"]] + [[command, "--help"] for command in COMMANDS]
+    argvs = [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
     differ = 0
     with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(max_workers=2) as pool:
         workdirs = [os.path.join(scratch, str(i)) for i in range(len(argvs))]
