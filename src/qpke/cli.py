@@ -373,12 +373,14 @@ def _check_roundtrip() -> tuple[bool, str]:
     for n in (1, 2, 3):
         for s in (1, 2, 3):
             params = ProtocolParams(n=n, N=s, T=1, s=s)
+            # every codeword of length s with its expected parity, built once
+            codewords = [(codeword, codeword.bits, codeword.parity)
+                         for codeword in map(Codeword, itertools.product((0, 1), repeat=s))]
             for key_values in itertools.product(range(1 << n), repeat=s):
                 key = PrivateKey(key_values, n)
-                for bits in itertools.product((0, 1), repeat=s):
-                    codeword = Codeword(bits)
+                for codeword, bits, parity in codewords:
                     recovered, message = decrypt(encrypt(codeword, key), key, params)
-                    if recovered != bits or message != codeword.parity:
+                    if recovered != bits or message != parity:
                         return False, f"round-trip failed at n={n}, s={s}, key={key_values}, w={bits}"
                     checked += 1
     return True, f"{checked} round-trips exact"

@@ -24,15 +24,23 @@ position is the one a float64 comparison gives.
 A campaign owns its batch memory: :func:`estimate` keeps one workspace of
 named buffers, sized by its first (largest) batch, and every batch fills
 and computes into views of it (``out=`` on the draws, ufuncs and takes),
-so no batch after the first faults in fresh pages.  The inversion search
-runs in blocks of ``BATCH_SIZE`` elements, so its buffers stay one block
-in size at any codeword length.  Both attacks draw their Born uniforms
-block by block into one block of memory (a bayes row block, a symmetry
-decision block), and the symmetry test keeps its angles in the memory of
-its keys.  Per batch, only what numpy cannot write in place (the keys and
-codeword bits of ``integers`` and the ``Generator.binomial`` fallback),
-the small row-block temporaries of the Born-probability stage and the
-symmetry test's libm cells still allocate.
+so no batch after the first faults in fresh pages.  Keys are drawn as
+int64 a chunk at a time and held in the smallest unsigned dtype that holds
+2**n - 1; a block is widened to intp only where ``take`` reads it.  The
+inversion search runs in blocks of ``BATCH_SIZE`` elements, so its buffers
+stay one block in size at any codeword length.  The bayes batch draws its
+Born uniforms one row block at a time into one block of memory.  The
+symmetry test reads its three uniform fills (basis, public outcome, cipher
+outcome) from Philox cursors opened at their stream offsets, so one pass
+over its blocks runs angles, estimates and both decisions, and only its
+keys and codeword bits (which end up holding the errors) are batch-sized.
+Per batch, only what numpy cannot write in place (the int64 key chunks,
+the codeword bits of ``integers`` and the ``Generator.binomial``
+fallback), the small row-block temporaries of the Born-probability stage
+and the symmetry test's libm cells still allocate.  At n <= 16 (two-byte
+keys) a campaign so holds ~4 B per qubit in the symmetry test and ~6 B in
+the bayes attack, plus ~0.4 and ~3 MB of blocks: a 65,536-trial batch
+takes ~0.11 and ~0.17 GB at s = 432, ~0.31 and ~0.47 GB at s = 1195.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ BLOCK_SIZE = 1 << 13
 #: elements per block of a symmetry batch (angles, uniform fills and
 #: outcome decisions): ~30 numpy calls a block, which at 2**12 cost ~10 %
 #: more batch time than at 2**14; 2**16 gained under 5 % and holds four
-#: times the 13 B of scratch per block element
+#: times the 26 B of scratch per block element
 DECISION_BLOCK = 1 << 14
 
 #: half-width of the band around a threshold inside which a symmetry-test
@@ -140,6 +148,56 @@ def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draw_keys(rng: np.random.Generator, n: int, shape: tuple, work: dict | None) -> np.ndarray:
+    """Keys uniform on Z_{2**n}, of ``shape``, in the smallest unsigned dtype that holds them.
+
+    ``integers`` draws them as int64, ``BATCH_SIZE`` at a time.  Each key is
+    one ``next_uint32`` (one ``next_uint64`` above n = 32), with no rejection
+    for a power-of-two range, so the chunks hold the keys of one whole draw
+    and leave the stream where it would.
+    """
+    keys = _take(work, "k", shape, np.min_scalar_type((1 << n) - 1))
+    flat = keys.reshape(-1)
+    for start in range(0, flat.size, BATCH_SIZE):
+        chunk = flat[start:start + BATCH_SIZE]
+        chunk[...] = rng.integers(0, 1 << n, size=chunk.size)
+    return keys
+
+
+def _cursor(state: dict, skip: int) -> np.random.Philox:
+    """A Philox bit generator at ``state`` (a ``bit_generator.state``) moved on by ``skip`` doubles.
+
+    Each double is one raw 64-bit output, and Philox makes them four per
+    counter step (Salmon et al., SC'11).  The rest of the buffered step is
+    passed over by moving ``buffer_pos``, whole steps by ``advance`` and a
+    last part step by drawing it.  ``advance`` clears the buffered 32-bit
+    half, which no double reads, so it is put back.
+    """
+    bitgen = np.random.Philox(key=0)  # its state is replaced
+    avail = len(state["buffer"]) - state["buffer_pos"]
+    if skip <= avail:
+        bitgen.state = dict(state, buffer_pos=state["buffer_pos"] + skip)
+        return bitgen
+    bitgen.state = dict(state, buffer_pos=len(state["buffer"]))
+    steps, rest = divmod(skip - avail, len(state["buffer"]))
+    bitgen.advance(steps)
+    bitgen.random_raw(rest)
+    bitgen.state = dict(bitgen.state, has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    return bitgen
+
+
+def _cursors(rng: np.random.Generator, size: int, count: int) -> list[np.random.Generator]:
+    """Generators whose fills of ``size`` doubles are ``rng``'s next ``count`` such fills, in turn.
+
+    ``rng`` moves past all of them at once, so the fills may be read block by
+    block in any interleaving and the stream still ends where ``count``
+    whole fills in turn leave it.
+    """
+    state = rng.bit_generator.state
+    rng.bit_generator.state = _cursor(state, count * size).state
+    return [np.random.Generator(_cursor(state, i * size)) for i in range(count)]
+
+
 def _draw_codewords(count: int, s: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     # uniform parity-matched codewords of uniform messages (drawn first), shape (count, s)
     m = rng.integers(0, 2, size=count, dtype=np.int8)
@@ -200,7 +258,7 @@ def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
 
 def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndarray,
             work: dict | None) -> bool:
-    """Fill ``x`` with the inversion-search counts of ``keys``; False where numpy would redraw.
+    """Fill ``x`` with the inversion-search counts of the key block ``keys``; False where numpy would redraw.
 
     numpy consumes one uniform per element with p0 > 0 (none where
     p0 == 0), so one ``rng.random`` fill feeds a vectorized search over the
@@ -210,7 +268,11 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     input.
     """
     terms, fold, zero, bound, min_bound = table
-    block_keys = keys
+    # take converts indices of any dtype but intp into a temporary of its
+    # own, so the narrow keys are widened once per block
+    block_keys = _take(work, "block_keys", keys.size, np.intp)
+    block_keys[...] = keys
+    keys = block_keys
     drawn = zero.take(keys, out=_take(work, "drawn", keys.size, bool), mode="clip")
     np.logical_not(drawn, out=drawn)
     u = _take(work, "u0", keys.size)
@@ -284,8 +346,12 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
 
 
 def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Cipher units k XOR (w << (n-1)) of key integers k and codeword bits w, as in ``encrypt``."""
-    units = np.left_shift(w, n - 1, dtype=k.dtype)
+    """Cipher units k XOR (w << (n-1)) of key integers k and codeword bits w, as in ``encrypt``.
+
+    The units come as intp, which ``take`` reads without a converted copy
+    of its own; the keys may be int64 or any narrower integer dtype.
+    """
+    units = np.left_shift(w.view(np.uint8), n - 1, dtype=np.intp)
     units ^= k
     return units
 
@@ -297,7 +363,7 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
     cos_unit, sin_unit = bayes._key_bloch(n)
     half_z, half_x, degenerate = _estimate_tables(T, n)
 
-    k = rng.integers(0, 1 << n, size=(count, s))
+    k = _draw_keys(rng, n, (count, s), work)
     t0z = _binomial_counts(rng, T, n, 0, k, work)
     t0x = _binomial_counts(rng, T, n, 1, k, work)
     w = _draw_codewords(count, s, rng, _take(work, "w", (count, s), np.int8))
@@ -359,52 +425,48 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     """Simulate ``count`` runs of the pairwise symmetry test; returns success flags.
 
     Each pair's basis angle is drawn as phi = 2*pi*u, so the half offset
-    x = (k*theta - phi) / 2 keeps |x| <= pi for every n <= 63.  A test pins
-    the bases by scripting the generator's uniform fills.
+    x = (k*theta - phi) / 2 keeps |x| <= pi for every n <= 63.  After the
+    keys and codewords come three whole-batch fills of uniforms in turn
+    (basis, public outcome, cipher outcome); each is read from its own
+    cursor (:func:`_cursors`), so one pass over flat blocks of
+    ``DECISION_BLOCK`` elements runs every stage.  A test pins the three
+    fills by scripting the cursors.
     """
     n, s = params.n, params.s
-    shape = (count, s)
+    k = _draw_keys(rng, n, (count, s), work).ravel()
+    w = _draw_codewords(count, s, rng, _take(work, "w", (count, s), np.int8))
+    # the codeword bits flip the cipher qubits, then hold each qubit's error
+    errors = w.view(bool)
+    flip = errors.ravel()
+    basis, public, cipher = _cursors(rng, k.size, 3)
 
-    k = rng.integers(0, 1 << n, size=shape)
-    w = _draw_codewords(count, s, rng, _take(work, "w", shape, np.int8))
-    # the keys are spent once scaled: their memory holds the angles x
-    x, k, flip = k.view(np.float64).ravel(), k.ravel(), w.view(bool).ravel()
-
-    # every stage runs over flat blocks of DECISION_BLOCK elements; filled
-    # block by block, each draw gives the doubles of one whole-batch fill
-    blocks = [slice(start, start + DECISION_BLOCK) for start in range(0, x.size, DECISION_BLOCK)]
-    u = _take(work, "u", min(DECISION_BLOCK, x.size))
-    q = _take(work, "q", x.size, np.float32)
-    for b in blocks:
-        # scaling a block in place copies only that block of keys
-        xb = np.multiply(k[b], params.theta, out=x[b])
+    size = min(DECISION_BLOCK, k.size)
+    u, x = _take(work, "u", size), _take(work, "x", size)
+    q, diff = _take(work, "q", size, np.float32), _take(work, "diff", size, np.float32)
+    out_public, out_cipher = _take(work, "public", size, bool), _take(work, "cipher", size, bool)
+    for start in range(0, k.size, DECISION_BLOCK):
+        b = slice(start, start + DECISION_BLOCK)
+        kb, fb = k[b], flip[b]
+        xb = np.multiply(kb, params.theta, out=x[:kb.size])
         # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
-        phi = rng.random(out=u[:xb.size])
+        phi = basis.random(out=u[:kb.size])
         phi *= 2.0 * math.pi
         # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
         # float32 estimate q decides all outcomes but those near a threshold
         xb -= phi
         xb /= 2.0
-        qb = np.cos(xb, dtype=np.float32, out=q[b])
+        qb = np.cos(xb, dtype=np.float32, out=q[:kb.size])
         np.square(qb, out=qb)
-
-    guess = _take(work, "guess", shape, bool)
-    guess_flat = guess.ravel()
-    diff = _take(work, "diff", u.size, np.float32)
-    out_cipher = _take(work, "cipher", u.size, bool)
-    for b in blocks:
-        ub = rng.random(out=u[:x[b].size])
-        _decide(ub, q[b], x[b], None, guess_flat[b], diff)
-    for b in blocks:
-        ub = rng.random(out=u[:x[b].size])
+        public_bit = _decide(public.random(out=u[:kb.size]), qb, xb, None, out_public[:kb.size], diff)
         # the cipher qubit, shifted by w*pi, has the complement where w = 1
-        qb = np.subtract(flip[b], q[b], out=q[b])
+        qb = np.subtract(fb, qb, out=qb)
         np.abs(qb, out=qb)
-        cipher = _decide(ub, qb, x[b], flip[b], out_cipher[:ub.size], diff)
-        # equal outcomes read as "parallel" (bit 0), unequal as "antiparallel" (bit 1)
-        cipher ^= flip[b]
-        guess_flat[b] ^= cipher
-    flags = _xor_columns(guess[:, 1:], guess[:, 0].copy())
+        cipher_bit = _decide(cipher.random(out=u[:kb.size]), qb, xb, fb, out_cipher[:kb.size], diff)
+        # equal outcomes read as "parallel" (bit 0), unequal as
+        # "antiparallel" (bit 1): the error is public ^ cipher ^ w
+        fb ^= public_bit
+        fb ^= cipher_bit
+    flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
     return np.logical_not(flags, out=flags)
 
 

@@ -1,5 +1,7 @@
 """Seeded Monte Carlo simulation: reproducibility and agreement with the analytic values."""
 
+import contextlib
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -55,8 +57,9 @@ def test_symmetry_trial_certain_with_aligned_bases():
     params = ProtocolParams(n=4, N=3, T=1, s=3)
     count, seed = 2000, 3
     rng = ScriptedGenerator(seed, quarter_turn_uniforms(params, seed, count, 0))
-    assert montecarlo._symmetry_batch(params, rng, count).all()
-    assert rng.uniforms.size == 0
+    with scripted_cursors():
+        assert montecarlo._symmetry_batch(params, rng, count).all()
+    assert rng.consumed()
 
 
 def test_estimate_reproducible():
@@ -151,6 +154,53 @@ def test_draw_codewords_law(s):
     assert chi2 < scipy.stats.chi2.isf(math.erfc(3 / math.sqrt(2)), (1 << s) - 1)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
+def test_chunked_narrow_keys_match_one_int64_draw(n):
+    # chunks of BATCH_SIZE int64 keys, the last one short, held in the
+    # smallest unsigned dtype: the keys and the stream position (the
+    # buffered 32-bit half included) of one whole draw
+    shape = (montecarlo.BATCH_SIZE // 3 + 5, 7)
+    fast, direct = philox(n), philox(n)
+    keys = montecarlo._draw_keys(fast, n, shape, {})
+    assert keys.dtype == np.min_scalar_type((1 << n) - 1)
+    assert np.array_equal(keys, direct.integers(0, 1 << n, size=shape))
+    assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
+    assert fast.random() == direct.random()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans(),
+       st.one_of(st.sampled_from([0, 1, 3, 4, 5]), st.integers(6, 100_000)))
+def test_cursor_matches_sequential_fill(seed, buffer_pos, has_uint32, skip):
+    # a Philox state at any buffer position, with or without a buffered
+    # 32-bit half, moved on by skip doubles gives the doubles and the 32-bit
+    # draws that follow a fill of skip doubles
+    bitgen = np.random.Philox(seed)
+    bitgen.random_raw(1 + seed % 4)  # a counter step in the buffer
+    state = dict(bitgen.state, buffer_pos=buffer_pos, has_uint32=int(has_uint32), uinteger=seed)
+    sequential = np.random.Generator(np.random.Philox(0))
+    sequential.bit_generator.state = state
+    sequential.random(skip)
+    cursor = np.random.Generator(montecarlo._cursor(state, skip))
+    assert np.array_equal(cursor.random(9), sequential.random(9))
+    assert cursor.integers(0, 1 << 32, dtype=np.uint32) == sequential.integers(0, 1 << 32, dtype=np.uint32)
+    assert cursor.random() == sequential.random()
+
+
+@pytest.mark.parametrize("size", [1, 3, 4, 5, 1000])
+def test_cursors_read_consecutive_fills(size):
+    # three cursors fill as three whole fills in turn, read in any order,
+    # and the generator itself moves past all three
+    fast, direct = philox(size), philox(size)
+    fast.random(3)
+    direct.random(3)
+    cursors = montecarlo._cursors(fast, size, 3)
+    fills = direct.random((3, size))
+    for i in (2, 0, 1):
+        assert np.array_equal(cursors[i].random(size), fills[i])
+    assert fast.random() == direct.random()
+
+
 # T values past 60 reach numpy's BTPE sampler for some keys
 binomial_T = st.one_of(st.integers(1, 16), st.sampled_from([61, 64, 70, 200]))
 
@@ -191,22 +241,42 @@ def test_bayes_batch_matches_direct_oracle(shape, seed):
 
 
 class ScriptedGenerator(np.random.Generator):
-    """Philox generator whose uniform draws (``random`` and ``uniform``) take the next scripted uniforms."""
+    """Philox generator whose uniform draws (``random`` and ``uniform``) take the next scripted uniforms.
+
+    Under :func:`scripted_cursors` its ``cursors`` stand in for
+    ``montecarlo._cursors``: each cursor takes the next ``size`` of them.
+    """
 
     def __init__(self, seed, uniforms):
         super().__init__(np.random.Philox(seed))
         self.uniforms = np.concatenate([np.ravel(a) for a in uniforms])
+        self.opened = []
 
     def random(self, size=None, dtype=np.float64, out=None):
         if out is None:
             out = np.empty(() if size is None else size, dtype)
+        assert out.size <= self.uniforms.size, "the script ran out of uniforms"
         out.flat = self.uniforms[:out.size]
         self.uniforms = self.uniforms[out.size:]
         return out
 
+    def cursors(self, size, count):
+        opened = [ScriptedGenerator(0, [self.random(size)]) for _ in range(count)]
+        self.opened += opened
+        return opened
+
+    def consumed(self):
+        """Whether every scripted uniform was drawn, those handed to cursors included."""
+        return self.uniforms.size == 0 and all(cursor.consumed() for cursor in self.opened)
+
     def uniform(self, low=0.0, high=1.0, size=None):
         # numpy's uniform is low + (high - low) * next_double
         return low + (high - low) * self.random(size)
+
+
+def scripted_cursors():
+    """Let a symmetry batch open its three uniform fills on a ScriptedGenerator's script, in turn."""
+    return mock.patch.object(montecarlo, "_cursors", lambda rng, size, count: rng.cursors(size, count))
 
 
 def quarter_turn_uniforms(params, seed, count, turns):
@@ -239,13 +309,14 @@ def test_symmetry_batch_matches_direct_oracle(shape, seed, turns):
     else:
         uniforms = quarter_turn_uniforms(params, seed, count, turns)
         fast, direct = ScriptedGenerator(seed, uniforms), ScriptedGenerator(seed, uniforms)
-    flags = montecarlo._symmetry_batch(params, fast, count)
+    with contextlib.nullcontext() if turns is None else scripted_cursors():
+        flags = montecarlo._symmetry_batch(params, fast, count)
     expected = symmetry_batch_direct(params, direct, count)
     assert np.array_equal(flags, expected)
     if turns is None:
         assert fast.random() == direct.random()
     else:
-        assert fast.uniforms.size == direct.uniforms.size == 0
+        assert fast.consumed() and direct.consumed()
 
 
 def test_float32_born_estimates_within_two_to_minus_20():
@@ -298,8 +369,9 @@ def test_symmetry_decisions_exact_between_float32_and_libm(threshold):
     # the float32 estimate alone decides every such cell the other way
     assert np.all(flags(estimate)[cells] != expected[cells])
     fast = ScriptedGenerator(seed, (basis, uniforms["public"], uniforms["cipher"]))
-    assert np.array_equal(montecarlo._symmetry_batch(params, fast, count), expected)
-    assert fast.uniforms.size == 0
+    with scripted_cursors():
+        assert np.array_equal(montecarlo._symmetry_batch(params, fast, count), expected)
+    assert fast.consumed()
 
 
 def structural_keys(n):
@@ -407,27 +479,41 @@ def test_campaign_workspace_matches_lone_batches(attack):
         assert fast.random() == lone.random()
 
 
-def test_campaign_workspace_is_reused_at_full_batch():
-    # a warm full batch at the montecarlo workload's largest codewords,
-    # given its campaign's workspace, allocates only what numpy cannot
-    # write in place, and no buffer is replaced
-    params = ProtocolParams(n=13, N=16, T=4, s=16)
-    count, qubits = montecarlo.BATCH_SIZE, montecarlo.BATCH_SIZE * params.s
-    work = {}
-    montecarlo._bayes_batch(params, philox(0), count, work=work)
-    buffers = dict(work)
+# the montecarlo workload's largest codewords in a full batch, and the
+# codeword length the paper asks for at T = 16 and epsilon = 2**-10 in a
+# shorter one
+FULL_BATCHES = [(16, montecarlo.BATCH_SIZE), (432, 4096)]
+
+
+def lone_peak(batch, params, count, seed, work=None):
+    """The tracemalloc peak of one batch."""
     tracemalloc.start()
     try:
-        montecarlo._bayes_batch(params, philox(1), count, work=work)
-        _, peak = tracemalloc.get_traced_memory()
+        batch(params, philox(seed), count, work=work)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(work[name] is buf for name, buf in buffers.items()) and work.keys() == buffers.keys()
-    # int64 keys, int8 codeword bits and messages, the success flags, and
-    # the search's compaction indices (under half a block, then a quarter, ...)
-    bound = 8 * qubits + qubits + count + 8 * montecarlo.BATCH_SIZE
-    assert peak <= bound
-    assert bound < 1.5 * qubits * 8  # the lone batch allows 4 float64 arrays per qubit
+
+
+def test_campaign_workspace_is_reused_at_full_batch():
+    # a warm batch given its campaign's workspace allocates only what numpy
+    # cannot write in place, and no buffer is replaced
+    for attack, (s, count) in itertools.product(montecarlo.ATTACKS, FULL_BATCHES):
+        params = ProtocolParams(n=13, N=s, T=4, s=s)
+        batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
+        qubits = count * s
+        work = {}
+        batch(params, philox(0), count, work=work)
+        buffers = dict(work)
+        peak = lone_peak(batch, params, count, 1, work)
+        assert all(work[name] is buf for name, buf in buffers.items()) and work.keys() == buffers.keys()
+        # the int8 codeword bits and messages of integers, the success
+        # flags, one int64 chunk of keys, and the search's compaction indices
+        # (under half a search block, then a quarter, ...): 1.00 B per qubit
+        # when measured
+        bound = qubits + 2 * count + 8 * montecarlo.BATCH_SIZE + 8 * montecarlo.BATCH_SIZE
+        assert peak <= bound, (attack, s)
+        assert bound < 3 * qubits  # int64 keys at batch size would take 8 B per qubit
 
 
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
@@ -448,10 +534,13 @@ def test_batch_memory_ceiling(attack):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 63), st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_cipher_units_match_encrypt(n, s, seed):
+@given(st.integers(1, 63), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_cipher_units_match_encrypt(n, s, seed, narrow):
+    # int64 keys, or keys of up to 32 bits held narrow as the batches hold them
     rng = np.random.default_rng(seed)
     k = rng.integers(0, 1 << n, size=(5, s))
+    if narrow and n <= 32:
+        k = k.astype(np.min_scalar_type((1 << n) - 1))
     w = montecarlo._draw_codewords(5, s, rng)
     units = montecarlo._cipher_units(k, w, n)
     for row in range(5):
@@ -460,49 +549,40 @@ def test_cipher_units_match_encrypt(n, s, seed):
 
 
 def test_bayes_batch_memory_at_full_batch():
-    # warm full batch at the montecarlo workload's largest codewords: the
-    # Born-probability stage and its uniforms run in row blocks, so the
-    # binomial draws set the peak (1.50 arrays of float64 per qubit when
-    # measured)
-    params = ProtocolParams(n=13, N=16, T=4, s=16)
-    count, qubits = montecarlo.BATCH_SIZE, montecarlo.BATCH_SIZE * params.s
-    montecarlo._bayes_batch(params, philox(0), count)
-    tracemalloc.start()
-    try:
-        montecarlo._bayes_batch(params, philox(1), count)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * qubits * 8
-    # the workspace: the uint8 counts of both bases and the codeword bits,
-    # 3 B per qubit; the search's buffers, 20 B per element of one search
-    # block and two compaction sets of at most 25 B per element of a half
-    # and a quarter block; and one row block of Born uniforms (5.17 B per
-    # qubit when measured)
-    work = {}
-    montecarlo._bayes_batch(params, philox(2), count, work=work)
-    workspace = sum(buf.nbytes for buf in work.values())
-    assert workspace <= 3 * qubits + 40 * montecarlo.BATCH_SIZE + 8 * montecarlo.BLOCK_SIZE
+    # warm batch: the Born-probability stage and its uniforms run in row
+    # blocks and the keys are held narrow, so the uint16 keys, the uint8
+    # counts of both bases, the codeword bits and their draw set the peak
+    # (6.00 B per qubit when measured)
+    for s, count in FULL_BATCHES:
+        params = ProtocolParams(n=13, N=s, T=4, s=s)
+        qubits = count * s
+        montecarlo._bayes_batch(params, philox(0), count)
+        assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= 7 * qubits
+        # the workspace: the uint16 keys, the uint8 counts of both bases and
+        # the codeword bits, 5 B per qubit; the search's buffers, 28 B per
+        # element of one search block (its intp keys among them) and two
+        # compaction sets of at most 25 B per element of a half and a
+        # quarter block; and one row block of Born uniforms (7.67 B per
+        # qubit when measured at s = 16)
+        work = {}
+        montecarlo._bayes_batch(params, philox(2), count, work=work)
+        workspace = sum(buf.nbytes for buf in work.values())
+        assert workspace <= 5 * qubits + 48 * montecarlo.BATCH_SIZE + 8 * montecarlo.BLOCK_SIZE
 
 
 def test_symmetry_batch_memory_at_full_batch():
-    # warm full batch at the montecarlo workload's largest codewords: the
-    # float32 Born estimates, the codeword bits and the public outcomes are
-    # the workspace, 6 B per qubit; the angles reuse the keys' memory, and
-    # the uniforms and the decisions' scratch stay one block in size
-    params = ProtocolParams(n=13, N=16, T=1, s=16)
-    count, qubits = montecarlo.BATCH_SIZE, montecarlo.BATCH_SIZE * params.s
-    montecarlo._symmetry_batch(params, philox(0), count)
-    tracemalloc.start()
-    try:
-        montecarlo._symmetry_batch(params, philox(1), count)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the workspace and the int64 keys that hold the angles (14.3 B per
-    # qubit when measured)
-    assert peak <= 2 * qubits * 8
-    work = {}
-    montecarlo._symmetry_batch(params, philox(2), count, work=work)
-    workspace = sum(buf.nbytes for buf in work.values())
-    assert workspace <= 6 * qubits + 13 * montecarlo.DECISION_BLOCK
+    # warm batch: the uint16 keys and the codeword bits, which end up
+    # holding the errors, are the workspace at batch size, 3 B per qubit;
+    # the angles, the float32 Born estimates, the uniforms, the outcomes and
+    # the decisions' scratch stay one block in size (26 B per block element)
+    for s, count in FULL_BATCHES:
+        params = ProtocolParams(n=13, N=s, T=1, s=s)
+        qubits = count * s
+        montecarlo._symmetry_batch(params, philox(0), count)
+        # the workspace and the draw of the codeword bits (4.00 B per qubit
+        # when measured)
+        assert lone_peak(montecarlo._symmetry_batch, params, count, 1) <= 5 * qubits
+        work = {}
+        montecarlo._symmetry_batch(params, philox(2), count, work=work)
+        workspace = sum(buf.nbytes for buf in work.values())
+        assert workspace <= 3 * qubits + 26 * montecarlo.DECISION_BLOCK

@@ -15,6 +15,11 @@ count, and exits 1 if any differ, else 0.  The corpus:
   (the montecarlo pass includes bayes campaigns whose last Born-uniform row
   block is short, such as s = 16 at 629,267 trials and s = 6 at 5,985);
 * ``check-all --seed 0..127``;
+* Monte Carlo campaigns at the edges of the key dtypes: symmetry tests at
+  n = 1, 8, 9, 16, 17, 32, 33 and 63 and bayes campaigns at n = 8, 9 and 14,
+  each over several decision blocks and key chunks; both attacks at the
+  paper's s = 432 with small trial counts; and both at one trial either
+  side of a 65,536-trial batch;
 * ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
   with ``--format json``, which prints ``entropy_bits`` to its last digit;
 * ``figure --id 1`` at n = 1..13, and ``figure --id 3 --T 0-16`` at n = 1..12;
@@ -45,6 +50,7 @@ import workloads  # noqa: E402  (perfbench is a directory of scripts)
 from run import THREAD_ENV  # noqa: E402
 
 COMMANDS = ("prior", "figure", "security", "montecarlo", "check-all")
+ATTACKS = ("bayes-projective", "symmetry-test")
 
 
 def cli_test_argvs() -> list[list[str]]:
@@ -56,6 +62,12 @@ def cli_test_argvs() -> list[list[str]]:
             and items[0].value in COMMANDS]
 
 
+def campaign(attack: str, n: int, T: int, s: int, trials: int) -> list[str]:
+    """A ``montecarlo`` argv, seeded from its own parameters."""
+    return ["montecarlo", "--attack", attack, "--n", str(n), "--T", str(T), "--s", str(s),
+            "--trials", str(trials), "--seed", str(n * 1000 + s)]
+
+
 def corpus() -> list[list[str]]:
     """The argv the two trees are compared on, in a fixed order."""
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -63,6 +75,10 @@ def corpus() -> list[list[str]]:
              for op in next(workloads.passes(workload, 1, reference["check_all_seeds"]))]
     argvs += next(workloads.probe_rounds(1))
     argvs += [["check-all", "--seed", str(seed)] for seed in range(128)]
+    argvs += [campaign("symmetry-test", n, 1, 5, 40_000) for n in (1, 8, 9, 16, 17, 32, 33, 63)]
+    argvs += [campaign("bayes-projective", n, 4, 5, 40_000) for n in (8, 9, 14)]
+    argvs += [campaign(attack, 13, 4, 432, trials) for attack in ATTACKS for trials in (7, 150)]
+    argvs += [campaign(attack, 10, 4, 2, trials) for attack in ATTACKS for trials in (65_535, 65_537)]
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
     argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 14)]
