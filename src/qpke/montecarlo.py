@@ -11,7 +11,7 @@ run over terms tabulated once per (T, n, basis); the draws are identical to
 is its integer cipher unit c = k XOR (w << (n-1)), as in
 :func:`qpke.protocol.encrypt`, and its Born probability in the estimated
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
-sin(c*theta) U_x, is gathered from cached key and cell tables in row blocks.
+sin(c*theta) U_x, is gathered from cached key and cell tables.
 
 The symmetry test decides each outcome, u >= p for a Born probability
 p = cos(x)**2, from a float32 estimate of p: numpy's float32 cosine is
@@ -21,26 +21,25 @@ with p itself, from libm, block by block (a filtered predicate, as in
 Shewchuk, Discrete Comput. Geom. 18, 1997).  Every flag and every stream
 position is the one a float64 comparison gives.
 
+Both attacks run in one shape: after the keys, counts and codeword bits,
+one pass over flat blocks of ``BLOCK_SIZE`` elements XORs each qubit's
+error into its codeword bit, and one parity reduction over the rows gives
+the success flags.  The bayes batch fills its Born uniforms block by block;
+the symmetry test reads its three uniform fills (basis, public outcome,
+cipher outcome) from Philox cursors opened at their stream offsets.
+
 A campaign owns its batch memory: :func:`estimate` keeps one workspace of
 named buffers, sized by its first (largest) batch, and every batch fills
-and computes into views of it (``out=`` on the draws, ufuncs and takes),
-so no batch after the first faults in fresh pages.  Keys are drawn as
-int64 a chunk at a time and held in the smallest unsigned dtype that holds
-2**n - 1; a block is widened to intp only where ``take`` reads it.  The
-inversion search runs in blocks of ``BATCH_SIZE`` elements, so its buffers
-stay one block in size at any codeword length.  The bayes batch draws its
-Born uniforms one row block at a time into one block of memory.  The
-symmetry test reads its three uniform fills (basis, public outcome, cipher
-outcome) from Philox cursors opened at their stream offsets, so one pass
-over its blocks runs angles, estimates and both decisions, and only its
-keys and codeword bits (which end up holding the errors) are batch-sized.
-Per batch, only what numpy cannot write in place (the int64 key chunks,
-the codeword bits of ``integers`` and the ``Generator.binomial``
-fallback), the small row-block temporaries of the Born-probability stage
-and the symmetry test's libm cells still allocate.  At n <= 16 (two-byte
-keys) a campaign so holds ~4 B per qubit in the symmetry test and ~6 B in
-the bayes attack, plus ~0.4 and ~3 MB of blocks: a 65,536-trial batch
-takes ~0.11 and ~0.17 GB at s = 432, ~0.31 and ~0.47 GB at s = 1195.
+and computes into views of it, so no batch after the first faults in
+fresh pages.  Keys (as int64) and codeword bits (as int8) are drawn a
+chunk at a time, and keys are held in the smallest unsigned dtype that
+holds 2**n - 1.  The inversion search runs in blocks of ``BLOCK_SIZE``
+elements.  So a batch allocates ~0.5 MB (symmetry test) and ~0.7 MB (bayes)
+at any codeword length, and at n <= 16 a campaign holds 3 B per qubit
+(keys and codeword bits) and 5 B (bayes: both counts too), plus ~0.9 and
+~1.2 MB of blocks: a 65,536-trial batch takes ~0.09 and ~0.14 GB at
+s = 432, ~0.24 and ~0.39 GB at s = 1195.  Where T > 60, some key's count
+takes numpy's BTPE path, whose whole-batch draw adds ~16 B per qubit.
 """
 
 from __future__ import annotations
@@ -59,14 +58,11 @@ ATTACKS = ("bayes-projective", "symmetry-test")
 
 BATCH_SIZE = 1 << 16
 
-#: elements per row block of a bayes batch's Born-probability stage
-BLOCK_SIZE = 1 << 13
-
-#: elements per block of a symmetry batch (angles, uniform fills and
-#: outcome decisions): ~30 numpy calls a block, which at 2**12 cost ~10 %
-#: more batch time than at 2**14; 2**16 gained under 5 % and holds four
-#: times the 26 B of scratch per block element
-DECISION_BLOCK = 1 << 14
+#: elements per flat block of a batch's per-qubit stages: ~30 numpy calls
+#: a symmetry-test block, which at 2**12 cost ~10 % more batch time than at
+#: 2**14; 2**16 gained under 5 % and holds four times the 26 B of scratch
+#: per block element
+BLOCK_SIZE = 1 << 14
 
 #: half-width of the band around a threshold inside which a symmetry-test
 #: outcome is decided from numpy's float64 cosine (libm).  A drawn basis
@@ -138,10 +134,11 @@ def _take(work: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
 def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """XOR every column of the (rows, s) bit array ``bits`` into ``out`` (rows,), in place.
 
-    On one 8192-bit Bayes row block, column by column is ~9x faster than
-    ``np.bitwise_xor.reduce`` at s = 2, about even at s = 8, and 1.4-2x
-    slower at s = 16, the longest codeword the campaigns run: ~5-17 us per
-    block, under 2 % of a batch.
+    Each batch calls it twice over all its rows: once for the codeword
+    parity and once for the parity of the errors.  Over 65,536 rows, column
+    by column is ~13x faster than ``np.bitwise_xor.reduce`` at s = 2 and
+    ~3x at s = 16; over 4096 rows it is even at s = 432 and ~2.5x slower
+    at s = 1195 (15 ms).
     """
     for j in range(bits.shape[1]):
         out ^= bits[:, j]
@@ -198,12 +195,21 @@ def _cursors(rng: np.random.Generator, size: int, count: int) -> list[np.random.
     return [np.random.Generator(_cursor(state, i * size)) for i in range(count)]
 
 
-def _draw_codewords(count: int, s: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    # uniform parity-matched codewords of uniform messages (drawn first), shape (count, s)
+def _draw_codewords(count: int, s: int, rng: np.random.Generator, work: dict | None = None) -> np.ndarray:
+    """Uniform parity-matched codewords of uniform messages, as (count, s) int8 bits.
+
+    The messages come first, then the free bits, drawn as int8 in chunks of
+    about ``BATCH_SIZE`` bits.  An int8 draw takes one 32-bit word per four
+    bits and starts each call on a fresh word, so chunks of a multiple of
+    four rows give the bits and stream position of one whole draw.
+    """
     m = rng.integers(0, 2, size=count, dtype=np.int8)
-    w = np.empty((count, s), dtype=np.int8) if out is None else out
+    w = _take(work, "w", (count, s), np.int8)
     if s > 1:
-        w[:, :-1] = rng.integers(0, 2, size=(count, s - 1), dtype=np.int8)
+        rows = 4 * max(1, BATCH_SIZE // (4 * (s - 1)))
+        for start in range(0, count, rows):
+            chunk = w[start:start + rows, :-1]
+            chunk[...] = rng.integers(0, 2, size=chunk.shape, dtype=np.int8)
     w[:, -1] = _xor_columns(w[:, :-1], m)
     return w
 
@@ -263,9 +269,9 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     numpy consumes one uniform per element with p0 > 0 (none where
     p0 == 0), so one ``rng.random`` fill feeds a vectorized search over the
     tabulated terms, which drops the finished elements once fewer than half
-    go on.  The elements still going are compacted into two alternating
-    sets of buffers, since ``take`` copies when its output overlaps its
-    input.
+    go on.  Each compaction copies the elements still going: at most 64 KB
+    an array, below glibc's 128 KB mmap threshold (copies from blocks of
+    ``BATCH_SIZE`` were mapped and faulted in afresh, block after block).
     """
     terms, fold, zero, bound, min_bound = table
     # take converts indices of any dtype but intp into a temporary of its
@@ -273,21 +279,23 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     block_keys = _take(work, "block_keys", keys.size, np.intp)
     block_keys[...] = keys
     keys = block_keys
-    drawn = zero.take(keys, out=_take(work, "drawn", keys.size, bool), mode="clip")
+    term_buf, step_buf = _take(work, "term", keys.size), _take(work, "step", keys.size, bool)
+    # the drawn flags and the uniforms pass through the step and term
+    # buffers, free until the search starts
+    drawn = zero.take(keys, out=step_buf, mode="clip")
     np.logical_not(drawn, out=drawn)
-    u = _take(work, "u0", keys.size)
+    u = _take(work, "u", keys.size)
     u.fill(0.0)
-    # the uniforms pass through the term buffer, free until the search starts
-    u[drawn] = rng.random(out=_take(work, "term", keys.size)[:np.count_nonzero(drawn)])
+    u[drawn] = rng.random(out=term_buf[:np.count_nonzero(drawn)])
     del drawn
     x.fill(0)
     # the elements still searching: flat positions (None while that is all
     # of them), keys, leftover uniforms and counts so far; a search that
     # stops leaves u <= 0, below every later term
-    pos, counts, compactions = None, x, 0
+    pos, counts = None, x
     for j in range(terms.shape[0]):
-        term = terms[j].take(keys, out=_take(work, "term", keys.size), mode="clip")
-        step = np.greater(u, term, out=_take(work, "step", keys.size, bool))
+        term = terms[j].take(keys, out=term_buf[:keys.size], mode="clip")
+        step = np.greater(u, term, out=step_buf[:keys.size])
         going = np.count_nonzero(step)
         if going == 0:
             break
@@ -297,19 +305,13 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
         u -= term
         del term
         if 2 * going < step.size:
-            # the c-th compaction keeps fewer than 1/2**c of the block: buffers
-            # of that size, which no later batch outgrows
-            compactions += 1
-            half, buf = block_keys.size >> compactions, compactions % 2
             sub = np.flatnonzero(step)
             if pos is None:
                 pos = sub
             else:
                 x[pos] = counts
-                pos = pos.take(sub, out=_take(work, f"pos{buf}", half, np.intp)[:going], mode="clip")
-            keys = keys.take(sub, out=_take(work, f"keys{buf}", half, keys.dtype)[:going], mode="clip")
-            u = u.take(sub, out=_take(work, f"u{buf}", half)[:going], mode="clip")
-            counts = counts.take(sub, out=_take(work, f"counts{buf}", half, counts.dtype)[:going], mode="clip")
+                pos = pos[sub]
+            keys, u, counts = keys[sub], u[sub], counts[sub]
     if pos is not None:
         x[pos] = counts
     # unfold without branches: x ^ (x ^ (T - x)) is T - x
@@ -325,7 +327,7 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
     """``rng.binomial(T, p0[k])`` for one basis's P("0" | k): same values, same stream use.
 
     The counts come in the smallest unsigned dtype that holds T.  The
-    search (:func:`_search`) runs in blocks of ``BATCH_SIZE`` elements, so
+    search (:func:`_search`) runs in blocks of ``BLOCK_SIZE`` elements, so
     its temporaries stay one block in size.  numpy itself draws for a batch
     smaller than the key range (where the table would cost more than it
     saves), for a (T, n) that reaches its BTPE path, and, after the
@@ -338,8 +340,8 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
         state = rng.bit_generator.state
         keys = k.ravel()
         x = _take(work, f"t0_{basis}", keys.size, dtype)
-        blocks = range(0, keys.size, BATCH_SIZE)
-        if all(_search(rng, table, keys[i:i + BATCH_SIZE], x[i:i + BATCH_SIZE], work) for i in blocks):
+        blocks = range(0, keys.size, BLOCK_SIZE)
+        if all(_search(rng, table, keys[i:i + BLOCK_SIZE], x[i:i + BLOCK_SIZE], work) for i in blocks):
             return x.reshape(k.shape)
         rng.bit_generator.state = state
     return rng.binomial(T, bayes._prob0_tables(n)[basis][k]).astype(dtype)
@@ -363,38 +365,37 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
     cos_unit, sin_unit = bayes._key_bloch(n)
     half_z, half_x, degenerate = _estimate_tables(T, n)
 
-    k = _draw_keys(rng, n, (count, s), work)
+    k = _draw_keys(rng, n, (count, s), work).ravel()
     t0z = _binomial_counts(rng, T, n, 0, k, work)
     t0x = _binomial_counts(rng, T, n, 1, k, work)
-    w = _draw_codewords(count, s, rng, _take(work, "w", (count, s), np.int8))
-
+    w = _draw_codewords(count, s, rng, work)
+    # the codeword bits flip the cipher qubits, then hold each qubit's error
+    errors = w.view(bool)
+    flip = errors.ravel()
     # the cipher qubit, unit c, measured in the estimated basis of its
     # outcome cell; the outcome bit is the guess of w.  Nothing else draws
-    # from here on, so the Born uniforms, filled block by block into one
-    # block of memory, are the doubles of one whole-batch fill
-    success = np.empty(count, dtype=bool)
-    rows = max(1, BLOCK_SIZE // s)
-    born = _take(work, "born", (min(rows, count), s))
-    for start in range(0, count, rows):
-        block = slice(start, start + rows)
-        u = rng.random(out=born[:count - start])
-        cell = t0z[block].astype(np.intp)
+    # from here on, so the block fills are the doubles of one whole fill
+    born = _take(work, "u", min(BLOCK_SIZE, k.size))
+    for start in range(0, k.size, BLOCK_SIZE):
+        b = slice(start, start + BLOCK_SIZE)
+        kb, fb = k[b], flip[b]
+        u = rng.random(out=born[:kb.size])
+        cell = t0z[b].astype(np.intp)
         cell *= T + 1
-        cell += t0x[block]
-        unit = _cipher_units(k[block], w[block], n)
+        cell += t0x[b]
+        unit = _cipher_units(kb, fb, n)
         p_outcome0 = cos_unit.take(unit)
         p_outcome0 *= half_z.take(cell)
         term = sin_unit.take(unit)
         term *= half_x.take(cell)
         p_outcome0 += term
         p_outcome0 += 0.5
-        guess = u >= p_outcome0
         # a vanishing Bloch estimate leaves no preferred basis: p = 1/2, and
-        # the fair coin reads u < 1/2
-        guess ^= degenerate.take(cell)
-        guess ^= w[block].view(bool)
-        np.logical_not(_xor_columns(guess[:, 1:], guess[:, 0].copy()), out=success[block])
-    return success
+        # the fair coin reads u < 1/2; the error is guess ^ w
+        fb ^= u >= p_outcome0
+        fb ^= degenerate.take(cell)
+    flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
+    return np.logical_not(flags, out=flags)
 
 
 def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None,
@@ -429,23 +430,23 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     keys and codewords come three whole-batch fills of uniforms in turn
     (basis, public outcome, cipher outcome); each is read from its own
     cursor (:func:`_cursors`), so one pass over flat blocks of
-    ``DECISION_BLOCK`` elements runs every stage.  A test pins the three
+    ``BLOCK_SIZE`` elements runs every stage.  A test pins the three
     fills by scripting the cursors.
     """
     n, s = params.n, params.s
     k = _draw_keys(rng, n, (count, s), work).ravel()
-    w = _draw_codewords(count, s, rng, _take(work, "w", (count, s), np.int8))
+    w = _draw_codewords(count, s, rng, work)
     # the codeword bits flip the cipher qubits, then hold each qubit's error
     errors = w.view(bool)
     flip = errors.ravel()
     basis, public, cipher = _cursors(rng, k.size, 3)
 
-    size = min(DECISION_BLOCK, k.size)
+    size = min(BLOCK_SIZE, k.size)
     u, x = _take(work, "u", size), _take(work, "x", size)
     q, diff = _take(work, "q", size, np.float32), _take(work, "diff", size, np.float32)
     out_public, out_cipher = _take(work, "public", size, bool), _take(work, "cipher", size, bool)
-    for start in range(0, k.size, DECISION_BLOCK):
-        b = slice(start, start + DECISION_BLOCK)
+    for start in range(0, k.size, BLOCK_SIZE):
+        b = slice(start, start + BLOCK_SIZE)
         kb, fb = k[b], flip[b]
         xb = np.multiply(kb, params.theta, out=x[:kb.size])
         # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
@@ -482,19 +483,17 @@ def estimate(cfg: TrialConfig) -> EstimateWithError:
     """Empirical success frequency over cfg.trials seeded runs, with standard error.
 
     Batches are seeded by spawning the master seed sequence, so identical
-    (seed, config) pairs give bit-identical results.
+    (seed, config) pairs give bit-identical results.  Each batch spawns its
+    child as it starts, so a campaign holds one child at any trial count.
     """
     batch_fn = _bayes_batch if cfg.attack == "bayes-projective" else _symmetry_batch
-    n_batches = (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
-    children = np.random.SeedSequence(cfg.seed).spawn(n_batches)
+    seeds = np.random.SeedSequence(cfg.seed)
     work = {}  # the campaign's batch buffers (see _take)
     successes = 0
-    remaining = cfg.trials
-    for child in children:
-        count = min(BATCH_SIZE, remaining)
-        rng = np.random.Generator(np.random.Philox(child))
+    for start in range(0, cfg.trials, BATCH_SIZE):
+        count = min(BATCH_SIZE, cfg.trials - start)
+        rng = np.random.Generator(np.random.Philox(seeds.spawn(1)[0]))
         successes += int(np.sum(batch_fn(cfg.params, rng, count, work=work)))
-        remaining -= count
     mean = successes / cfg.trials
     std_error = math.sqrt(mean * (1.0 - mean) / cfg.trials)
     return EstimateWithError(mean, std_error, cfg.trials)

@@ -81,6 +81,29 @@ def test_estimate_spans_multiple_batches():
     assert abs(result.mean - 0.75) < 4 * result.std_error
 
 
+def test_estimate_spawns_each_seed_child_as_its_batch_starts():
+    # a stubbed 5,000-batch campaign holds one seed child at a time (5,000
+    # children spawned up front take ~2.7 MB), and the batches get the
+    # children of one whole spawn, in turn
+    cfg = make_cfg("symmetry-test", trials=5000 * montecarlo.BATCH_SIZE, seed=3)
+    firsts = []
+
+    def batch(params, rng, count, work):
+        if len(firsts) < 3:
+            firsts.append(rng.random())
+        return np.ones(1, dtype=bool)
+
+    with mock.patch.object(montecarlo, "_symmetry_batch", batch):
+        tracemalloc.start()
+        try:
+            estimate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+    assert firsts == [philox(child).random() for child in np.random.SeedSequence(3).spawn(3)]
+
+
 def test_symmetry_estimate_matches_analytic():
     for s in (1, 3):
         cfg = make_cfg("symmetry-test", T=1, s=s, trials=300_000, seed=42)
@@ -154,6 +177,21 @@ def test_draw_codewords_law(s):
     assert chi2 < scipy.stats.chi2.isf(math.erfc(3 / math.sqrt(2)), (1 << s) - 1)
 
 
+@pytest.mark.parametrize("s", [2, 5, 1195])
+def test_chunked_codewords_match_one_draw(s):
+    # two chunks of rows and one row more, drawn into the workspace: the
+    # bits and the stream position (the buffered 32-bit half included) of
+    # one whole draw
+    count = 8 * (montecarlo.BATCH_SIZE // (4 * (s - 1))) + 1
+    fast, direct = philox(s), philox(s)
+    w = montecarlo._draw_codewords(count, s, fast, {})
+    message = direct.integers(0, 2, size=count, dtype=np.int8)
+    assert np.array_equal(w[:, :-1], direct.integers(0, 2, size=(count, s - 1), dtype=np.int8))
+    assert np.array_equal(np.bitwise_xor.reduce(w, axis=1), message)
+    assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
+    assert fast.random() == direct.random()
+
+
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_chunked_narrow_keys_match_one_int64_draw(n):
     # chunks of BATCH_SIZE int64 keys, the last one short, held in the
@@ -222,13 +260,16 @@ def batch_shapes(draw):
 @given(batch_shapes(), st.integers(0, 2**32 - 1))
 @example((6, 2, 4, 400), 1)  # 3 % of the T = 2 outcome pairs take the fair coin
 @example((1, 200, 3, 40), 2)  # the z basis is tabulated, the x basis goes to BTPE
-# the oracle draws its Born uniforms in one whole-batch fill: s that does not
-# divide a row block, count one row block minus one, exactly one and one
-# plus one, and three row blocks with a short last one
-@example((10, 4, 3, montecarlo.BLOCK_SIZE // 3 - 1), 3)
-@example((12, 8, 6, montecarlo.BLOCK_SIZE // 6), 4)
-@example((7, 3, 10, montecarlo.BLOCK_SIZE // 10 + 1), 5)
-@example((13, 4, 10, 3 * (montecarlo.BLOCK_SIZE // 10) + 7), 6)
+# the oracle draws its Born uniforms in one whole-batch fill: count * s one
+# below, at and one past a flat block, and past three with a short last
+# block, with blocks that end mid-row where s does not divide BLOCK_SIZE
+@example((10, 4, 3, (montecarlo.BLOCK_SIZE - 1) // 3), 3)
+@example((12, 8, 16, montecarlo.BLOCK_SIZE // 16), 4)
+@example((7, 3, 5, (montecarlo.BLOCK_SIZE + 1) // 5), 5)
+@example((13, 4, 10, 3 * montecarlo.BLOCK_SIZE // 10 + 1), 6)
+# the codeword length the paper asks for at T = 64 and epsilon = 2**-10,
+# over two blocks, at a T whose counts are tabulated
+@example((12, 16, 1195, 14), 7)
 def test_bayes_batch_matches_direct_oracle(shape, seed):
     n, T, s, count = shape
     params = ProtocolParams(n=n, N=s, T=T, s=s)
@@ -293,12 +334,13 @@ def quarter_turn_uniforms(params, seed, count, turns):
 
 @settings(max_examples=60, deadline=None)
 @given(batch_shapes(), st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(0, 3)))
-# count * s one below, at and one past a decision block, and past three
-# with a short last block
-@example((10, 1, 3, (montecarlo.DECISION_BLOCK - 1) // 3), 3, None)
-@example((12, 1, 16, montecarlo.DECISION_BLOCK // 16), 4, 2)
-@example((7, 1, 5, (montecarlo.DECISION_BLOCK + 1) // 5), 5, None)
-@example((14, 1, 1, 3 * montecarlo.DECISION_BLOCK + 5), 6, 1)
+# count * s one below, at and one past a flat block, and past three with a
+# short last block; and two blocks of the paper's s = 1195 (T = 64)
+@example((10, 1, 3, (montecarlo.BLOCK_SIZE - 1) // 3), 3, None)
+@example((12, 1, 16, montecarlo.BLOCK_SIZE // 16), 4, 2)
+@example((7, 1, 5, (montecarlo.BLOCK_SIZE + 1) // 5), 5, None)
+@example((14, 1, 1, 3 * montecarlo.BLOCK_SIZE + 5), 6, 1)
+@example((13, 1, 1195, 14), 7, None)
 def test_symmetry_batch_matches_direct_oracle(shape, seed, turns):
     # drawn bases, or bases a whole number of quarter turns from the key
     # states (both generators replay the same scripted uniforms)
@@ -380,8 +422,10 @@ def structural_keys(n):
     return np.flatnonzero((p0z == 0.0) | (p0z == 1.0) | (p0x == 0.0) | (p0x == 1.0))
 
 
-# key counts at the edges of the inversion search's BATCH_SIZE blocks
-SEARCH_BLOCK_EDGES = [montecarlo.BATCH_SIZE + d for d in (-1, 0, 1)] + [2 * montecarlo.BATCH_SIZE + 1]
+# key counts at the edges of the inversion search's BLOCK_SIZE blocks, one
+# and a batch of them
+SEARCH_BLOCK_EDGES = [size + d for size in (montecarlo.BLOCK_SIZE, montecarlo.BATCH_SIZE) for d in (-1, 0, 1)]
+SEARCH_BLOCK_EDGES += [2 * montecarlo.BLOCK_SIZE + 1, 2 * montecarlo.BATCH_SIZE + 1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -450,8 +494,8 @@ def test_binomial_counts_rewinds_when_a_later_block_redraws():
     bound = bound.copy()
     bound[key] = 0
     table = (terms, fold, zero, bound, 0)
-    keys = np.random.default_rng(4).integers(0, 1 << n, size=montecarlo.BATCH_SIZE + 200)
-    first = keys[:montecarlo.BATCH_SIZE]
+    keys = np.random.default_rng(4).integers(0, 1 << n, size=montecarlo.BLOCK_SIZE + 200)
+    first = keys[:montecarlo.BLOCK_SIZE]
     first[first == key] = key - 1
     keys[-100:] = key
     p0 = bayes._prob0_tables(n)[0]
@@ -468,7 +512,7 @@ def test_binomial_counts_rewinds_when_a_later_block_redraws():
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
 def test_campaign_workspace_matches_lone_batches(attack):
     # one workspace across batches that shrink (the last one short, the
-    # first searched in two blocks) gives each lone batch's flags and
+    # first searched in five blocks) gives each lone batch's flags and
     # stream use
     params = ProtocolParams(n=10, N=5, T=6, s=5)
     batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
@@ -477,6 +521,23 @@ def test_campaign_workspace_matches_lone_batches(attack):
         fast, lone = philox(seed), philox(seed)
         assert np.array_equal(batch(params, fast, count, work=work), batch(params, lone, count))
         assert fast.random() == lone.random()
+
+
+@pytest.mark.parametrize("attack", montecarlo.ATTACKS)
+def test_batch_reduces_parities_in_two_calls(attack):
+    # over a batch of several blocks, one reduction gives the codeword
+    # parities and one the error parities
+    params = ProtocolParams(n=10, N=5, T=6, s=5)
+    batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
+    xor_columns, calls = montecarlo._xor_columns, []
+
+    def counted(bits, out):
+        calls.append(bits.shape)
+        return xor_columns(bits, out)
+
+    with mock.patch.object(montecarlo, "_xor_columns", counted):
+        batch(params, philox(0), 3 * montecarlo.BLOCK_SIZE // 5 + 1)
+    assert len(calls) <= 2
 
 
 # the montecarlo workload's largest codewords in a full batch, and the
@@ -507,11 +568,12 @@ def test_campaign_workspace_is_reused_at_full_batch():
         buffers = dict(work)
         peak = lone_peak(batch, params, count, 1, work)
         assert all(work[name] is buf for name, buf in buffers.items()) and work.keys() == buffers.keys()
-        # the int8 codeword bits and messages of integers, the success
-        # flags, one int64 chunk of keys, and the search's compaction indices
-        # (under half a search block, then a quarter, ...): 1.00 B per qubit
-        # when measured
-        bound = qubits + 2 * count + 8 * montecarlo.BATCH_SIZE + 8 * montecarlo.BATCH_SIZE
+        # the messages, the first error column and the success flags, and
+        # the larger of one int64 chunk of keys (32 B per block element) and
+        # the block temporaries of the Born stage (five float64 or intp
+        # arrays) at any codeword length: 0.50 MiB (symmetry test) and
+        # 0.69 MiB (bayes) when measured
+        bound = 2 * count + 48 * montecarlo.BLOCK_SIZE
         assert peak <= bound, (attack, s)
         assert bound < 3 * qubits  # int64 keys at batch size would take 8 B per qubit
 
@@ -549,25 +611,23 @@ def test_cipher_units_match_encrypt(n, s, seed, narrow):
 
 
 def test_bayes_batch_memory_at_full_batch():
-    # warm batch: the Born-probability stage and its uniforms run in row
+    # warm batch: the Born-probability stage and its uniforms run in flat
     # blocks and the keys are held narrow, so the uint16 keys, the uint8
-    # counts of both bases, the codeword bits and their draw set the peak
-    # (6.00 B per qubit when measured)
+    # counts of both bases and the codeword bits set the peak (5.82 B per
+    # qubit when measured)
     for s, count in FULL_BATCHES:
         params = ProtocolParams(n=13, N=s, T=4, s=s)
         qubits = count * s
         montecarlo._bayes_batch(params, philox(0), count)
-        assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= 7 * qubits
+        assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= 6 * qubits
         # the workspace: the uint16 keys, the uint8 counts of both bases and
-        # the codeword bits, 5 B per qubit; the search's buffers, 28 B per
-        # element of one search block (its intp keys among them) and two
-        # compaction sets of at most 25 B per element of a half and a
-        # quarter block; and one row block of Born uniforms (7.67 B per
-        # qubit when measured at s = 16)
+        # the codeword bits, 5 B per qubit, and the search's buffers, 27 B
+        # per block element (its intp keys among them, and the uniforms
+        # that the Born stage reuses)
         work = {}
         montecarlo._bayes_batch(params, philox(2), count, work=work)
         workspace = sum(buf.nbytes for buf in work.values())
-        assert workspace <= 5 * qubits + 48 * montecarlo.BATCH_SIZE + 8 * montecarlo.BLOCK_SIZE
+        assert workspace <= 5 * qubits + 27 * montecarlo.BLOCK_SIZE
 
 
 def test_symmetry_batch_memory_at_full_batch():
@@ -579,10 +639,10 @@ def test_symmetry_batch_memory_at_full_batch():
         params = ProtocolParams(n=13, N=s, T=1, s=s)
         qubits = count * s
         montecarlo._symmetry_batch(params, philox(0), count)
-        # the workspace and the draw of the codeword bits (4.00 B per qubit
-        # when measured)
-        assert lone_peak(montecarlo._symmetry_batch, params, count, 1) <= 5 * qubits
+        # the workspace, its blocks and one int64 chunk of keys (3.48 B per
+        # qubit when measured at s = 16)
+        assert lone_peak(montecarlo._symmetry_batch, params, count, 1) <= 4 * qubits
         work = {}
         montecarlo._symmetry_batch(params, philox(2), count, work=work)
         workspace = sum(buf.nbytes for buf in work.values())
-        assert workspace <= 3 * qubits + 26 * montecarlo.DECISION_BLOCK
+        assert workspace <= 3 * qubits + 26 * montecarlo.BLOCK_SIZE

@@ -11,15 +11,15 @@ stderr, ``--out`` bytes or exit code differ between the two trees, then a
 count, and exits 1 if any differ, else 0.  The corpus:
 
 * every op of the first pass of each benchmark workload, and the first round
-  of probe campaigns, as ``perfbench/workloads.py`` generates them for seed 1
-  (the montecarlo pass includes bayes campaigns whose last Born-uniform row
-  block is short, such as s = 16 at 629,267 trials and s = 6 at 5,985);
+  of probe campaigns, as ``perfbench/workloads.py`` generates them for seed 1;
 * ``check-all --seed 0..127``;
 * Monte Carlo campaigns at the edges of the key dtypes: symmetry tests at
   n = 1, 8, 9, 16, 17, 32, 33 and 63 and bayes campaigns at n = 8, 9 and 14,
-  each over several decision blocks and key chunks; both attacks at the
-  paper's s = 432 with small trial counts; and both at one trial either
-  side of a 65,536-trial batch;
+  each over several flat blocks and key chunks; both attacks at the paper's
+  s = 432 and s = 1195 (bayes at T = 64 there) with small trial counts; both
+  at one trial either side of a 65,536-trial batch; and bayes campaigns at
+  s = 3, 5 and 7 whose last batch's count * s lies one element either side
+  of a multiple of 2^14, the flat block size, so a block ends mid-row;
 * ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
   with ``--format json``, which prints ``entropy_bits`` to its last digit;
 * ``figure --id 1`` at n = 1..13, and ``figure --id 3 --T 0-16`` at n = 1..12;
@@ -36,6 +36,7 @@ Both trees run with the benchmark's one-thread BLAS setting
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -68,6 +69,11 @@ def campaign(attack: str, n: int, T: int, s: int, trials: int) -> list[str]:
             "--trials", str(trials), "--seed", str(n * 1000 + s)]
 
 
+def block_edge_trials(s: int, d: int) -> int:
+    """The smallest trial count whose count * s is d (+1 or -1) off a multiple of 2^14."""
+    return next((m * (1 << 14) + d) // s for m in itertools.count(1) if (m * (1 << 14) + d) % s == 0)
+
+
 def corpus() -> list[list[str]]:
     """The argv the two trees are compared on, in a fixed order."""
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
@@ -78,7 +84,10 @@ def corpus() -> list[list[str]]:
     argvs += [campaign("symmetry-test", n, 1, 5, 40_000) for n in (1, 8, 9, 16, 17, 32, 33, 63)]
     argvs += [campaign("bayes-projective", n, 4, 5, 40_000) for n in (8, 9, 14)]
     argvs += [campaign(attack, 13, 4, 432, trials) for attack in ATTACKS for trials in (7, 150)]
+    argvs += [campaign(attack, 13, 64, 1195, trials) for attack in ATTACKS for trials in (3, 14)]
     argvs += [campaign(attack, 10, 4, 2, trials) for attack in ATTACKS for trials in (65_535, 65_537)]
+    argvs += [campaign("bayes-projective", 10, 4, s, trials) for s in (3, 5, 7) for d in (-1, 1)
+              for trials in (block_edge_trials(s, d), 65_536 + block_edge_trials(s, d))]
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
     argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 14)]
