@@ -89,39 +89,51 @@ def _key_bloch(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _binomial_pmf_rows(T: int, p0: np.ndarray) -> np.ndarray:
-    """PMF matrix of shape (T+1, len(p0)): row c is P(count = c) for each success probability."""
+def _binomial_pmf_rows(T: int, p0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """PMF matrix of shape (T+1, len(p0)), written to ``out``: row c is P(count = c) for each success probability."""
     counts = np.arange(T + 1)[:, None]
     if T <= LOG_SPACE_T:
         comb = np.array([math.comb(T, c) for c in range(T + 1)], dtype=float)[:, None]
-        return comb * p0[None, :] ** counts * (1.0 - p0)[None, :] ** (T - counts)
+        np.power(p0[None, :], counts, out=out)
+        out *= comb
+        out *= (1.0 - p0)[None, :] ** (T - counts)
+        return out
     # log-space with log-gamma binomials; p0 in {0, 1} handled by masks
     log_comb = np.array(
         [math.lgamma(T + 1) - math.lgamma(c + 1) - math.lgamma(T - c + 1) for c in range(T + 1)]
     )[:, None]
     interior = (p0 > 0.0) & (p0 < 1.0)
-    pmf = np.zeros((T + 1, p0.size))
+    out.fill(0.0)
     if np.any(interior):
         p = p0[interior]
         logs = log_comb + counts * np.log(p)[None, :] + (T - counts) * np.log1p(-p)[None, :]
-        pmf[:, interior] = np.exp(logs)
-    pmf[0, p0 == 0.0] = 1.0
-    pmf[T, p0 == 1.0] = 1.0
-    return pmf
+        out[:, interior] = np.exp(logs)
+    out[0, p0 == 0.0] = 1.0
+    out[T, p0 == 1.0] = 1.0
+    return out
 
 
-@lru_cache(maxsize=16)
-def _likelihood_grid(T: int, n: int) -> np.ndarray:
-    """Per-basis likelihoods [P_z, P_x][count, k], shape (2, T+1, 2**n); L[a, b, k] = P_z[a, k] P_x[b, k]."""
+def _check_T(T: int) -> None:
+    # every outcome table is built by _likelihood_grid, so one T range holds
+    # at every n: the largest T whose exact grid of (2T+1).bit_length() keys
+    # fits MAX_N
     if T < 0:
         raise ValueError(f"T must be >= 0, got {T}")
-    # every outcome table is built here, so one T range holds at every n:
-    # the largest T whose exact grid of (2T+1).bit_length() keys fits MAX_N
     largest = (1 << (MAX_N - 1)) - 1
     if T > largest:
         raise ValueError(f"T must be <= {largest}, got {T}")
+
+
+# room for the two grids that one T reads, its n grid and its outcome grid
+# (``_bloch_sums``), so a sweep over T holds no grid of a T it has passed
+@lru_cache(maxsize=2)
+def _likelihood_grid(T: int, n: int) -> np.ndarray:
+    """Per-basis likelihoods [P_z, P_x][count, k], shape (2, T+1, 2**n); L[a, b, k] = P_z[a, k] P_x[b, k]."""
+    _check_T(T)
     p0z, p0x = _prob0_tables(n)
-    grid = np.stack([_binomial_pmf_rows(T, p0z), _binomial_pmf_rows(T, p0x)])
+    grid = np.empty((2, T + 1, p0z.size))
+    _binomial_pmf_rows(T, p0z, grid[0])
+    _binomial_pmf_rows(T, p0x, grid[1])
     grid.flags.writeable = False
     return grid
 
@@ -249,7 +261,8 @@ def success_by_key(T: int, n: int) -> np.ndarray:
     """
     pz, px = _likelihood_grid(T, n)
     half_z, half_x, _, _ = _bloch_sums(T, n)
-    toward = np.einsum("ak,cak->ck", pz, np.stack([half_z, half_x]) @ px)
+    # one Bloch component at a time, so one (T+1, 2**n) product is held
+    toward = [np.einsum("ak,ak->k", pz, half @ px) for half in (half_z, half_x)]
     cos_k, sin_k = _key_bloch(n)
     success = 0.5 * pz.sum(axis=0) * px.sum(axis=0) + cos_k * toward[0] + sin_k * toward[1]
     return np.minimum(success, 1.0, out=success)

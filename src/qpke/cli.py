@@ -1,10 +1,11 @@
 """Command-line surface: parameter sweeps, preset result tables, and inequality checks.
 
 Subcommands: ``prior``, ``figure``, ``security``, ``montecarlo``, ``check-all``.
-Each command returns its table as columns; ``_write_rows`` writes it as CSV
-(default) or JSON, ``CHUNK_ROWS`` rows at a time.  A CSV chunk takes one of
-two paths.  Where every column is an int, uint or float array (figures 1 and
-3), ``cells.csv_rows`` computes the ``%d`` / ``%.12g`` bytes in numpy, and
+Each command returns its table as columns, or, for figures 1 and 3, as a
+stream of key grids, one grid of 2^n rows at a time; ``_write_rows`` writes
+it as CSV (default) or JSON, ``CHUNK_ROWS`` rows at a time.  A CSV chunk
+takes one of two paths.  Where every column is an int, uint or float array
+(figures 1 and 3), ``cells.csv_rows`` computes the ``%d`` / ``%.12g`` bytes in numpy, and
 hands each float cell whose digits it cannot prove (non-finite, zero,
 beyond 1e±300, or next to a rounding tie) to ``'%.12g' % x`` itself.  Any
 other chunk is rendered cell by cell by ``_fmt`` (an int's ``%d``, a
@@ -61,20 +62,35 @@ CHUNK_ROWS = 4096
 
 
 class Table:
-    """A result table: one column per field, in schema order.
+    """A result table: one column per field, in schema order, in blocks of rows.
 
-    ``columns`` maps each field name to its column, a 1-D numpy array or a
-    list of Python values; all columns have the same length, ``len()`` is
-    the number of data rows, and ``table[field]`` is the column of that field.
+    ``Table(columns)`` holds whole columns: ``columns`` maps each field name
+    to a 1-D numpy array or a list of Python values, and ``table[field]`` is
+    the column of that field.  ``Table(fields, blocks)`` streams: ``blocks``
+    yields lists of columns, one per field, and is read once, by the writer.
+    A block's columns must have one length.  ``len()`` is the number of data
+    rows read so far, so all of them once the table is written.
     """
 
-    def __init__(self, columns: dict):
+    def __init__(self, columns, blocks=None):
         self.fields = list(columns)
-        self.columns = list(columns.values())
-        lengths = {len(column) for column in self.columns}
+        self.rows = 0
+        self.columns = list(columns.values()) if blocks is None else None
+        self.blocks = [self._counted(self.columns)] if blocks is None else map(self._counted, blocks)
+
+    def _counted(self, block: list) -> tuple[int, list]:
+        lengths = {len(column) for column in block}
         if len(lengths) > 1:
             raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
-        self.rows = lengths.pop() if lengths else 0
+        rows = lengths.pop() if lengths else 0
+        self.rows += rows
+        return rows, block
+
+    def chunks(self):
+        """The rows as lists of columns of at most ``CHUNK_ROWS`` rows each."""
+        for rows, block in self.blocks:
+            for start in range(0, rows, CHUNK_ROWS):
+                yield [column[start:start + CHUNK_ROWS] for column in block]
 
     def __len__(self) -> int:
         return self.rows
@@ -109,35 +125,33 @@ def _py_cells(column) -> list:
 
 
 def _write_rows(table: Table, fmt: str, out_path: str | None) -> None:
-    """Write ``table`` to ``out_path`` (stdout if None) as CSV or JSON, CHUNK_ROWS rows at a time."""
+    """Write ``table`` to ``out_path`` (stdout if None) as CSV or JSON, one chunk of rows at a time."""
     out = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
     try:
+        alone = len(table.fields) == 1
         if fmt == "csv":
-            alone = len(table.fields) == 1
             out.write(",".join(_csv_field(field, alone) for field in table.fields) + "\n")
-            # a table of int, uint and float arrays only takes the numpy cell
-            # kernel, which prints the bytes _fmt gives its values
-            numeric = all(hasattr(column, "dtype") and column.dtype.kind in "iuf" for column in table.columns)
-            if numeric:
-                from .cells import csv_rows
-            for start in range(0, len(table), CHUNK_ROWS):
-                chunk = [column[start:start + CHUNK_ROWS] for column in table.columns]
-                if numeric:
-                    out.write(csv_rows(chunk))
-                    continue
-                cells = ([_csv_field(_fmt(v), alone) for v in _py_cells(column)] for column in chunk)
-                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
         else:
             import json
 
-            # each chunk is one json.dumps list with its brackets cut off, so the
-            # joined text is that of one json.dumps over all rows
             out.write("[")
-            for start in range(0, len(table), CHUNK_ROWS):
-                stop = start + CHUNK_ROWS
-                cells = zip(*(_py_cells(column[start:stop]) for column in table.columns))
+        for i, chunk in enumerate(table.chunks()):
+            if fmt != "csv":
+                # each chunk is one json.dumps list with its brackets cut off,
+                # so the joined text is that of one json.dumps over all rows
+                cells = zip(*map(_py_cells, chunk))
                 text = json.dumps([dict(zip(table.fields, row)) for row in cells], indent=2)
-                out.write(("," if start else "") + text[1:-2])
+                out.write(("," if i else "") + text[1:-2])
+            elif all(hasattr(column, "dtype") and column.dtype.kind in "iuf" for column in chunk):
+                # int, uint and float arrays only take the numpy cell kernel,
+                # which prints the bytes _fmt gives their values
+                from .cells import csv_rows
+
+                out.write(csv_rows(chunk))
+            else:
+                cells = ([_csv_field(_fmt(v), alone) for v in _py_cells(column)] for column in chunk)
+                out.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        if fmt != "csv":
             out.write("\n]\n" if len(table) else "]\n")
     finally:
         if out is not sys.stdout:
@@ -175,42 +189,27 @@ def cmd_prior(args) -> tuple[Table, list[dict]]:
     return table, violations
 
 
-def _key_column(n: int, grids: int):
-    """Key values 0..2^n - 1 once per grid, in the smallest unsigned dtype that holds them."""
-    import numpy as np
-
-    size = 1 << n
-    return np.tile(np.arange(size, dtype=np.min_scalar_type(size - 1)), grids)
-
-
 def _figure1(args):
     import numpy as np
 
     from . import bayes
 
-    size = 1 << args.n
-    candidates = sum(len(events) * (T + 1) for T, events in FIGURE1_EVENTS.items())
-    posterior = np.empty((candidates, size))
-    grids = []
-    for T, events in sorted(FIGURE1_EVENTS.items()):
-        for t0z in events:
-            for t0x in range(T + 1):
-                outcome = bayes.MeasurementOutcome(t0z, t0x)
-                try:
-                    post = bayes.posterior(outcome, T, args.n)
-                except bayes.ImpossibleOutcomeError:
-                    continue
-                posterior[len(grids)] = post.probabilities
-                grids.append((T, t0z, t0x))
-    labels = np.repeat(np.array(grids, dtype=np.uint8), size, axis=0)
-    table = Table({
-        "T": labels[:, 0],
-        "t0z": labels[:, 1],
-        "t0x": labels[:, 2],
-        "k": _key_column(args.n, len(grids)),
-        "posterior": posterior[:len(grids)].ravel(),
-    })
-    return table, []
+    bayes._check_n(args.n)
+    keys = np.arange(1 << args.n, dtype=np.min_scalar_type((1 << args.n) - 1))
+
+    def grids():
+        # one posterior grid per possible outcome, its labels filled in
+        for T, events in sorted(FIGURE1_EVENTS.items()):
+            for t0z in events:
+                for t0x in range(T + 1):
+                    try:
+                        post = bayes.posterior(bayes.MeasurementOutcome(t0z, t0x), T, args.n)
+                    except bayes.ImpossibleOutcomeError:
+                        continue
+                    labels = [np.full(keys.size, label, np.uint8) for label in (T, t0z, t0x)]
+                    yield [*labels, keys, post.probabilities]
+
+    return Table(["T", "t0z", "t0x", "k", "posterior"], grids()), []
 
 
 def _figure2(args):
@@ -238,16 +237,15 @@ def _figure3(args):
 
     from . import bayes
 
-    size = 1 << args.n
-    success = np.empty((len(args.T), size))
-    for i, T in enumerate(args.T):
-        success[i] = bayes.success_by_key(T, args.n)
-    table = Table({
-        "T": np.repeat(np.array(args.T, dtype=np.min_scalar_type(max(args.T))), size),
-        "k": _key_column(args.n, len(args.T)),
-        "success": success.ravel(),
-    })
-    return table, []
+    # a usage error is reported before the first row, in the order the
+    # rows would meet it: each T's range, then n
+    for T in args.T:
+        bayes._check_T(T)
+        bayes._check_n(args.n)
+    keys = np.arange(1 << args.n, dtype=np.min_scalar_type((1 << args.n) - 1))
+    dtype = np.min_scalar_type(max(args.T))
+    rows = ([np.full(keys.size, T, dtype), keys, bayes.success_by_key(T, args.n)] for T in args.T)
+    return Table(["T", "k", "success"], rows), []
 
 
 def _figure4(args):

@@ -39,7 +39,8 @@ at any codeword length, and at n <= 16 a campaign holds 3 B per qubit
 (keys and codeword bits) and 5 B (bayes: both counts too), plus ~0.9 and
 ~1.2 MB of blocks: a 65,536-trial batch takes ~0.09 and ~0.14 GB at
 s = 432, ~0.24 and ~0.39 GB at s = 1195.  Where T > 60, some key's count
-takes numpy's BTPE path, whose whole-batch draw adds ~16 B per qubit.
+takes numpy's BTPE path, so numpy draws the counts, in the same blocks and
+straight into the narrow count buffers, and the same bytes per qubit hold.
 """
 
 from __future__ import annotations
@@ -332,19 +333,25 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
     smaller than the key range (where the table would cost more than it
     saves), for a (T, n) that reaches its BTPE path, and, after the
     generator is rewound to its state before the first block, for a batch
-    in which some search would redraw.
+    in which some search would redraw.  It draws in the same blocks, the
+    p0 of each gathered into one block buffer: ``Generator.binomial`` takes
+    its draws element by element from one stream, so the blocks give the
+    values and leave the stream where one whole-batch call does.
     """
-    dtype = np.min_scalar_type(T)
+    keys = k.ravel()
+    x = _take(work, f"t0_{basis}", keys.size, np.min_scalar_type(T))
+    blocks = range(0, keys.size, BLOCK_SIZE)
     table = _inversion_table(T, n, basis) if k.size >= 1 << n else None
     if table is not None:
         state = rng.bit_generator.state
-        keys = k.ravel()
-        x = _take(work, f"t0_{basis}", keys.size, dtype)
-        blocks = range(0, keys.size, BLOCK_SIZE)
         if all(_search(rng, table, keys[i:i + BLOCK_SIZE], x[i:i + BLOCK_SIZE], work) for i in blocks):
             return x.reshape(k.shape)
         rng.bit_generator.state = state
-    return rng.binomial(T, bayes._prob0_tables(n)[basis][k]).astype(dtype)
+    p0, p = bayes._prob0_tables(n)[basis], _take(work, "term", min(BLOCK_SIZE, keys.size))
+    for i in blocks:
+        block = keys[i:i + BLOCK_SIZE]
+        x[i:i + BLOCK_SIZE] = rng.binomial(T, p0.take(block, out=p[:block.size]))
+    return x.reshape(k.shape)
 
 
 def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:

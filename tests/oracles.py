@@ -235,8 +235,8 @@ def decrypt_qubits(qubits: tuple[tuple[int, int], ...], key, params) -> tuple[tu
 def likelihood_tensor(T: int, n: int) -> np.ndarray:
     """Joint outcome likelihoods, shape (T+1, T+1, 2**n): [t0z, t0x, k]."""
     p0z, p0x = _prob0_tables(n)
-    pz = _binomial_pmf_rows(T, p0z)
-    px = _binomial_pmf_rows(T, p0x)
+    pz = _binomial_pmf_rows(T, p0z, np.empty((T + 1, p0z.size)))
+    px = _binomial_pmf_rows(T, p0x, np.empty((T + 1, p0x.size)))
     return pz[:, None, :] * px[None, :, :]
 
 

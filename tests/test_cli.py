@@ -878,6 +878,35 @@ def test_column_writer_matches_row_writer(table):
             assert render(cli._write_rows, Table(dict(zip(fields, columns))), fmt, None) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(tables(), st.lists(st.integers(0, 30), max_size=4))
+def test_streamed_blocks_match_row_writer(table, cuts):
+    # the same columns cut into blocks, empty ones among them, so that a
+    # chunk ends inside a block and a block inside a chunk: the bytes of the
+    # whole table, and len() counts the rows once they are written
+    chunk, fields, columns = table
+    rows = [dict(zip(fields, cells)) for cells in zip(*columns)]
+    edges = sorted({0, len(rows), *(cut for cut in cuts if cut <= len(rows))})
+    for fmt in ("csv", "json"):
+        expected = render(write_row_dicts, rows, fields, fmt, None)
+        blocks = ([column[a:b] for column in columns] for a, b in zip(edges, edges[1:]))
+        streamed = Table(fields, blocks)
+        with mock.patch.object(cli, "CHUNK_ROWS", chunk):
+            assert render(cli._write_rows, streamed, fmt, None) == expected
+        assert len(streamed) == len(rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("blocks", [[], [[np.arange(0), np.zeros(0)]], [[[], []], [np.arange(0), np.zeros(0)]]],
+                         ids=["no-block", "one-empty-block", "two-empty-blocks"])
+def test_streamed_table_of_zero_rows(blocks, fmt):
+    # the JSON writer closes an empty list with "]", not "\n]"
+    expected = render(write_row_dicts, [], ["k", "p"], fmt, None)
+    table = Table(["k", "p"], iter(blocks))
+    assert render(cli._write_rows, table, fmt, None) == expected
+    assert len(table) == 0
+
+
 INT64 = np.iinfo(np.int64)
 # the edges of the kernel's fast range and the values it must hand to '%.12g' % x
 EDGE_FLOATS = [1e300, np.nextafter(1e300, 0), 1e-300, np.nextafter(1e-300, 0), np.nextafter(1e-300, 1),
@@ -977,6 +1006,10 @@ def test_csv_quoting_matches_csv_module(width):
 def test_table_rejects_unequal_columns():
     with pytest.raises(ValueError):
         Table({"a": [1, 2], "b": np.arange(3)})
+    # a streamed table, at the block that is read
+    streamed = Table(["a", "b"], iter([[[1, 2], np.arange(2)], [[1], np.arange(3)]]))
+    with pytest.raises(ValueError):
+        render(cli._write_rows, streamed, "csv", None)
 
 
 GOLDEN = {
@@ -985,6 +1018,33 @@ GOLDEN = {
     "prior": (["prior", "--tau", "1,2,64", "--n", "2,7"], lambda: prior_rows([1, 2, 64], [2, 7])),
     "check-all": (["check-all", "--trials", "2000", "--seed", "5"], lambda: check_all_rows(2000, 5)),
 }
+
+
+STREAMED = {
+    "figure-1": (["figure", "--id", "1", "--n", "4"], lambda: figure1_rows(4)),
+    "figure-3": (["figure", "--id", "3", "--n", "4", "--T", "1,2,7"], lambda: figure3_rows([1, 2, 7], 4)),
+}
+
+
+@pytest.mark.parametrize("chunk", [5, 16, 32])
+@pytest.mark.parametrize("command", sorted(STREAMED))
+def test_streamed_figures_match_row_writer_at_chunk_edges(command, chunk, capsys, monkeypatch):
+    # figures 1 and 3 hand the writer one 16-row grid (n = 4) at a time; a
+    # chunk shorter than a grid ends inside it
+    argv, build_rows = STREAMED[command]
+    rows, fields = build_rows()
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+    for fmt in ("csv", "json"):
+        assert run_cli(argv + ["--format", fmt], capsys) == (0, render(write_row_dicts, rows, fields, fmt, None), "")
+
+
+@pytest.mark.parametrize("n", [10, 12, 13])
+def test_figure3_grids_about_a_chunk_match_row_writer(n, capsys):
+    # one key grid is shorter than, as long as and longer than CHUNK_ROWS
+    rows, fields = figure3_rows([1, 2, 7], n)
+    for fmt in ("csv", "json"):
+        argv = ["figure", "--id", "3", "--n", str(n), "--T", "1,2,7", "--format", fmt]
+        assert run_cli(argv, capsys) == (0, render(write_row_dicts, rows, fields, fmt, None), "")
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -1007,29 +1067,62 @@ def test_output_matches_row_writer(command, tmp_path, capsys, monkeypatch):
         assert target.read_bytes() == expected.encode("utf-8")
 
 
-def test_figure1_memory_ceiling(tmp_path):
-    # the five columns at 8 B each (they hold 13 B a row: uint8 T, t0z and
-    # t0x, uint16 k and float64 posteriors), the two cached per-basis
-    # likelihood tables (T = 8 and 9), and one chunk of formatted cells at
-    # 128 B each; a writer that formats or holds all rows at once needs
-    # several times this (2.16 MB of the 4.31 MB bound when measured)
-    n = 9
-    target = tmp_path / "figure1.csv"
+def traced_peak(argv, tmp_path):
+    """The tracemalloc peak of ``argv`` written to a file from cold caches, and the data rows written."""
+    target = tmp_path / "table.csv"
     bayes._prob0_tables.cache_clear()
     bayes._likelihood_grid.cache_clear()
     tracemalloc.start()
     try:
-        code = main(["figure", "--id", "1", "--n", str(n), "--out", str(target)])
+        code = main(argv + ["--out", str(target)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    rows = target.read_text().count("\n") - 1
-    assert rows == 75 << n
-    column_bytes = 5 * 8 * rows
-    likelihood_bytes = 2 * (9 + 10) * (1 << n) * 8
+    return peak, target.read_text().count("\n") - 1
+
+
+def test_figure1_memory_ceiling(tmp_path):
+    # one posterior grid of 4096 keys at 8 B a cell of its five columns (it
+    # holds 13 B a row: uint8 T, t0z and t0x, the shared uint16 keys and the
+    # float64 posteriors) and its unnormalized row, the two cached
+    # per-basis likelihood tables (T = 8 and 9), and one chunk of formatted
+    # cells at 128 B each; a builder that holds all 75 grids needs more
+    # (2.85 MB of the 4.06 MB bound when measured, 6.8 MB for whole columns)
+    n = 12
+    size = 1 << n
+    peak, rows = traced_peak(["figure", "--id", "1", "--n", str(n)], tmp_path)
+    assert rows == 75 * size
+    grid_bytes = 6 * 8 * size
+    likelihood_bytes = 2 * (9 + 10) * size * 8
     chunk_bytes = CHUNK_ROWS * 5 * 128
-    assert peak <= column_bytes + likelihood_bytes + chunk_bytes
+    assert peak <= grid_bytes + likelihood_bytes + chunk_bytes
+
+
+def test_figure3_memory_ceiling(tmp_path):
+    # one T's rows (uint8 T, uint16 keys, float64 success) and the success
+    # sum's per-key temporaries, 10 rows of 8 B; the likelihood tables of
+    # T = 15 and 16, cached, and the half table that building one holds;
+    # and one chunk of formatted cells at 128 B each.  16 T's rows, or a
+    # cached table for each T, need more (3.75 MB of the 4.62 MB bound when
+    # measured, 9.7 MB with a table cached for each T)
+    n, T = 12, 16
+    size = 1 << n
+    peak, rows = traced_peak(["figure", "--id", "3", "--n", str(n), "--T", f"1-{T}"], tmp_path)
+    assert rows == T * size
+    row_bytes = 10 * 8 * size
+    likelihood_bytes = (2 * (T + T + 1) + (T + 1)) * size * 8
+    chunk_bytes = CHUNK_ROWS * 3 * 128
+    assert peak <= row_bytes + likelihood_bytes + chunk_bytes
+
+
+@pytest.mark.parametrize("argv", [["figure", "--id", "2", "--n", "10"],
+                                  ["figure", "--id", "3", "--n", "10", "--T", "1-16"]])
+def test_sweeps_keep_the_two_grids_one_T_reads(argv, tmp_path):
+    # a T reads its key grid and its outcome grid; no grid of a T passed stays
+    bayes._likelihood_grid.cache_clear()
+    assert main(argv + ["--out", str(tmp_path / "table.csv")]) == 0
+    assert bayes._likelihood_grid.cache_info().currsize <= 2
 
 
 SCHEMAS = {

@@ -192,6 +192,23 @@ def test_chunked_codewords_match_one_draw(s):
     assert fast.random() == direct.random()
 
 
+@pytest.mark.parametrize("T", [61, 64, 4000])
+def test_chunked_binomial_fallback_matches_one_draw(T):
+    # past T = 60 some key takes numpy's BTPE path, so both bases draw with
+    # numpy's own binomial in BLOCK_SIZE blocks of narrow keys, two and a
+    # short third: the counts and the stream position of one whole draw
+    n = 13
+    keys = np.random.default_rng(T).integers(0, 1 << n, size=2 * montecarlo.BLOCK_SIZE + 5).astype(np.uint16)
+    fast, direct = philox(T), philox(T)
+    for basis in (0, 1):
+        assert montecarlo._inversion_table(T, n, basis) is None
+        counts = montecarlo._binomial_counts(fast, T, n, basis, keys, {})
+        assert counts.dtype == np.min_scalar_type(T)
+        assert np.array_equal(counts, direct.binomial(T, bayes._prob0_tables(n)[basis][keys]))
+    assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
+    assert fast.random() == direct.random()
+
+
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_chunked_narrow_keys_match_one_int64_draw(n):
     # chunks of BATCH_SIZE int64 keys, the last one short, held in the
@@ -504,7 +521,8 @@ def test_binomial_counts_rewinds_when_a_later_block_redraws():
         assert np.array_equal(montecarlo._binomial_counts(alone, T, n, 0, first), philox(9).binomial(T, p0[first]))
         counts = montecarlo._binomial_counts(fast, T, n, 0, keys)
     assert alone.binomial_calls == 0
-    assert fast.binomial_calls == 1
+    # the fallback draws in the search's blocks, one call each
+    assert fast.binomial_calls == 2
     assert np.array_equal(counts, direct.binomial(T, p0[keys]))
     assert fast.random() == direct.random()
 
@@ -628,6 +646,21 @@ def test_bayes_batch_memory_at_full_batch():
         montecarlo._bayes_batch(params, philox(2), count, work=work)
         workspace = sum(buf.nbytes for buf in work.values())
         assert workspace <= 5 * qubits + 27 * montecarlo.BLOCK_SIZE
+
+
+def test_bayes_batch_memory_past_the_inversion_search():
+    # at T = 64 numpy's own binomial draws both bases' counts, in blocks
+    # into the narrow count buffers, so a full batch holds the bound that
+    # the searched T <= 60 batches hold (a whole-batch draw adds a float64
+    # gather and an int64 result, 16 B per qubit)
+    count, s = montecarlo.BATCH_SIZE, 16
+    params = ProtocolParams(n=13, N=s, T=64, s=s)
+    qubits = count * s
+    montecarlo._bayes_batch(params, philox(0), count)
+    assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= 6 * qubits
+    work = {}
+    montecarlo._bayes_batch(params, philox(2), count, work=work)
+    assert sum(buf.nbytes for buf in work.values()) <= 5 * qubits + 27 * montecarlo.BLOCK_SIZE
 
 
 def test_symmetry_batch_memory_at_full_batch():

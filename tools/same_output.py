@@ -17,13 +17,17 @@ count, and exits 1 if any differ, else 0.  The corpus:
   n = 1, 8, 9, 16, 17, 32, 33 and 63 and bayes campaigns at n = 8, 9 and 14,
   each over several flat blocks and key chunks; both attacks at the paper's
   s = 432 and s = 1195 (bayes at T = 64 there) with small trial counts; both
-  at one trial either side of a 65,536-trial batch; and bayes campaigns at
+  at one trial either side of a 65,536-trial batch; bayes campaigns at
   s = 3, 5 and 7 whose last batch's count * s lies one element either side
-  of a multiple of 2^14, the flat block size, so a block ends mid-row;
+  of a multiple of 2^14, the flat block size, so a block ends mid-row; and
+  bayes campaigns at T = 64, s = 2 with 65,535, 65,536 and 65,537 trials,
+  whose counts numpy's own binomial draws block by block;
 * ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
   with ``--format json``, which prints ``entropy_bits`` to its last digit;
-* ``figure --id 1`` at n = 1..13, and ``figure --id 3 --T 0-16`` at n = 1..12;
-* the same figures with ``--format json``, figure 1 at n = 1..9 and figure 3
+* ``figure --id 1`` and ``figure --id 3 --T 0-16`` at n = 1..14, whose key
+  grids of 2^n rows reach the writer one at a time, shorter than, as long as
+  and longer than its 4,096-row chunks;
+* the same figures with ``--format json``, figure 1 at n = 1..12 and figure 3
   at n = 1..6, since their array columns reach the JSON writer through
   ``tolist()``;
 * every argv that ``tests/test_cli.py`` writes out as one list of string
@@ -88,11 +92,12 @@ def corpus() -> list[list[str]]:
     argvs += [campaign(attack, 10, 4, 2, trials) for attack in ATTACKS for trials in (65_535, 65_537)]
     argvs += [campaign("bayes-projective", 10, 4, s, trials) for s in (3, 5, 7) for d in (-1, 1)
               for trials in (block_edge_trials(s, d), 65_536 + block_edge_trials(s, d))]
+    argvs += [campaign("bayes-projective", 10, 64, 2, trials) for trials in (65_535, 65_536, 65_537)]
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
-    argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 14)]
-    argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 13)]
-    argvs += [["figure", "--id", "1", "--n", str(n), "--format", "json"] for n in range(1, 10)]
+    argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 15)]
+    argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 15)]
+    argvs += [["figure", "--id", "1", "--n", str(n), "--format", "json"] for n in range(1, 13)]
     argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16", "--format", "json"] for n in range(1, 7)]
     return argvs
 
