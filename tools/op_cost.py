@@ -1,6 +1,6 @@
 """Compare the CPU time and peak RSS of this tree's qpke ops with another source tree's, op by op.
 
-    python tools/op_cost.py OTHER_SRC [--pairs N] [--op "ARGV" ...]
+    python tools/op_cost.py OTHER_SRC
 
 OTHER_SRC is the ``src`` directory of another checkout.  Each argv runs as
 a fresh ``python -m qpke.cli`` process, once from this tree's ``src`` and
@@ -9,10 +9,9 @@ children are spawned by ``perfbench/launcher.py``, one launcher per tree,
 so each child's ``os.wait4`` usage is its own; both launchers, and so every
 child, are pinned to one CPU where ``os.sched_setaffinity`` allows, with
 the benchmark's one-thread BLAS setting (``perfbench/run.py``'s
-``THREAD_ENV``).  The default argv are the first pass of each benchmark
-workload, as ``tools/same_output.py`` reads them from
-``perfbench/workloads.py``; ``--op`` replaces them with one argv each
-(split as a shell would).
+``THREAD_ENV``).  The argv are the first pass of each benchmark workload,
+as ``tools/same_output.py`` reads them from ``perfbench/workloads.py``, and
+each runs ``PAIRS`` times per tree.
 
 Per distinct argv the tool prints the median user + system CPU seconds and
 the median peak RSS (``ru_maxrss``) of each tree, the relative change of
@@ -27,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import statistics
 import subprocess
 import sys
@@ -38,6 +36,7 @@ from same_output import ROOT, THREAD_ENV, first_passes
 
 LAUNCHER = ROOT / "perfbench" / "launcher.py"
 OP_TIMEOUT_S = 120.0
+PAIRS = 10
 
 
 class Launcher:
@@ -75,10 +74,10 @@ def pinned_cpu() -> int | None:
     return cpu
 
 
-def measure(launchers: list[Launcher], argv: list[str], pairs: int) -> list[list[dict]]:
-    """Per tree, the replies of ``pairs`` runs of ``argv``; the trees alternate which runs first."""
+def measure(launchers: list[Launcher], argv: list[str]) -> list[list[dict]]:
+    """Per tree, the replies of ``PAIRS`` runs of ``argv``; the trees alternate which runs first."""
     runs: list[list[dict]] = [[], []]
-    for pair in range(pairs):
+    for pair in range(PAIRS):
         for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
             runs[side].append(launchers[side].run(argv))
     return runs
@@ -87,17 +86,13 @@ def measure(launchers: list[Launcher], argv: list[str], pairs: int) -> list[list
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("other_src", metavar="OTHER_SRC")
-    parser.add_argument("--pairs", type=int, default=5, help="runs of each argv per tree (default 5)")
-    parser.add_argument("--op", action="append", default=None, help="one argv to time, e.g. \"figure --id 4 --n 10\"")
     args = parser.parse_args()
     if not Path(args.other_src, "qpke", "cli.py").is_file():
         parser.error("OTHER_SRC must be a source directory that holds qpke/cli.py")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    groups = {"ops": [shlex.split(op) for op in args.op]} if args.op else first_passes()
+    groups = first_passes()
     trees = [str(ROOT / "src"), str(Path(args.other_src).resolve())]
     cpu = pinned_cpu()
-    print(f"this tree {trees[0]} against {trees[1]}: {args.pairs} pairs, "
+    print(f"this tree {trees[0]} against {trees[1]}: {PAIRS} pairs, "
           f"{'pinned to CPU ' + str(cpu) if cpu is not None else 'not pinned'}")
     print(f"{'argv':<62} {'cpu_s':>7} {'other':>7} {'change':>8} {'rss_mb':>7} {'other':>7} {'won':>5}")
     medians: dict[tuple, tuple[float, float]] = {}
@@ -107,7 +102,7 @@ def main() -> int:
         try:
             for group, ops in groups.items():
                 for argv in map(list, dict.fromkeys(map(tuple, ops))):
-                    runs = measure(launchers, argv, args.pairs)
+                    runs = measure(launchers, argv)
                     cpu_s = [[run["cpu_s"] for run in side] for side in runs]
                     rss = [statistics.median(run["rss_kb"] for run in side) / 1024 for side in runs]
                     ours, theirs = (statistics.median(side) for side in cpu_s)
