@@ -24,23 +24,24 @@ position is the one a float64 comparison gives.
 Both attacks run in one shape: after the keys, counts and codeword bits,
 one pass over flat blocks of ``BLOCK_SIZE`` elements XORs each qubit's
 error into its codeword bit, and one parity reduction over the rows gives
-the success flags.  The bayes batch fills its Born uniforms block by block;
+the success flags.  The bayes batch draws its Born uniforms block by block;
 the symmetry test reads its three uniform fills (basis, public outcome,
 cipher outcome) from Philox cursors opened at their stream offsets.
 
-A campaign owns its batch memory: :func:`estimate` keeps one workspace of
-named buffers, sized by its first (largest) batch, and every batch fills
-and computes into views of it, so no batch after the first faults in
-fresh pages.  Keys (as int64) and codeword bits (as int8) are drawn a
-chunk at a time, and keys are held in the smallest unsigned dtype that
-holds 2**n - 1.  The inversion search runs in blocks of ``BLOCK_SIZE``
-elements.  So a batch allocates ~0.5 MB (symmetry test) and ~0.7 MB (bayes)
-at any codeword length, and at n <= 16 a campaign holds 3 B per qubit
-(keys and codeword bits) and 5 B (bayes: both counts too), plus ~0.9 and
-~1.2 MB of blocks: a 65,536-trial batch takes ~0.09 and ~0.14 GB at
-s = 432, ~0.24 and ~0.39 GB at s = 1195.  Where T > 60, some key's count
-takes numpy's BTPE path, so numpy draws the counts, in the same blocks and
-straight into the narrow count buffers, and the same bytes per qubit hold.
+A campaign owns its per-qubit memory: :func:`estimate` keeps one
+workspace of the arrays that outlive a block (keys, codeword bits and the
+bayes counts), sized by its first (largest) batch, and every batch fills
+views of it, so no batch after the first faults in fresh pages for them.
+Keys (as int64) and codeword bits (as int8) are drawn a chunk at a time,
+and keys are held in the smallest unsigned dtype that holds 2**n - 1.
+Every other array is a numpy temporary of one ``BLOCK_SIZE`` block or one
+draw chunk.  So at n <= 16 a campaign holds 3 B per qubit (symmetry test)
+and 5 B (bayes), 85 and 142 MB for a 65,536-trial batch at s = 432, 235
+and 392 MB at s = 1195, and a warm batch allocates at most ~0.50 and
+~0.66 MiB beside them at any codeword length (an int64 chunk of keys; the
+Born stage's block temporaries).  Where T > 60, some key's count takes
+numpy's BTPE path, so numpy draws the counts, in the same blocks and
+straight into the narrow count arrays, and the same bytes per qubit hold.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ BATCH_SIZE = 1 << 16
 
 #: elements per flat block of a batch's per-qubit stages: ~30 numpy calls
 #: a symmetry-test block, which at 2**12 cost ~10 % more batch time than at
-#: 2**14; 2**16 gained under 5 % and holds four times the 26 B of scratch
-#: per block element
+#: 2**14; 2**16 gained under 5 % and holds four times the ~40 B of
+#: temporaries per block element
 BLOCK_SIZE = 1 << 14
 
 #: half-width of the band around a threshold inside which a symmetry-test
@@ -114,14 +115,14 @@ class EstimateWithError:
 
 
 def _take(work: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array of ``shape``: a view of the campaign buffer ``name``, or fresh.
+    """An uninitialized array of ``shape``: a view of the campaign array ``name``, or fresh.
 
-    ``work`` holds one campaign's buffers by name (:func:`estimate`), so no
-    batch but the first faults in new pages.  A buffer is allocated on first
-    use and grown when a larger shape asks for it; a campaign's first batch
-    is its largest, so a short last batch gets views of the same memory.
-    Without a workspace (a lone batch) the array is fresh and freed when
-    dropped, as it would be in a campaign of one batch.
+    ``work`` holds one campaign's per-qubit arrays by name (:func:`estimate`),
+    so no batch but the first faults in new pages for them.  An array is
+    allocated on first use and grown when a larger shape asks for it; a
+    campaign's first batch is its largest, so a short last batch gets views
+    of the same memory.  Without a workspace (a lone batch) the array is
+    fresh and freed when dropped, as it would be in a campaign of one batch.
     """
     if work is None:
         return np.empty(shape, dtype)
@@ -263,8 +264,7 @@ def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
     return (*arrays, int(bound.min()))
 
 
-def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndarray,
-            work: dict | None) -> bool:
+def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndarray) -> bool:
     """Fill ``x`` with the inversion-search counts of the key block ``keys``; False where numpy would redraw.
 
     numpy consumes one uniform per element with p0 > 0 (none where
@@ -277,17 +277,10 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     terms, fold, zero, bound, min_bound = table
     # take converts indices of any dtype but intp into a temporary of its
     # own, so the narrow keys are widened once per block
-    block_keys = _take(work, "block_keys", keys.size, np.intp)
-    block_keys[...] = keys
-    keys = block_keys
-    term_buf, step_buf = _take(work, "term", keys.size), _take(work, "step", keys.size, bool)
-    # the drawn flags and the uniforms pass through the step and term
-    # buffers, free until the search starts
-    drawn = zero.take(keys, out=step_buf, mode="clip")
-    np.logical_not(drawn, out=drawn)
-    u = _take(work, "u", keys.size)
-    u.fill(0.0)
-    u[drawn] = rng.random(out=term_buf[:np.count_nonzero(drawn)])
+    block_keys = keys = keys.astype(np.intp)
+    drawn = ~zero.take(keys)
+    u = np.zeros(keys.size)
+    u[drawn] = rng.random(np.count_nonzero(drawn))
     del drawn
     x.fill(0)
     # the elements still searching: flat positions (None while that is all
@@ -295,8 +288,8 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     # stops leaves u <= 0, below every later term
     pos, counts = None, x
     for j in range(terms.shape[0]):
-        term = terms[j].take(keys, out=term_buf[:keys.size], mode="clip")
-        step = np.greater(u, term, out=step_buf[:keys.size])
+        term = terms[j].take(keys)
+        step = u > term
         going = np.count_nonzero(step)
         if going == 0:
             break
@@ -316,9 +309,9 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     if pos is not None:
         x[pos] = counts
     # unfold without branches: x ^ (x ^ (T - x)) is T - x
-    flip = np.subtract(terms.shape[0] - 1, x, out=_take(work, "flip", x.size, x.dtype))
+    flip = (terms.shape[0] - 1) - x
     flip ^= x
-    flip *= fold.take(block_keys, out=_take(work, "fold", x.size, x.dtype), mode="clip")
+    flip *= fold.take(block_keys)
     x ^= flip
     return True
 
@@ -333,10 +326,10 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
     smaller than the key range (where the table would cost more than it
     saves), for a (T, n) that reaches its BTPE path, and, after the
     generator is rewound to its state before the first block, for a batch
-    in which some search would redraw.  It draws in the same blocks, the
-    p0 of each gathered into one block buffer: ``Generator.binomial`` takes
-    its draws element by element from one stream, so the blocks give the
-    values and leave the stream where one whole-batch call does.
+    in which some search would redraw.  It draws in the same blocks, from
+    each block's gathered p0: ``Generator.binomial`` takes its draws
+    element by element from one stream, so the blocks give the values and
+    leave the stream where one whole-batch call does.
     """
     keys = k.ravel()
     x = _take(work, f"t0_{basis}", keys.size, np.min_scalar_type(T))
@@ -344,13 +337,12 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
     table = _inversion_table(T, n, basis) if k.size >= 1 << n else None
     if table is not None:
         state = rng.bit_generator.state
-        if all(_search(rng, table, keys[i:i + BLOCK_SIZE], x[i:i + BLOCK_SIZE], work) for i in blocks):
+        if all(_search(rng, table, keys[i:i + BLOCK_SIZE], x[i:i + BLOCK_SIZE]) for i in blocks):
             return x.reshape(k.shape)
         rng.bit_generator.state = state
-    p0, p = bayes._prob0_tables(n)[basis], _take(work, "term", min(BLOCK_SIZE, keys.size))
+    p0 = bayes._prob0_tables(n)[basis]
     for i in blocks:
-        block = keys[i:i + BLOCK_SIZE]
-        x[i:i + BLOCK_SIZE] = rng.binomial(T, p0.take(block, out=p[:block.size]))
+        x[i:i + BLOCK_SIZE] = rng.binomial(T, p0.take(keys[i:i + BLOCK_SIZE]))
     return x.reshape(k.shape)
 
 
@@ -382,11 +374,9 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
     # the cipher qubit, unit c, measured in the estimated basis of its
     # outcome cell; the outcome bit is the guess of w.  Nothing else draws
     # from here on, so the block fills are the doubles of one whole fill
-    born = _take(work, "u", min(BLOCK_SIZE, k.size))
     for start in range(0, k.size, BLOCK_SIZE):
         b = slice(start, start + BLOCK_SIZE)
         kb, fb = k[b], flip[b]
-        u = rng.random(out=born[:kb.size])
         cell = t0z[b].astype(np.intp)
         cell *= T + 1
         cell += t0x[b]
@@ -397,35 +387,34 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
         term *= half_x.take(cell)
         p_outcome0 += term
         p_outcome0 += 0.5
+        del term, unit
         # a vanishing Bloch estimate leaves no preferred basis: p = 1/2, and
         # the fair coin reads u < 1/2; the error is guess ^ w
-        fb ^= u >= p_outcome0
+        fb ^= rng.random(kb.size) >= p_outcome0
         fb ^= degenerate.take(cell)
     flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
     return np.logical_not(flags, out=flags)
 
 
-def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None,
-            out: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """``out = u >= p`` for p = cos(x)**2 by numpy's float64 cosine (1 - p where ``flip``).
+def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None) -> np.ndarray:
+    """The flags ``u >= p`` for p = cos(x)**2 by numpy's float64 cosine (1 - p where ``flip``).
 
     All arrays are flat blocks.  ``q`` is p's float32 estimate, within
     2**-20 of p for |x| <= pi (``P_MARGIN``), and u - q is taken in float32
     (another 2**-24 at most).  So a uniform whose difference from q is at
     least ``P_MARGIN`` lies on the same side of p as of q, and the rest are
     compared with p itself, computed as in a full-batch float64 stage.
-    ``diff`` is float32 scratch of at least ``u``'s size.
     """
-    d = np.subtract(u, q, out=diff[:u.size], dtype=np.float32)
-    np.greater_equal(d, 0.0, out=out)
+    d = np.subtract(u, q, dtype=np.float32)
+    flags = d >= 0.0
     np.abs(d, out=d)
     near = np.flatnonzero(~(d >= P_MARGIN))
     p = np.square(np.cos(x[near]))
     if flip is not None:
         f = flip[near]
         p[f] = 1.0 - p[f]
-    out[near] = u[near] >= p
-    return out
+    flags[near] = u[near] >= p
+    return flags
 
 
 def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
@@ -448,32 +437,31 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     flip = errors.ravel()
     basis, public, cipher = _cursors(rng, k.size, 3)
 
-    size = min(BLOCK_SIZE, k.size)
-    u, x = _take(work, "u", size), _take(work, "x", size)
-    q, diff = _take(work, "q", size, np.float32), _take(work, "diff", size, np.float32)
-    out_public, out_cipher = _take(work, "public", size, bool), _take(work, "cipher", size, bool)
     for start in range(0, k.size, BLOCK_SIZE):
         b = slice(start, start + BLOCK_SIZE)
         kb, fb = k[b], flip[b]
-        xb = np.multiply(kb, params.theta, out=x[:kb.size])
+        x = kb * params.theta
         # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
-        phi = basis.random(out=u[:kb.size])
+        phi = basis.random(kb.size)
         phi *= 2.0 * math.pi
         # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
         # float32 estimate q decides all outcomes but those near a threshold
-        xb -= phi
-        xb /= 2.0
-        qb = np.cos(xb, dtype=np.float32, out=q[:kb.size])
-        np.square(qb, out=qb)
-        public_bit = _decide(public.random(out=u[:kb.size]), qb, xb, None, out_public[:kb.size], diff)
+        x -= phi
+        x /= 2.0
+        del phi
+        q = np.square(np.cos(x, dtype=np.float32))
+        public_bit = _decide(public.random(kb.size), q, x, None)
         # the cipher qubit, shifted by w*pi, has the complement where w = 1
-        qb = np.subtract(fb, qb, out=qb)
-        np.abs(qb, out=qb)
-        cipher_bit = _decide(cipher.random(out=u[:kb.size]), qb, xb, fb, out_cipher[:kb.size], diff)
+        np.subtract(fb, q, out=q)
+        np.abs(q, out=q)
+        cipher_bit = _decide(cipher.random(kb.size), q, x, fb)
         # equal outcomes read as "parallel" (bit 0), unequal as
         # "antiparallel" (bit 1): the error is public ^ cipher ^ w
         fb ^= public_bit
         fb ^= cipher_bit
+        # freed before the next block allocates its own, which then reuse
+        # their memory; held over, they cost ~1 page fault a block
+        del x, q, public_bit, cipher_bit
     flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
     return np.logical_not(flags, out=flags)
 
@@ -495,7 +483,7 @@ def estimate(cfg: TrialConfig) -> EstimateWithError:
     """
     batch_fn = _bayes_batch if cfg.attack == "bayes-projective" else _symmetry_batch
     seeds = np.random.SeedSequence(cfg.seed)
-    work = {}  # the campaign's batch buffers (see _take)
+    work = {}  # the campaign's per-qubit arrays (see _take)
     successes = 0
     for start in range(0, cfg.trials, BATCH_SIZE):
         count = min(BATCH_SIZE, cfg.trials - start)

@@ -136,7 +136,9 @@ def required_codeword_length(epsilon: float, T: int) -> tuple[int, int]:
     numerator = _advantage_bits(epsilon)
     if T <= 1:
         raise ValueError(f"requires T > 1, got {T}")
-    denominator = abs(math.log2((3.0 * T - 1.0) / (3.0 * T)))
+    # |log2(1 - 1/(3T))| from log1p: the float ratio (3T-1)/(3T) loses the
+    # digits of 1/(3T) as T grows, and is 1 itself by T = 10**16
+    denominator = -math.log1p(-1.0 / (3.0 * T)) / math.log(2.0)
     s_exact = math.ceil(numerator / denominator)
     s_simple = math.ceil(3.0 * T * numerator)
     return s_exact, s_simple

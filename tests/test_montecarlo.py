@@ -596,6 +596,22 @@ def test_campaign_workspace_is_reused_at_full_batch():
         assert bound < 3 * qubits  # int64 keys at batch size would take 8 B per qubit
 
 
+@pytest.mark.parametrize("attack,T", [("symmetry-test", 1), ("bayes-projective", 6), ("bayes-projective", 64)])
+def test_campaign_workspace_holds_only_per_qubit_arrays(attack, T):
+    # the workspace names only the arrays that outlive a block (keys,
+    # codeword bits and the bayes counts, searched at T = 6 and drawn by
+    # numpy at T = 64); a short last batch reuses the same arrays
+    params = ProtocolParams(n=10, N=5, T=T, s=5)
+    batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
+    names = {"k", "w", "t0_0", "t0_1"} if attack == "bayes-projective" else {"k", "w"}
+    work = {}
+    batch(params, philox(0), montecarlo.BATCH_SIZE, work=work)
+    assert work.keys() == names
+    arrays = dict(work)
+    batch(params, philox(1), 1_234, work=work)
+    assert work.keys() == names and all(work[name] is arrays[name] for name in names)
+
+
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
 def test_batch_memory_ceiling(attack):
     # warm batch (tables cached): the peak stays within five float64 arrays

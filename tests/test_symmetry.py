@@ -1,6 +1,7 @@
 """Symmetry-test attack and forward-search closed forms."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     forward_search_success_direct,
 )
 from qpke.bayes import mean_success
+from qpke.cli import main
 from qpke.symmetry import (
     average_success_symmetry,
     codeword_bound,
@@ -23,6 +25,7 @@ from qpke.symmetry import (
     pair_fidelity,
     pair_success,
     parity_iteration,
+    required_codeword_length,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -123,6 +126,24 @@ def test_forward_search_length_examples():
         forward_search_length(0.7, 2)
     with pytest.raises(ValueError):
         forward_search_length(-0.1, 2)
+
+
+@pytest.mark.parametrize("T", [10**4, 10**8, 10**12])
+def test_required_codeword_length_exact_at_large_T(T):
+    # eps = 2**-10 erases 9 bits: s_exact = ceil(9 / |log2((3T-1)/(3T))|),
+    # here from a 60-digit logarithm of the exact ratio
+    with localcontext() as ctx:
+        ctx.prec = 60
+        bits = -(Decimal(3 * T - 1) / Decimal(3 * T)).ln() / Decimal(2).ln()
+        expected = math.ceil(Decimal(9) / bits)
+    assert required_codeword_length(2.0 ** -10, T)[0] == expected
+
+
+def test_security_table_at_T_where_the_float_ratio_is_one(capsys):
+    # (3T-1)/(3T) rounds to 1.0 at T = 10**16
+    assert main(["security", "--epsilon", "0.0009765625", "--T", "10000000000000000"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert int(row[2]) > 0
 
 
 def test_parity_iteration_examples():

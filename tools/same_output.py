@@ -24,6 +24,8 @@ count, and exits 1 if any differ, else 0.  The corpus:
   whose counts numpy's own binomial draws block by block;
 * ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
   with ``--format json``, which prints ``entropy_bits`` to its last digit;
+* ``security`` at epsilon = 2^-40 over T = 1..20,000, codeword lengths in
+  the range where the float ratio (3T-1)/(3T) and ``log1p`` give the same;
 * ``figure --id 1`` and ``figure --id 3 --T 0-16`` at n = 1..14, whose key
   grids of 2^n rows reach the writer one at a time, shorter than, as long as
   and longer than its 4,096-row chunks;
@@ -100,6 +102,7 @@ def corpus() -> list[list[str]]:
     argvs += [campaign("bayes-projective", 10, 64, 2, trials) for trials in (65_535, 65_536, 65_537)]
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
+    argvs.append(["security", "--epsilon", "9.094947017729282e-13", "--T", "1-20000"])
     argvs += [["figure", "--id", "1", "--n", str(n)] for n in range(1, 15)]
     argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 15)]
     argvs += [["figure", "--id", "1", "--n", str(n), "--format", "json"] for n in range(1, 13)]
