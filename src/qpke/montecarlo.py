@@ -28,20 +28,19 @@ the success flags.  The bayes batch draws its Born uniforms block by block;
 the symmetry test reads its three uniform fills (basis, public outcome,
 cipher outcome) from Philox cursors opened at their stream offsets.
 
-A campaign owns its per-qubit memory: :func:`estimate` keeps one
-workspace of the arrays that outlive a block (keys, codeword bits and the
-bayes counts), sized by its first (largest) batch, and every batch fills
-views of it, so no batch after the first faults in fresh pages for them.
-Keys (as int64) and codeword bits (as int8) are drawn a chunk at a time,
-and keys are held in the smallest unsigned dtype that holds 2**n - 1.
-Every other array is a numpy temporary of one ``BLOCK_SIZE`` block or one
-draw chunk.  So at n <= 16 a campaign holds 3 B per qubit (symmetry test)
-and 5 B (bayes), 85 and 142 MB for a 65,536-trial batch at s = 432, 235
-and 392 MB at s = 1195, and a warm batch allocates at most ~0.50 and
-~0.66 MiB beside them at any codeword length (an int64 chunk of keys; the
-Born stage's block temporaries).  Where T > 60, some key's count takes
-numpy's BTPE path, so numpy draws the counts, in the same blocks and
-straight into the narrow count arrays, and the same bytes per qubit hold.
+Each batch owns its arrays: the ones that outlive a block (keys, codeword
+bits and the bayes counts) are plain arrays of the function that fills
+them.  Keys (as int64) and codeword bits (as int8) are drawn into them a
+chunk at a time, and keys are held in the smallest unsigned dtype that
+holds 2**n - 1.  Every other array is a numpy temporary of one
+``BLOCK_SIZE`` block or one draw chunk.  So at n <= 16 a batch holds 3 B
+per qubit (symmetry test) / 5 B (bayes) while it runs, and frees them when
+it returns: 85 and 142 MB for a 65,536-trial batch at s = 432, 235 and
+392 MB at s = 1195.  Beside them it allocates at most ~0.44 and ~0.66 MiB
+at any codeword length (the block temporaries).  Where T > 60, some key's
+count takes numpy's BTPE path, so numpy draws the counts, in the same
+blocks and straight into the narrow count arrays, and the same bytes per
+qubit hold.
 """
 
 from __future__ import annotations
@@ -114,25 +113,6 @@ class EstimateWithError:
             raise ValueError(f"standard error must be >= 0, got {self.std_error}")
 
 
-def _take(work: dict | None, name: str, shape, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array of ``shape``: a view of the campaign array ``name``, or fresh.
-
-    ``work`` holds one campaign's per-qubit arrays by name (:func:`estimate`),
-    so no batch but the first faults in new pages for them.  An array is
-    allocated on first use and grown when a larger shape asks for it; a
-    campaign's first batch is its largest, so a short last batch gets views
-    of the same memory.  Without a workspace (a lone batch) the array is
-    fresh and freed when dropped, as it would be in a campaign of one batch.
-    """
-    if work is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape) if isinstance(shape, tuple) else shape
-    buf = work.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = work[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
 def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """XOR every column of the (rows, s) bit array ``bits`` into ``out`` (rows,), in place.
 
@@ -147,7 +127,7 @@ def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_keys(rng: np.random.Generator, n: int, shape: tuple, work: dict | None) -> np.ndarray:
+def _draw_keys(rng: np.random.Generator, n: int, shape: tuple) -> np.ndarray:
     """Keys uniform on Z_{2**n}, of ``shape``, in the smallest unsigned dtype that holds them.
 
     ``integers`` draws them as int64, ``BATCH_SIZE`` at a time.  Each key is
@@ -155,7 +135,7 @@ def _draw_keys(rng: np.random.Generator, n: int, shape: tuple, work: dict | None
     for a power-of-two range, so the chunks hold the keys of one whole draw
     and leave the stream where it would.
     """
-    keys = _take(work, "k", shape, np.min_scalar_type((1 << n) - 1))
+    keys = np.empty(shape, np.min_scalar_type((1 << n) - 1))
     flat = keys.reshape(-1)
     for start in range(0, flat.size, BATCH_SIZE):
         chunk = flat[start:start + BATCH_SIZE]
@@ -197,7 +177,7 @@ def _cursors(rng: np.random.Generator, size: int, count: int) -> list[np.random.
     return [np.random.Generator(_cursor(state, i * size)) for i in range(count)]
 
 
-def _draw_codewords(count: int, s: int, rng: np.random.Generator, work: dict | None = None) -> np.ndarray:
+def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform parity-matched codewords of uniform messages, as (count, s) int8 bits.
 
     The messages come first, then the free bits, drawn as int8 in chunks of
@@ -206,7 +186,7 @@ def _draw_codewords(count: int, s: int, rng: np.random.Generator, work: dict | N
     four rows give the bits and stream position of one whole draw.
     """
     m = rng.integers(0, 2, size=count, dtype=np.int8)
-    w = _take(work, "w", (count, s), np.int8)
+    w = np.empty((count, s), np.int8)
     if s > 1:
         rows = 4 * max(1, BATCH_SIZE // (4 * (s - 1)))
         for start in range(0, count, rows):
@@ -316,8 +296,7 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     return True
 
 
-def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np.ndarray,
-                     work: dict | None = None) -> np.ndarray:
+def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np.ndarray) -> np.ndarray:
     """``rng.binomial(T, p0[k])`` for one basis's P("0" | k): same values, same stream use.
 
     The counts come in the smallest unsigned dtype that holds T.  The
@@ -332,7 +311,7 @@ def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np
     leave the stream where one whole-batch call does.
     """
     keys = k.ravel()
-    x = _take(work, f"t0_{basis}", keys.size, np.min_scalar_type(T))
+    x = np.empty(keys.size, np.min_scalar_type(T))
     blocks = range(0, keys.size, BLOCK_SIZE)
     table = _inversion_table(T, n, basis) if k.size >= 1 << n else None
     if table is not None:
@@ -357,17 +336,16 @@ def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return units
 
 
-def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
-                 work: dict | None = None) -> np.ndarray:
+def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Simulate ``count`` runs of the projective-measurement attack; returns success flags."""
     T, n, s = params.T, params.n, params.s
     cos_unit, sin_unit = bayes._key_bloch(n)
     half_z, half_x, degenerate = _estimate_tables(T, n)
 
-    k = _draw_keys(rng, n, (count, s), work).ravel()
-    t0z = _binomial_counts(rng, T, n, 0, k, work)
-    t0x = _binomial_counts(rng, T, n, 1, k, work)
-    w = _draw_codewords(count, s, rng, work)
+    k = _draw_keys(rng, n, (count, s)).ravel()
+    t0z = _binomial_counts(rng, T, n, 0, k)
+    t0x = _binomial_counts(rng, T, n, 1, k)
+    w = _draw_codewords(count, s, rng)
     # the codeword bits flip the cipher qubits, then hold each qubit's error
     errors = w.view(bool)
     flip = errors.ravel()
@@ -417,8 +395,7 @@ def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None
     return flags
 
 
-def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int,
-                    work: dict | None = None) -> np.ndarray:
+def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Simulate ``count`` runs of the pairwise symmetry test; returns success flags.
 
     Each pair's basis angle is drawn as phi = 2*pi*u, so the half offset
@@ -430,8 +407,8 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     fills by scripting the cursors.
     """
     n, s = params.n, params.s
-    k = _draw_keys(rng, n, (count, s), work).ravel()
-    w = _draw_codewords(count, s, rng, work)
+    k = _draw_keys(rng, n, (count, s)).ravel()
+    w = _draw_codewords(count, s, rng)
     # the codeword bits flip the cipher qubits, then hold each qubit's error
     errors = w.view(bool)
     flip = errors.ravel()
@@ -480,15 +457,16 @@ def estimate(cfg: TrialConfig) -> EstimateWithError:
     Batches are seeded by spawning the master seed sequence, so identical
     (seed, config) pairs give bit-identical results.  Each batch spawns its
     child as it starts, so a campaign holds one child at any trial count.
+    A batch depends on (params, its generator, count) alone and frees its
+    arrays when it returns, so a campaign holds one batch's memory.
     """
     batch_fn = _bayes_batch if cfg.attack == "bayes-projective" else _symmetry_batch
     seeds = np.random.SeedSequence(cfg.seed)
-    work = {}  # the campaign's per-qubit arrays (see _take)
     successes = 0
     for start in range(0, cfg.trials, BATCH_SIZE):
         count = min(BATCH_SIZE, cfg.trials - start)
         rng = np.random.Generator(np.random.Philox(seeds.spawn(1)[0]))
-        successes += int(np.sum(batch_fn(cfg.params, rng, count, work=work)))
+        successes += int(np.sum(batch_fn(cfg.params, rng, count)))
     mean = successes / cfg.trials
     std_error = math.sqrt(mean * (1.0 - mean) / cfg.trials)
     return EstimateWithError(mean, std_error, cfg.trials)

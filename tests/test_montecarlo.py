@@ -1,7 +1,6 @@
 """Seeded Monte Carlo simulation: reproducibility and agreement with the analytic values."""
 
 import contextlib
-import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -88,7 +87,7 @@ def test_estimate_spawns_each_seed_child_as_its_batch_starts():
     cfg = make_cfg("symmetry-test", trials=5000 * montecarlo.BATCH_SIZE, seed=3)
     firsts = []
 
-    def batch(params, rng, count, work):
+    def batch(params, rng, count):
         if len(firsts) < 3:
             firsts.append(rng.random())
         return np.ones(1, dtype=bool)
@@ -179,12 +178,11 @@ def test_draw_codewords_law(s):
 
 @pytest.mark.parametrize("s", [2, 5, 1195])
 def test_chunked_codewords_match_one_draw(s):
-    # two chunks of rows and one row more, drawn into the workspace: the
-    # bits and the stream position (the buffered 32-bit half included) of
-    # one whole draw
+    # two chunks of rows and one row more: the bits and the stream position
+    # (the buffered 32-bit half included) of one whole draw
     count = 8 * (montecarlo.BATCH_SIZE // (4 * (s - 1))) + 1
     fast, direct = philox(s), philox(s)
-    w = montecarlo._draw_codewords(count, s, fast, {})
+    w = montecarlo._draw_codewords(count, s, fast)
     message = direct.integers(0, 2, size=count, dtype=np.int8)
     assert np.array_equal(w[:, :-1], direct.integers(0, 2, size=(count, s - 1), dtype=np.int8))
     assert np.array_equal(np.bitwise_xor.reduce(w, axis=1), message)
@@ -202,7 +200,7 @@ def test_chunked_binomial_fallback_matches_one_draw(T):
     fast, direct = philox(T), philox(T)
     for basis in (0, 1):
         assert montecarlo._inversion_table(T, n, basis) is None
-        counts = montecarlo._binomial_counts(fast, T, n, basis, keys, {})
+        counts = montecarlo._binomial_counts(fast, T, n, basis, keys)
         assert counts.dtype == np.min_scalar_type(T)
         assert np.array_equal(counts, direct.binomial(T, bayes._prob0_tables(n)[basis][keys]))
     assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
@@ -216,7 +214,7 @@ def test_chunked_narrow_keys_match_one_int64_draw(n):
     # buffered 32-bit half included) of one whole draw
     shape = (montecarlo.BATCH_SIZE // 3 + 5, 7)
     fast, direct = philox(n), philox(n)
-    keys = montecarlo._draw_keys(fast, n, shape, {})
+    keys = montecarlo._draw_keys(fast, n, shape)
     assert keys.dtype == np.min_scalar_type((1 << n) - 1)
     assert np.array_equal(keys, direct.integers(0, 1 << n, size=shape))
     assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
@@ -528,20 +526,6 @@ def test_binomial_counts_rewinds_when_a_later_block_redraws():
 
 
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
-def test_campaign_workspace_matches_lone_batches(attack):
-    # one workspace across batches that shrink (the last one short, the
-    # first searched in five blocks) gives each lone batch's flags and
-    # stream use
-    params = ProtocolParams(n=10, N=5, T=6, s=5)
-    batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
-    work = {}
-    for seed, count in enumerate((14_000, 5_000, 1_234, 7)):
-        fast, lone = philox(seed), philox(seed)
-        assert np.array_equal(batch(params, fast, count, work=work), batch(params, lone, count))
-        assert fast.random() == lone.random()
-
-
-@pytest.mark.parametrize("attack", montecarlo.ATTACKS)
 def test_batch_reduces_parities_in_two_calls(attack):
     # over a batch of several blocks, one reduction gives the codeword
     # parities and one the error parities
@@ -564,52 +548,26 @@ def test_batch_reduces_parities_in_two_calls(attack):
 FULL_BATCHES = [(16, montecarlo.BATCH_SIZE), (432, 4096)]
 
 
-def lone_peak(batch, params, count, seed, work=None):
+def lone_peak(batch, params, count, seed):
     """The tracemalloc peak of one batch."""
     tracemalloc.start()
     try:
-        batch(params, philox(seed), count, work=work)
+        batch(params, philox(seed), count)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_campaign_workspace_is_reused_at_full_batch():
-    # a warm batch given its campaign's workspace allocates only what numpy
-    # cannot write in place, and no buffer is replaced
-    for attack, (s, count) in itertools.product(montecarlo.ATTACKS, FULL_BATCHES):
-        params = ProtocolParams(n=13, N=s, T=4, s=s)
-        batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
-        qubits = count * s
-        work = {}
-        batch(params, philox(0), count, work=work)
-        buffers = dict(work)
-        peak = lone_peak(batch, params, count, 1, work)
-        assert all(work[name] is buf for name, buf in buffers.items()) and work.keys() == buffers.keys()
-        # the messages, the first error column and the success flags, and
-        # the larger of one int64 chunk of keys (32 B per block element) and
-        # the block temporaries of the Born stage (five float64 or intp
-        # arrays) at any codeword length: 0.50 MiB (symmetry test) and
-        # 0.69 MiB (bayes) when measured
-        bound = 2 * count + 48 * montecarlo.BLOCK_SIZE
-        assert peak <= bound, (attack, s)
-        assert bound < 3 * qubits  # int64 keys at batch size would take 8 B per qubit
+def held_bound(bytes_per_qubit, count, s):
+    """A batch's per-qubit arrays exactly, and what it may allocate beside them.
 
-
-@pytest.mark.parametrize("attack,T", [("symmetry-test", 1), ("bayes-projective", 6), ("bayes-projective", 64)])
-def test_campaign_workspace_holds_only_per_qubit_arrays(attack, T):
-    # the workspace names only the arrays that outlive a block (keys,
-    # codeword bits and the bayes counts, searched at T = 6 and drawn by
-    # numpy at T = 64); a short last batch reuses the same arrays
-    params = ProtocolParams(n=10, N=5, T=T, s=5)
-    batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
-    names = {"k", "w", "t0_0", "t0_1"} if attack == "bayes-projective" else {"k", "w"}
-    work = {}
-    batch(params, philox(0), montecarlo.BATCH_SIZE, work=work)
-    assert work.keys() == names
-    arrays = dict(work)
-    batch(params, philox(1), 1_234, work=work)
-    assert work.keys() == names and all(work[name] is arrays[name] for name in names)
+    Beside them: the messages, the first error column and the success
+    flags, and the larger of one int64 chunk of keys (32 B per block
+    element) and the block temporaries of the Born stage (five float64 or
+    intp arrays) at any codeword length: 0.44 MiB (symmetry test) and
+    0.63-0.66 MiB (bayes) beyond the per-qubit arrays when measured.
+    """
+    return bytes_per_qubit * count * s + 2 * count + 48 * montecarlo.BLOCK_SIZE
 
 
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
@@ -647,51 +605,33 @@ def test_cipher_units_match_encrypt(n, s, seed, narrow):
 def test_bayes_batch_memory_at_full_batch():
     # warm batch: the Born-probability stage and its uniforms run in flat
     # blocks and the keys are held narrow, so the uint16 keys, the uint8
-    # counts of both bases and the codeword bits set the peak (5.82 B per
-    # qubit when measured)
+    # counts of both bases and the codeword bits, 5 B per qubit, set the
+    # peak (5.63 B per qubit when measured at s = 16)
     for s, count in FULL_BATCHES:
         params = ProtocolParams(n=13, N=s, T=4, s=s)
-        qubits = count * s
         montecarlo._bayes_batch(params, philox(0), count)
-        assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= 6 * qubits
-        # the workspace: the uint16 keys, the uint8 counts of both bases and
-        # the codeword bits, 5 B per qubit, and the search's buffers, 27 B
-        # per block element (its intp keys among them, and the uniforms
-        # that the Born stage reuses)
-        work = {}
-        montecarlo._bayes_batch(params, philox(2), count, work=work)
-        workspace = sum(buf.nbytes for buf in work.values())
-        assert workspace <= 5 * qubits + 27 * montecarlo.BLOCK_SIZE
+        peak = lone_peak(montecarlo._bayes_batch, params, count, 1)
+        assert peak <= held_bound(5, count, s), s
 
 
 def test_bayes_batch_memory_past_the_inversion_search():
     # at T = 64 numpy's own binomial draws both bases' counts, in blocks
-    # into the narrow count buffers, so a full batch holds the bound that
+    # into the narrow count arrays, so a full batch holds the bound that
     # the searched T <= 60 batches hold (a whole-batch draw adds a float64
     # gather and an int64 result, 16 B per qubit)
     count, s = montecarlo.BATCH_SIZE, 16
     params = ProtocolParams(n=13, N=s, T=64, s=s)
-    qubits = count * s
     montecarlo._bayes_batch(params, philox(0), count)
-    assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= 6 * qubits
-    work = {}
-    montecarlo._bayes_batch(params, philox(2), count, work=work)
-    assert sum(buf.nbytes for buf in work.values()) <= 5 * qubits + 27 * montecarlo.BLOCK_SIZE
+    assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= held_bound(5, count, s)
 
 
 def test_symmetry_batch_memory_at_full_batch():
     # warm batch: the uint16 keys and the codeword bits, which end up
-    # holding the errors, are the workspace at batch size, 3 B per qubit;
-    # the angles, the float32 Born estimates, the uniforms, the outcomes and
-    # the decisions' scratch stay one block in size (26 B per block element)
+    # holding the errors, are 3 B per qubit; the angles, the float32 Born
+    # estimates, the uniforms, the outcomes and the decisions' scratch stay
+    # one block in size (3.44 B per qubit when measured at s = 16)
     for s, count in FULL_BATCHES:
         params = ProtocolParams(n=13, N=s, T=1, s=s)
-        qubits = count * s
         montecarlo._symmetry_batch(params, philox(0), count)
-        # the workspace, its blocks and one int64 chunk of keys (3.48 B per
-        # qubit when measured at s = 16)
-        assert lone_peak(montecarlo._symmetry_batch, params, count, 1) <= 4 * qubits
-        work = {}
-        montecarlo._symmetry_batch(params, philox(2), count, work=work)
-        workspace = sum(buf.nbytes for buf in work.values())
-        assert workspace <= 3 * qubits + 26 * montecarlo.BLOCK_SIZE
+        peak = lone_peak(montecarlo._symmetry_batch, params, count, 1)
+        assert peak <= held_bound(3, count, s), s

@@ -13,6 +13,14 @@ the benchmark's one-thread BLAS setting (``perfbench/run.py``'s
 as ``tools/same_output.py`` reads them from ``perfbench/workloads.py``, and
 each runs ``PAIRS`` times per tree.
 
+Each launcher's children get their own fresh, empty ``PYTHONPYCACHEPREFIX``
+under the tool's temporary directory, with bytecode writing on (whatever
+``PYTHONDONTWRITEBYTECODE`` says), so neither tree reads a stale
+``__pycache__`` of its source and both run from a cache they compiled
+themselves.  Each argv runs once per tree, untimed, before its pairs, to
+fill that cache.  So the figures leave out compiling, which perfbench pays
+in every op of a fresh checkout under ``PYTHONDONTWRITEBYTECODE``.
+
 Per distinct argv the tool prints the median user + system CPU seconds and
 the median peak RSS (``ru_maxrss``) of each tree, the relative change of
 this tree's median against the other's, and the pairs each tree won (the
@@ -40,11 +48,12 @@ PAIRS = 10
 
 
 class Launcher:
-    """A ``perfbench/launcher.py`` whose children import qpke from ``src``."""
+    """A ``perfbench/launcher.py`` whose children import qpke from ``src``, with a bytecode cache of their own."""
 
     def __init__(self, src: str, cpu: int | None, workdir: str):
         self.workdir = workdir
-        env = dict(os.environ, PYTHONPATH=src, **THREAD_ENV)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=os.path.join(workdir, "pycache"), **THREAD_ENV)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
         cmd = [sys.executable, str(LAUNCHER), *([] if cpu is None else [str(cpu)])]
         self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
                                      cwd=workdir, text=True)
@@ -76,6 +85,8 @@ def pinned_cpu() -> int | None:
 
 def measure(launchers: list[Launcher], argv: list[str]) -> list[list[dict]]:
     """Per tree, the replies of ``PAIRS`` runs of ``argv``; the trees alternate which runs first."""
+    for launcher in launchers:
+        launcher.run(argv)  # compiles into the tree's cache whatever argv imports
     runs: list[list[dict]] = [[], []]
     for pair in range(PAIRS):
         for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
