@@ -25,12 +25,11 @@ model of an outcome: a posterior is a normalized row product P_z[t0z] P_x[t0x].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .protocol import elementary_angle
+from .protocol import _Record, elementary_angle
 
 MAX_N = 14
 
@@ -45,14 +44,14 @@ class ImpossibleOutcomeError(ValueError):
     """Raised when conditioning on an outcome that has zero probability."""
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(_Record):
     """Counts of "0" outcomes from T measurements in each of the z and x bases."""
 
-    t0z: int
-    t0x: int
+    __slots__ = ("t0z", "t0x")
 
-    def __post_init__(self):
+    def __init__(self, t0z: int, t0x: int):
+        object.__setattr__(self, "t0z", t0z)
+        object.__setattr__(self, "t0x", t0x)
         if self.t0z < 0 or self.t0x < 0:
             raise ValueError(f"outcome counts must be >= 0, got {self}")
 
@@ -194,17 +193,16 @@ def evidence(outcome: MeasurementOutcome, T: int, n: int) -> float:
     return float(np.mean(pz * px))
 
 
-@dataclass(frozen=True)
-class PosteriorDistribution:
+class PosteriorDistribution(_Record):
     """Probabilities over key values after conditioning on a measurement outcome."""
 
-    probabilities: np.ndarray
-    outcome: MeasurementOutcome
-    T: int
-    n: int
+    __slots__ = ("probabilities", "outcome", "T", "n")
 
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+    def __init__(self, probabilities: np.ndarray, outcome: MeasurementOutcome, T: int, n: int):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "n", n)
+        p = np.asarray(probabilities, dtype=float)
         if p.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} probabilities, got shape {p.shape}")
         if not (0.0 <= np.min(p) and np.max(p) <= 1.0 + 1e-12):

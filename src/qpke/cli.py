@@ -34,8 +34,9 @@ entropies are ``math`` sums; figures 1 and 3 load ``bayes`` (with
 ``protocol``), and figures 2, 4 and 5 add ``symmetry``; ``montecarlo`` loads
 all but ``symspace``, and ``check-all`` loads all five.  Only an all-array
 CSV table loads ``cells``, and only JSON output or a violated check loads
-``json``.  A local import reads the module's attributes at call time, so a
-patched or wrapped function is seen there as well.
+``json``.  No command loads ``dataclasses``; ``prior`` and ``security``
+load no ``inspect``.  A local import reads the module's attributes at call
+time, so a patched or wrapped function is seen there as well.
 """
 
 from __future__ import annotations
@@ -262,6 +263,8 @@ def _figure3(args):
 
 
 def _figure4(args):
+    if min(args.T) < 1:
+        raise ValueError(f"T must be >= 1, got {min(args.T)}")
     from . import bayes, symmetry
 
     mean = [bayes.mean_success(T, args.n) for T in args.T]
@@ -282,12 +285,12 @@ def _figure4(args):
 
 
 def _figure5(args):
-    from . import bayes, symmetry
-
     if args.s < 1:
         raise ValueError(f"codeword length --s must be >= 1, got {args.s}")
     if min(args.T) < 1:
         raise ValueError(f"T must be >= 1, got {min(args.T)}")
+    from . import bayes, symmetry
+
     pairs = [(T, s) for T in args.T for s in range(1, args.s + 1)]
     per_bit = {T: bayes.mean_success(T, args.n) for T in args.T}
     success = [symmetry.codeword_success(per_bit[T], s) for T, s in pairs]

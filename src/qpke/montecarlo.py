@@ -46,13 +46,12 @@ qubit hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bayes
-from .protocol import ProtocolParams
+from .protocol import ProtocolParams, _Record
 from .symmetry import average_success_symmetry, codeword_success
 
 ATTACKS = ("bayes-projective", "symmetry-test")
@@ -77,16 +76,16 @@ BLOCK_SIZE = 1 << 14
 P_MARGIN = 2.0 ** -12
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(_Record):
     """One simulation campaign: protocol parameters, attack kind, trial count, master seed."""
 
-    params: ProtocolParams
-    attack: str
-    trials: int
-    seed: int
+    __slots__ = ("params", "attack", "trials", "seed")
 
-    def __post_init__(self):
+    def __init__(self, params: ProtocolParams, attack: str, trials: int, seed: int):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "attack", attack)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         if self.attack not in ATTACKS:
             raise ValueError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
         if self.trials < 1:
@@ -98,15 +97,15 @@ class TrialConfig:
             bayes._check_n(self.params.n)
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(_Record):
     """Empirical success frequency with its binomial standard error."""
 
-    mean: float
-    std_error: float
-    trials: int
+    __slots__ = ("mean", "std_error", "trials")
 
-    def __post_init__(self):
+    def __init__(self, mean: float, std_error: float, trials: int):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std_error", std_error)
+        object.__setattr__(self, "trials", trials)
         if not 0.0 <= self.mean <= 1.0:
             raise ValueError(f"mean must lie in [0, 1], got {self.mean}")
         if self.std_error < 0.0:

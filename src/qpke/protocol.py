@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 #: the Monte Carlo draws key integers as int64, so Z_{2**n} must fit below 2**63
 MAX_N = 63
@@ -23,8 +22,36 @@ def elementary_angle(n: int) -> float:
     return math.pi / 2.0 ** (n - 1)
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class _Record:
+    """Immutable record whose ``__slots__`` are its fields: a frozen dataclass without generated code."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class ProtocolParams(_Record):
     """Public parameter tuple.
 
     Parameters
@@ -39,12 +66,13 @@ class ProtocolParams:
         Codeword length (security parameter); at most N.
     """
 
-    n: int
-    N: int
-    T: int
-    s: int
+    __slots__ = ("n", "N", "T", "s")
 
-    def __post_init__(self):
+    def __init__(self, n: int, N: int, T: int, s: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "s", s)
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must lie in [1, {MAX_N}], got {self.n}")
         if self.s < 1:
@@ -60,18 +88,17 @@ class ProtocolParams:
         return elementary_angle(self.n)
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(_Record):
     """Secret integer string; each entry selects one public-key qubit state."""
 
-    values: tuple[int, ...]
-    n: int
+    __slots__ = ("values", "n")
 
-    def __post_init__(self):
+    def __init__(self, values: tuple[int, ...], n: int):
+        object.__setattr__(self, "n", n)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         # Python ints: a float fails here, and a numpy integer cannot overflow in encrypt
-        object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
+        object.__setattr__(self, "values", tuple(map(operator.index, values)))
         top = 1 << self.n
         for v in self.values:
             if not 0 <= v < top:
@@ -81,13 +108,13 @@ class PrivateKey:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(_Record):
     """Bit string whose parity carries the one-bit message."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
+    def __init__(self, bits: tuple[int, ...]):
+        object.__setattr__(self, "bits", bits)
         if len(self.bits) < 1:
             raise ValueError("codeword must have at least one bit")
         if self.bits.count(0) + self.bits.count(1) != len(self.bits):
@@ -101,8 +128,7 @@ class Codeword:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class CipherState:
+class CipherState(_Record):
     """Encrypted qubits as integer cipher units c = (k + w * 2**(n-1)) mod 2**n at resolution ``n``.
 
     Each cipher qubit is its public-key state turned by 0 or pi, itself the
@@ -110,8 +136,11 @@ class CipherState:
     off the two values its key allows.
     """
 
-    units: tuple[int, ...]
-    n: int
+    __slots__ = ("units", "n")
+
+    def __init__(self, units: tuple[int, ...], n: int):
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "n", n)
 
     def __len__(self) -> int:
         return len(self.units)

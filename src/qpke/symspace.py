@@ -18,10 +18,9 @@ no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .protocol import elementary_angle
+from .protocol import _Record, elementary_angle
 
 MAX_TAU = 64
 MAX_N = 20
@@ -55,17 +54,16 @@ def symmetric_state_components(tau: int, n: int) -> np.ndarray:
     return comps
 
 
-@dataclass(frozen=True)
-class SymmetricDensityOperator:
+class SymmetricDensityOperator(_Record):
     """(tau+1) x (tau+1) real symmetric density matrix in the Hamming-weight basis."""
 
-    tau: int
-    matrix: np.ndarray
+    __slots__ = ("tau", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, tau: int, matrix: np.ndarray):
+        object.__setattr__(self, "tau", tau)
         import numpy as np
 
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asarray(matrix, dtype=float)
         if m.shape != (self.tau + 1, self.tau + 1):
             raise ValueError(f"expected shape {(self.tau + 1, self.tau + 1)}, got {m.shape}")
         if not np.max(np.abs(m - m.T)) <= 1e-14:
@@ -115,18 +113,16 @@ def _check_ranges(tau: int, n: int) -> None:
         raise ValueError(f"resolution exponent must lie in [1, {MAX_N}], got {n}")
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Eigenvalues of a density operator, a non-increasing tuple of floats, and their rank.
 
     The rank counts the eigenvalues above RANK_RTOL times the first, the largest.
     """
 
-    eigenvalues: tuple[float, ...]
-    rank: int = field(init=False)
+    __slots__ = ("eigenvalues", "rank")
 
-    def __post_init__(self):
-        vals = tuple(map(float, self.eigenvalues))
+    def __init__(self, eigenvalues: tuple[float, ...]):
+        vals = tuple(map(float, eigenvalues))
         # checked before the sum, so a NaN fails here and the sum cannot overflow
         if not all(-1e-10 <= v <= 1.0 + 1e-10 for v in vals):
             raise ValueError("eigenvalues must lie in [-1e-10, 1 + 1e-10]")

@@ -78,14 +78,16 @@ def test_T_past_the_exact_grid_cap_is_a_usage_error(argv, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("figure, expected", [
-    ("3", (0, "T,k,success\n" + "".join(f"0,{k},0.5\n" for k in range(4)), "")),
-    ("4", (2, "", "error: T must be >= 1, got 0\n")),
-    ("5", (2, "", "error: T must be >= 1, got 0\n")),
-], ids=["id-3", "id-4", "id-5"])
-def test_figure_T_zero(figure, expected, capsys):
+@pytest.mark.parametrize("figure, T, expected", [
+    ("3", "0", (0, "T,k,success\n" + "".join(f"0,{k},0.5\n" for k in range(4)), "")),
+    ("4", "0", (2, "", "error: T must be >= 1, got 0\n")),
+    ("5", "0", (2, "", "error: T must be >= 1, got 0\n")),
+    ("4", "-3", (2, "", "error: T must be >= 1, got -3\n")),
+    ("5", "-3", (2, "", "error: T must be >= 1, got -3\n")),
+], ids=["id-3", "id-4", "id-5", "id-4-negative", "id-5-negative"])
+def test_figure_T_zero(figure, T, expected, capsys):
     # with no measurement figure 3 prints the fair guess; figures 4 and 5 need T >= 1
-    assert run_cli(["figure", "--id", figure, "--n", "2", "--T", "0", "--s", "3"], capsys) == expected
+    assert run_cli(["figure", "--id", figure, "--n", "2", "--T", T, "--s", "3"], capsys) == expected
 
 
 def test_montecarlo_rejects_n_above_63(capsys):
@@ -377,6 +379,10 @@ def test_each_command_loads_only_its_modules(argv, modules, numpy):
     # json is loaded only to write JSON or to report a violated check, and
     # none of these argv does either
     assert "json" not in loaded
+    # the records are plain slotted classes: no command generates dataclass
+    # code, and without numpy nothing loads inspect
+    assert "dataclasses" not in loaded
+    assert numpy or "inspect" not in loaded
 
 
 NUMPY_BLOCKED = """

@@ -1,7 +1,9 @@
 """Protocol-level tests: angles, keys, codewords, encryption round trips."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import decrypt_qubits, encrypt_qubits
 
+from qpke.bayes import MeasurementOutcome, PosteriorDistribution
+from qpke.montecarlo import EstimateWithError, TrialConfig
 from qpke.protocol import (
     CipherState,
     Codeword,
@@ -18,6 +22,7 @@ from qpke.protocol import (
     elementary_angle,
     encrypt,
 )
+from qpke.symspace import Spectrum, SymmetricDensityOperator
 
 
 @pytest.mark.parametrize("n,expected", [(1, math.pi), (2, math.pi / 2), (10, math.pi / 512)])
@@ -193,3 +198,57 @@ def test_cipher_state_is_immutable():
         with pytest.raises(AttributeError):
             delattr(cipher, name)
     assert cipher.units == (3 ^ 8, 7) and cipher == CipherState((3 ^ 8, 7), 4)
+
+
+# (record, its repr, its fields in order, an unequal record of the same class)
+RECORDS = [
+    (ProtocolParams(4, 3, 2, 3), "ProtocolParams(n=4, N=3, T=2, s=3)", ("n", "N", "T", "s"),
+     ProtocolParams(4, 3, 2, 2)),
+    (PrivateKey((3, 7, 12), 4), "PrivateKey(values=(3, 7, 12), n=4)", ("values", "n"), PrivateKey((3, 7, 12), 5)),
+    (Codeword((1, 0, 1)), "Codeword(bits=(1, 0, 1))", ("bits",), Codeword((1, 0))),
+    (CipherState((11, 7, 4), 4), "CipherState(units=(11, 7, 4), n=4)", ("units", "n"), CipherState((11, 7), 4)),
+    (MeasurementOutcome(1, 2), "MeasurementOutcome(t0z=1, t0x=2)", ("t0z", "t0x"), MeasurementOutcome(2, 1)),
+    (PosteriorDistribution(np.array([0.25, 0.75]), MeasurementOutcome(0, 1), 1, 1),
+     "PosteriorDistribution(probabilities=array([0.25, 0.75]), outcome=MeasurementOutcome(t0z=0, t0x=1), T=1, n=1)",
+     ("probabilities", "outcome", "T", "n"), None),
+    (SymmetricDensityOperator(1, np.eye(2) / 2.0),
+     "SymmetricDensityOperator(tau=1, matrix=array([[0.5, 0. ],\n       [0. , 0.5]]))", ("tau", "matrix"), None),
+    (Spectrum((0.75, 0.25)), "Spectrum(eigenvalues=(0.75, 0.25), rank=2)", ("eigenvalues", "rank"),
+     Spectrum((1.0, 0.0))),
+    (TrialConfig(ProtocolParams(4, 2, 1, 2), "symmetry-test", 1000, 7),
+     "TrialConfig(params=ProtocolParams(n=4, N=2, T=1, s=2), attack='symmetry-test', trials=1000, seed=7)",
+     ("params", "attack", "trials", "seed"), TrialConfig(ProtocolParams(4, 2, 1, 2), "symmetry-test", 1000, 8)),
+    (EstimateWithError(0.75, 0.125, 12), "EstimateWithError(mean=0.75, std_error=0.125, trials=12)",
+     ("mean", "std_error", "trials"), EstimateWithError(0.75, 0.125, 13)),
+]
+
+
+@pytest.mark.parametrize("record, text, fields, other", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_record_behaves_as_a_frozen_value(record, text, fields, other):
+    values = tuple(getattr(record, name) for name in fields)
+    arrays = any(isinstance(v, np.ndarray) for v in values)
+    assert repr(record) == text and str(record) == text
+    # equal by the tuple of fields, and only to its own class
+    assert record == record and copy.copy(record) == record
+    assert record != text and record.__eq__(text) is NotImplemented
+    if other is not None:
+        assert record != other and not record == other
+    if arrays:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(values) == hash(copy.copy(record))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
+    for restored in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(restored) is type(record) and repr(restored) == text
+        restored_values = tuple(getattr(restored, name) for name in fields)
+        if arrays:
+            # arrays compare elementwise, so fields compare one by one
+            assert all(np.array_equal(a, b) for a, b in zip(restored_values, values))
+        else:
+            assert restored == record and restored_values == values
