@@ -55,17 +55,17 @@ def _parse_int_list(text: str) -> list[int]:
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = (int(v) for v in part.split("-", 1))
-            if lo > hi:
-                raise argparse.ArgumentTypeError(f"reversed range {part!r} in {text!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(part))
-    out = sorted(set(values))
-    if not out:
-        raise argparse.ArgumentTypeError(f"empty integer list: {text!r}")
-    return out
+        try:
+            if "-" in part[1:]:
+                lo, hi = (int(v) for v in part.split("-", 1))
+            else:
+                lo = hi = int(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer or a range: {part!r} in {text!r}") from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"reversed range {part!r} in {text!r}")
+        values.extend(range(lo, hi + 1))
+    return sorted(set(values))
 
 
 #: data rows formatted and written at a time; bounds the text held in memory

@@ -7,7 +7,10 @@ are reproducible bit-for-bit and independent of batch execution order.
 The projective attack's binomial measurement counts come from numpy's own
 sequential-search inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988)
 run over terms tabulated once per (T, n, basis); the draws are identical to
-``Generator.binomial`` and use the same stream positions.  A cipher qubit
+``Generator.binomial`` and use the same stream positions.  The search takes
+one uniform per key with P("0" | k) != 0, so once the keys are drawn the
+length of each basis's count fill is known, and both fills are read block
+by block from Philox cursors opened at their stream offsets.  A cipher qubit
 is its integer cipher unit c = k XOR (w << (n-1)), as in
 :func:`qpke.protocol.encrypt`, and its Born probability in the estimated
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
@@ -21,30 +24,32 @@ with p itself, from libm, block by block (a filtered predicate, as in
 Shewchuk, Discrete Comput. Geom. 18, 1997).  Every flag and every stream
 position is the one a float64 comparison gives.
 
-Both attacks run in one shape: after the keys, counts and codeword bits,
-one pass over flat blocks of ``BLOCK_SIZE`` elements XORs each qubit's
-error into its codeword bit, and one parity reduction over the rows gives
-the success flags.  The bayes batch draws its Born uniforms block by block;
-the symmetry test reads its three uniform fills (basis, public outcome,
-cipher outcome) from Philox cursors opened at their stream offsets.
+Both attacks run in one shape: after the keys and codeword bits, one pass
+over flat blocks of ``BLOCK_SIZE`` elements XORs each qubit's error into
+its codeword bit, and one parity reduction over the rows gives the success
+flags.  The bayes batch searches its counts in that pass and draws its Born
+uniforms block by block; the symmetry test reads its three uniform fills
+(basis, public outcome, cipher outcome) from cursors.
 
-Each batch owns its arrays: the ones that outlive a block (keys, codeword
-bits and the bayes counts) are plain arrays of the function that fills
-them.  Keys (as int64) and codeword bits (as int8) are drawn into them a
-chunk at a time, and keys are held in the smallest unsigned dtype that
-holds 2**n - 1.  Every other array is a numpy temporary of one
-``BLOCK_SIZE`` block or one draw chunk.  So at n <= 16 a batch holds 3 B
-per qubit (symmetry test) / 5 B (bayes) while it runs, and frees them when
-it returns: 85 and 142 MB for a 65,536-trial batch at s = 432, 235 and
-392 MB at s = 1195.  Beside them it allocates at most ~0.44 and ~0.66 MiB
-at any codeword length (the block temporaries).  Where T > 60, some key's
-count takes numpy's BTPE path, so numpy draws the counts, in the same
-blocks and straight into the narrow count arrays, and the same bytes per
-qubit hold.
+Each batch owns its arrays: the ones that outlive a block (keys and
+codeword bits) are plain arrays of the function that fills them.  Keys (as
+int64) and codeword bits (as int8) are drawn into them a chunk at a time,
+and keys are held in the smallest unsigned dtype that holds 2**n - 1.
+Every other array is a numpy temporary of one ``BLOCK_SIZE`` block or one
+draw chunk.  So at n <= 16 a batch holds 3 B per qubit while it runs, and
+frees them when it returns: 85 MB for a 65,536-trial batch at s = 432,
+235 MB at s = 1195.  Beside them it allocates at most ~0.44 MiB (symmetry
+test) and ~0.64 MiB (bayes) at any codeword length (the block
+temporaries).  A bayes batch holds two count arrays more, 5 B per qubit,
+where numpy draws its counts first, in the same blocks and straight into
+the narrow count arrays: at T > 60, where some key's count takes numpy's
+BTPE path (392 MB for a 65,536-trial batch at T = 64, s = 1195), in a
+batch smaller than the key range, and after a search that would redraw.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -164,16 +169,17 @@ def _cursor(state: dict, skip: int) -> np.random.Philox:
     return bitgen
 
 
-def _cursors(rng: np.random.Generator, size: int, count: int) -> list[np.random.Generator]:
-    """Generators whose fills of ``size`` doubles are ``rng``'s next ``count`` such fills, in turn.
+def _cursors(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generator]:
+    """Generators whose fills of ``sizes`` doubles are ``rng``'s next fills of those sizes, in turn.
 
     ``rng`` moves past all of them at once, so the fills may be read block by
-    block in any interleaving and the stream still ends where ``count``
-    whole fills in turn leave it.
+    block in any interleaving and the stream still ends where the whole
+    fills in turn leave it.
     """
     state = rng.bit_generator.state
-    rng.bit_generator.state = _cursor(state, count * size).state
-    return [np.random.Generator(_cursor(state, i * size)) for i in range(count)]
+    starts = [0, *itertools.accumulate(sizes)]
+    rng.bit_generator.state = _cursor(state, starts.pop()).state
+    return [np.random.Generator(_cursor(state, start)) for start in starts]
 
 
 def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,8 +261,9 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     """
     terms, fold, zero, bound, min_bound = table
     # take converts indices of any dtype but intp into a temporary of its
-    # own, so the narrow keys are widened once per block
-    block_keys = keys = keys.astype(np.intp)
+    # own, so narrow keys are widened once per block (intp keys are used as
+    # they are)
+    block_keys = keys = keys.astype(np.intp, copy=False)
     drawn = ~zero.take(keys)
     u = np.zeros(keys.size)
     u[drawn] = rng.random(np.count_nonzero(drawn))
@@ -335,29 +342,75 @@ def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return units
 
 
+def _search_draws(table: tuple, k: np.ndarray) -> int:
+    """The uniforms that the inversion searches of ``table`` over the keys ``k`` take: one per key with p0 != 0."""
+    zero_keys = np.flatnonzero(table[2]).tolist()
+    # compared a chunk of BATCH_SIZE keys at a time (64 KB of flags)
+    chunks = range(0, k.size, BATCH_SIZE)
+    return k.size - sum(int(np.count_nonzero(k[i:i + BATCH_SIZE] == key)) for key in zero_keys for i in chunks)
+
+
 def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Simulate ``count`` runs of the projective-measurement attack; returns success flags."""
+    """Simulate ``count`` runs of the projective-measurement attack; returns success flags.
+
+    Where the batch covers the key range and both bases are tabulated
+    (:func:`_inversion_table`), the counts are searched in the Born pass.
+    If a search would redraw, the generator is rewound to its state after
+    the keys and the whole batch reruns with its counts from
+    :func:`_binomial_counts`, as every other batch runs: the flags and the
+    stream position are those of the sequential draws either way.
+    """
+    T, n = params.T, params.n
+    k = _draw_keys(rng, n, (count, params.s)).ravel()
+    tables = [_inversion_table(T, n, basis) for basis in (0, 1)] if k.size >= 1 << n else [None]
+    if None not in tables:
+        state = rng.bit_generator.state
+        flags = _bayes_flags(params, rng, k, tables)
+        if flags is not None:
+            return flags
+        rng.bit_generator.state = state
+    return _bayes_flags(params, rng, k, None)
+
+
+def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray,
+                 tables: list | None) -> np.ndarray | None:
+    """The success flags of the bayes batch of flat keys ``k``, from ``rng`` just after them; None on a redraw.
+
+    Without ``tables`` both bases' counts are drawn first, into two count
+    arrays.  With both bases' tables, each block's counts are searched from
+    two cursors at the count fills, whose lengths the keys fix (one uniform
+    per key with p0 != 0), so no count array is held.
+    """
     T, n, s = params.T, params.n, params.s
     cos_unit, sin_unit = bayes._key_bloch(n)
     half_z, half_x, degenerate = _estimate_tables(T, n)
-
-    k = _draw_keys(rng, n, (count, s)).ravel()
-    t0z = _binomial_counts(rng, T, n, 0, k)
-    t0x = _binomial_counts(rng, T, n, 1, k)
-    w = _draw_codewords(count, s, rng)
+    if tables is None:
+        counts = [_binomial_counts(rng, T, n, basis, k) for basis in (0, 1)]
+    else:
+        cursors = _cursors(rng, [_search_draws(table, k) for table in tables])
+    w = _draw_codewords(k.size // s, s, rng)
     # the codeword bits flip the cipher qubits, then hold each qubit's error
     errors = w.view(bool)
     flip = errors.ravel()
     # the cipher qubit, unit c, measured in the estimated basis of its
     # outcome cell; the outcome bit is the guess of w.  Nothing else draws
-    # from here on, so the block fills are the doubles of one whole fill
+    # from rng from here on, so the block fills are the doubles of one
+    # whole fill
     for start in range(0, k.size, BLOCK_SIZE):
         b = slice(start, start + BLOCK_SIZE)
         kb, fb = k[b], flip[b]
-        cell = t0z[b].astype(np.intp)
+        if tables is None:
+            t0z, t0x = (c[b] for c in counts)
+        else:
+            kb = kb.astype(np.intp)  # for both searches and the cipher units
+            t0z, t0x = np.empty((2, kb.size), np.min_scalar_type(T))
+            if not (_search(cursors[0], tables[0], kb, t0z) and _search(cursors[1], tables[1], kb, t0x)):
+                return None
+        cell = t0z.astype(np.intp)
         cell *= T + 1
-        cell += t0x[b]
+        cell += t0x
         unit = _cipher_units(kb, fb, n)
+        del t0z, t0x, kb
         p_outcome0 = cos_unit.take(unit)
         p_outcome0 *= half_z.take(cell)
         term = sin_unit.take(unit)
@@ -367,8 +420,10 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -
         del term, unit
         # a vanishing Bloch estimate leaves no preferred basis: p = 1/2, and
         # the fair coin reads u < 1/2; the error is guess ^ w
-        fb ^= rng.random(kb.size) >= p_outcome0
+        fb ^= rng.random(fb.size) >= p_outcome0
         fb ^= degenerate.take(cell)
+        # freed before the next block's searches, which then reuse their memory
+        del cell, p_outcome0
     flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
     return np.logical_not(flags, out=flags)
 
@@ -411,7 +466,7 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     # the codeword bits flip the cipher qubits, then hold each qubit's error
     errors = w.view(bool)
     flip = errors.ravel()
-    basis, public, cipher = _cursors(rng, k.size, 3)
+    basis, public, cipher = _cursors(rng, [k.size] * 3)
 
     for start in range(0, k.size, BLOCK_SIZE):
         b = slice(start, start + BLOCK_SIZE)

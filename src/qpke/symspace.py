@@ -131,7 +131,8 @@ class Spectrum(_Record):
         if any(a < b for a, b in zip(vals, vals[1:])):
             raise ValueError("eigenvalues must be non-increasing")
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "rank", sum(v > RANK_RTOL * max(vals[0], 0.0) for v in vals))
+        threshold = RANK_RTOL * max(vals[0], 0.0)
+        object.__setattr__(self, "rank", sum(v > threshold for v in vals))
 
 
 def eigendecompose(rho: SymmetricDensityOperator) -> Spectrum:

@@ -47,6 +47,23 @@ def test_parse_int_list():
         _parse_int_list("5-1,2")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["figure", "--id", "3", "--T", ","], "not an integer or a range: '' in ','"),
+    (["figure", "--id", "3", "--T", "a"], "not an integer or a range: 'a' in 'a'"),
+    (["figure", "--id", "3", "--T", ""], "not an integer or a range: '' in ''"),
+    (["security", "--epsilon", "0.25", "--T", "2,x-4"], "not an integer or a range: 'x-4' in '2,x-4'"),
+    (["prior", "--n", "3", "--tau", "1-"], "not an integer or a range: '1-' in '1-'"),
+], ids=["comma", "letter", "empty", "bad-range", "open-range"])
+def test_malformed_int_list_names_the_bad_part(argv, message, capsys):
+    # a usage error (exit 2) that names the part int() could not read
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f"error: argument {argv[-2]}: {message}")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(["security", "--epsilon", "0.03125", "--out", str(target)], capsys)

@@ -242,16 +242,19 @@ def test_cursor_matches_sequential_fill(seed, buffer_pos, has_uint32, skip):
 
 @pytest.mark.parametrize("size", [1, 3, 4, 5, 1000])
 def test_cursors_read_consecutive_fills(size):
-    # three cursors fill as three whole fills in turn, read in any order,
-    # and the generator itself moves past all three
-    fast, direct = philox(size), philox(size)
-    fast.random(3)
-    direct.random(3)
-    cursors = montecarlo._cursors(fast, size, 3)
-    fills = direct.random((3, size))
-    for i in (2, 0, 1):
-        assert np.array_equal(cursors[i].random(size), fills[i])
-    assert fast.random() == direct.random()
+    # three cursors, of equal and of unequal sizes, fill as three whole
+    # fills in turn, read in any order, and the generator itself moves past
+    # all three (the buffered 32-bit half included)
+    for sizes in ([size] * 3, [size, size + 5, 2 * size]):
+        fast, direct = philox(size), philox(size)
+        fast.integers(0, 1 << 32, size=3, dtype=np.uint32)
+        direct.integers(0, 1 << 32, size=3, dtype=np.uint32)
+        cursors = montecarlo._cursors(fast, sizes)
+        fills = [direct.random(n) for n in sizes]
+        for i in (2, 0, 1):
+            assert np.array_equal(cursors[i].random(sizes[i]), fills[i])
+        assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
+        assert fast.random() == direct.random()
 
 
 # T values past 60 reach numpy's BTPE sampler for some keys
@@ -285,6 +288,14 @@ def batch_shapes(draw):
 # the codeword length the paper asks for at T = 64 and epsilon = 2**-10,
 # over two blocks, at a T whose counts are tabulated
 @example((12, 16, 1195, 14), 7)
+# count * s one below and at the key range, where the counts are first
+# searched (at n <= 14 that is at most one block)
+@example((14, 4, 3, ((1 << 14) - 1) // 3), 8)
+@example((14, 4, 16, (1 << 14) // 16), 9)
+# the last T whose counts are searched and the first that reaches BTPE,
+# over three blocks, the last one short
+@example((12, 60, 4, 2 * montecarlo.BLOCK_SIZE // 4 + 3), 10)
+@example((12, 61, 4, 2 * montecarlo.BLOCK_SIZE // 4 + 3), 11)
 def test_bayes_batch_matches_direct_oracle(shape, seed):
     n, T, s, count = shape
     params = ProtocolParams(n=n, N=s, T=T, s=s)
@@ -316,8 +327,8 @@ class ScriptedGenerator(np.random.Generator):
         self.uniforms = self.uniforms[out.size:]
         return out
 
-    def cursors(self, size, count):
-        opened = [ScriptedGenerator(0, [self.random(size)]) for _ in range(count)]
+    def cursors(self, sizes):
+        opened = [ScriptedGenerator(0, [self.random(size)]) for size in sizes]
         self.opened += opened
         return opened
 
@@ -332,7 +343,7 @@ class ScriptedGenerator(np.random.Generator):
 
 def scripted_cursors():
     """Let a symmetry batch open its three uniform fills on a ScriptedGenerator's script, in turn."""
-    return mock.patch.object(montecarlo, "_cursors", lambda rng, size, count: rng.cursors(size, count))
+    return mock.patch.object(montecarlo, "_cursors", lambda rng, sizes: rng.cursors(sizes))
 
 
 def quarter_turn_uniforms(params, seed, count, turns):
@@ -525,6 +536,46 @@ def test_binomial_counts_rewinds_when_a_later_block_redraws():
     assert fast.random() == direct.random()
 
 
+@pytest.mark.parametrize("basis", [0, 1])
+def test_bayes_batch_reruns_sequentially_when_a_later_block_redraws(basis):
+    # one key, absent from the first search block and present in the
+    # second, has its redraw bound in one basis patched to 0: the first
+    # block's searches pass, the second block's search in that basis would
+    # redraw, and the whole batch is drawn again from the stream position
+    # after its keys, with both bases' counts from _binomial_counts
+    T, n, s, seed = 6, 14, 2, 21
+    count = montecarlo.BLOCK_SIZE + 100  # three search blocks
+    params = ProtocolParams(n=n, N=s, T=T, s=s)
+    tables = [montecarlo._inversion_table(T, n, b) for b in (0, 1)]
+    terms, fold, zero, bound, _ = tables[basis]
+    keys = philox(seed).integers(0, 1 << n, size=count * s)  # the batch's keys
+    first, second = keys[:montecarlo.BLOCK_SIZE], keys[montecarlo.BLOCK_SIZE:2 * montecarlo.BLOCK_SIZE]
+    later = np.setdiff1d(second, first)
+    key = int(later[np.argmin(terms[0][later])])  # the key least likely to stop at a count of 0
+    bound = bound.copy()
+    bound[key] = 0
+    tables[basis] = (terms, fold, zero, bound, 0)
+    search, binomial_counts, searches, sequential = montecarlo._search, montecarlo._binomial_counts, [], []
+
+    def searched(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    def drawn(rng, T, n, b, k):
+        sequential.append(b)
+        return binomial_counts(rng, T, n, b, k)
+
+    fast, direct = philox(seed), philox(seed)
+    with mock.patch.multiple(montecarlo, _inversion_table=lambda T, n, b: tables[b],
+                             _search=searched, _binomial_counts=drawn):
+        flags = montecarlo._bayes_batch(params, fast, count)
+    # block one in both bases, then block two up to the basis that redraws
+    assert searches[:3 + basis] == [True] * (2 + basis) + [False]
+    assert sequential == [0, 1]
+    assert np.array_equal(flags, bayes_batch_direct(params, direct, count))
+    assert fast.random() == direct.random()
+
+
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
 def test_batch_reduces_parities_in_two_calls(attack):
     # over a batch of several blocks, one reduction gives the codeword
@@ -565,7 +616,8 @@ def held_bound(bytes_per_qubit, count, s):
     flags, and the larger of one int64 chunk of keys (32 B per block
     element) and the block temporaries of the Born stage (five float64 or
     intp arrays) at any codeword length: 0.44 MiB (symmetry test) and
-    0.63-0.66 MiB (bayes) beyond the per-qubit arrays when measured.
+    0.63 MiB (bayes, with its counts searched block by block at T = 4 or
+    held whole at T = 64) beyond the per-qubit arrays when measured.
     """
     return bytes_per_qubit * count * s + 2 * count + 48 * montecarlo.BLOCK_SIZE
 
@@ -603,22 +655,23 @@ def test_cipher_units_match_encrypt(n, s, seed, narrow):
 
 
 def test_bayes_batch_memory_at_full_batch():
-    # warm batch: the Born-probability stage and its uniforms run in flat
-    # blocks and the keys are held narrow, so the uint16 keys, the uint8
-    # counts of both bases and the codeword bits, 5 B per qubit, set the
-    # peak (5.63 B per qubit when measured at s = 16)
+    # warm batch: both bases' counts are searched block by block from
+    # cursors, the Born-probability stage and its uniforms run in the same
+    # flat blocks and the keys are held narrow, so the uint16 keys and the
+    # codeword bits, 3 B per qubit, set the peak (3.63 B per qubit when
+    # measured at s = 16)
     for s, count in FULL_BATCHES:
         params = ProtocolParams(n=13, N=s, T=4, s=s)
         montecarlo._bayes_batch(params, philox(0), count)
         peak = lone_peak(montecarlo._bayes_batch, params, count, 1)
-        assert peak <= held_bound(5, count, s), s
+        assert peak <= held_bound(3, count, s), s
 
 
 def test_bayes_batch_memory_past_the_inversion_search():
     # at T = 64 numpy's own binomial draws both bases' counts, in blocks
-    # into the narrow count arrays, so a full batch holds the bound that
-    # the searched T <= 60 batches hold (a whole-batch draw adds a float64
-    # gather and an int64 result, 16 B per qubit)
+    # into two narrow count arrays, so a full batch holds the uint16 keys,
+    # the uint8 counts and the codeword bits, 5 B per qubit (a whole-batch
+    # draw adds a float64 gather and an int64 result, 16 B per qubit)
     count, s = montecarlo.BATCH_SIZE, 16
     params = ProtocolParams(n=13, N=s, T=64, s=s)
     montecarlo._bayes_batch(params, philox(0), count)

@@ -21,7 +21,12 @@ count, and exits 1 if any differ, else 0.  The corpus:
   s = 3, 5 and 7 whose last batch's count * s lies one element either side
   of a multiple of 2^14, the flat block size, so a block ends mid-row; and
   bayes campaigns at T = 64, s = 2 with 65,535, 65,536 and 65,537 trials,
-  whose counts numpy's own binomial draws block by block;
+  whose counts numpy's own binomial draws block by block; and bayes
+  campaigns at the edges of the count paths: count * s one below and at
+  2^n for n = 10 and 13 (below it numpy draws the counts, at it they are
+  searched block by block), T = 60 and 61 at n = 12 over two batches (the
+  last T whose counts are searched, the first that reaches BTPE), and
+  T = 16, s = 432 with 4,096 trials;
 * ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
   with ``--format json``, which prints ``entropy_bits`` to its last digit;
 * ``security`` at epsilon = 2^-40 over T = 1..20,000, codeword lengths in
@@ -100,6 +105,9 @@ def corpus() -> list[list[str]]:
     argvs += [campaign("bayes-projective", 10, 4, s, trials) for s in (3, 5, 7) for d in (-1, 1)
               for trials in (block_edge_trials(s, d), 65_536 + block_edge_trials(s, d))]
     argvs += [campaign("bayes-projective", 10, 64, 2, trials) for trials in (65_535, 65_536, 65_537)]
+    argvs += [campaign("bayes-projective", n, 4, 1, (1 << n) + d) for n in (10, 13) for d in (-1, 0)]
+    argvs += [campaign("bayes-projective", 12, T, 2, 70_000) for T in (60, 61)]
+    argvs.append(campaign("bayes-projective", 13, 16, 432, 4096))
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
     argvs.append(["security", "--epsilon", "9.094947017729282e-13", "--T", "1-20000"])
