@@ -39,6 +39,9 @@ DEGENERATE_NORM = 1e-12
 #: switch binomial likelihoods to log-space evaluation beyond this T
 LOG_SPACE_T = 30
 
+#: elements in one row block of a likelihood table build (256 KB of float64)
+PMF_BLOCK = 1 << 15
+
 
 class ImpossibleOutcomeError(ValueError):
     """Raised when conditioning on an outcome that has zero probability."""
@@ -88,25 +91,53 @@ def _key_bloch(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows) in blocks of about PMF_BLOCK elements of ``width`` each.
+
+    Every block has at least two rows, unless ``rows`` is 1: a trailing
+    single row joins the block before it.
+    """
+    step = max(2, PMF_BLOCK // width)
+    bounds = [*range(0, max(rows - 1, 1), step), rows]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _binomial_pmf_rows(T: int, p0: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """PMF matrix of shape (T+1, len(p0)), written to ``out``: row c is P(count = c) for each success probability."""
-    counts = np.arange(T + 1)[:, None]
+    """PMF matrix of shape (T+1, len(p0)), written to ``out``: row c is P(count = c) for each success probability.
+
+    Filled in row blocks (``_row_blocks``), so the temporaries are one block,
+    not one (T+1, len(p0)) table.  A block's exponents are an int column of
+    two or more rows, which numpy's power reads through its cast buffers; a
+    one-element or float exponent column takes its stride-0 fast paths
+    (x*x for x**2) and changes the last bit of some entries.
+    """
     if T <= LOG_SPACE_T:
+        counts = np.arange(T + 1)[:, None]
         comb = np.array([math.comb(T, c) for c in range(T + 1)], dtype=float)[:, None]
-        np.power(p0[None, :], counts, out=out)
-        out *= comb
-        out *= (1.0 - p0)[None, :] ** (T - counts)
+        q = (1.0 - p0)[None, :]
+        for rows in _row_blocks(T + 1, p0.size):
+            c, block = counts[rows], out[rows]
+            np.power(p0[None, :], c, out=block)
+            block *= comb[rows]
+            block *= q ** (T - c)
         return out
-    # log-space with log-gamma binomials; p0 in {0, 1} handled by masks
+    # log-space with log-gamma binomials over every key; the nan and 0 that
+    # p0 in {0, 1} give are overwritten by the exact values after the loop.
+    # Counts up to T are exact floats, so float counts give the products of
+    # int ones without the cast buffers.
+    counts = np.arange(T + 1.0)[:, None]
     log_comb = np.array(
         [math.lgamma(T + 1) - math.lgamma(c + 1) - math.lgamma(T - c + 1) for c in range(T + 1)]
     )[:, None]
-    interior = (p0 > 0.0) & (p0 < 1.0)
-    out.fill(0.0)
-    if np.any(interior):
-        p = p0[interior]
-        logs = log_comb + counts * np.log(p)[None, :] + (T - counts) * np.log1p(-p)[None, :]
-        out[:, interior] = np.exp(logs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p, log_q = np.log(p0)[None, :], np.log1p(-p0)[None, :]
+        for rows in _row_blocks(T + 1, p0.size):
+            c, block = counts[rows], out[rows]
+            np.multiply(c, log_p, out=block)
+            block += log_comb[rows]
+            block += (T - c) * log_q
+            np.exp(block, out=block)
+    out[:, (p0 == 0.0) | (p0 == 1.0)] = 0.0
     out[0, p0 == 0.0] = 1.0
     out[T, p0 == 1.0] = 1.0
     return out
@@ -123,9 +154,9 @@ def _check_T(T: int) -> None:
         raise ValueError(f"T must be <= {largest}, got {T}")
 
 
-# room for the two grids that one T reads, its n grid and its outcome grid
-# (``_bloch_sums``), so a sweep over T holds no grid of a T it has passed
-@lru_cache(maxsize=2)
+# one grid: no command reads a grid again once it has read another, so a
+# sweep over T or n holds only the grid it is reading
+@lru_cache(maxsize=1)
 def _likelihood_grid(T: int, n: int) -> np.ndarray:
     """Per-basis likelihoods [P_z, P_x][count, k], shape (2, T+1, 2**n); L[a, b, k] = P_z[a, k] P_x[b, k]."""
     _check_T(T)
@@ -257,8 +288,10 @@ def success_by_key(T: int, n: int) -> np.ndarray:
 
     Capped at 1: above LOG_SPACE_T the PMF rows sum to 1 only to ~T * 1e-16.
     """
-    pz, px = _likelihood_grid(T, n)
+    # U first, so the (T+1)**2 temporaries of its sums are gone before the
+    # key grid is built
     half_z, half_x, _, _ = _bloch_sums(T, n)
+    pz, px = _likelihood_grid(T, n)
     # one Bloch component at a time, so one (T+1, 2**n) product is held
     toward = [np.einsum("ak,ak->k", pz, half @ px) for half in (half_z, half_x)]
     cos_k, sin_k = _key_bloch(n)

@@ -32,7 +32,9 @@ RANK_RTOL = 1e-10
 CRITICAL_TOL = 1e-12
 
 
-@lru_cache(maxsize=64)
+# one table: only a loop over n at one tau reads a table again, and every
+# prior of that tau reads the same 2**bit_length table
+@lru_cache(maxsize=1)
 def symmetric_state_components(tau: int, n: int) -> np.ndarray:
     """Components of all 2**n repeated-copy states in the Hamming-weight basis.
 

@@ -12,7 +12,9 @@ library's row strides of one component table per tau.  ``coefficient_f`` is
 the amplitude of one Hamming-weight basis state at one angle, the integrand
 of the quadrature check of the prior.
 
-``likelihood_tensor`` materializes the full (T+1, T+1, 2**n) joint
+``binomial_pmf_rows_broadcast`` builds a per-basis likelihood table in one
+broadcast over all T+1 rows, which checks the library's row blocks bit for
+bit.  ``likelihood_tensor`` materializes the full (T+1, T+1, 2**n) joint
 likelihood of the Bayes attack; the functions after it reduce that tensor
 directly (per-key success, information gain by a loop over outcome pairs,
 Monte Carlo estimate tables) to check the library's factored per-basis
@@ -60,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from qpke import bayes, cli, montecarlo, symmetry, symspace
-from qpke.bayes import DEGENERATE_NORM, _binomial_pmf_rows, _prob0_tables
+from qpke.bayes import DEGENERATE_NORM, LOG_SPACE_T, _prob0_tables
 from qpke.protocol import elementary_angle
 from qpke.symspace import symmetric_state_components
 
@@ -232,11 +234,33 @@ def decrypt_qubits(qubits: tuple[tuple[int, int], ...], key, params) -> tuple[tu
     return bits, message
 
 
+def binomial_pmf_rows_broadcast(T: int, p0: np.ndarray) -> np.ndarray:
+    """PMF matrix of shape (T+1, len(p0)), every row in one broadcast: row c is P(count = c)."""
+    out = np.empty((T + 1, p0.size))
+    counts = np.arange(T + 1)[:, None]
+    if T <= LOG_SPACE_T:
+        comb = np.array([math.comb(T, c) for c in range(T + 1)], dtype=float)[:, None]
+        np.power(p0[None, :], counts, out=out)
+        out *= comb
+        out *= (1.0 - p0)[None, :] ** (T - counts)
+        return out
+    log_comb = np.array(
+        [math.lgamma(T + 1) - math.lgamma(c + 1) - math.lgamma(T - c + 1) for c in range(T + 1)]
+    )[:, None]
+    interior = (p0 > 0.0) & (p0 < 1.0)
+    out.fill(0.0)
+    if np.any(interior):
+        p = p0[interior]
+        logs = log_comb + counts * np.log(p)[None, :] + (T - counts) * np.log1p(-p)[None, :]
+        out[:, interior] = np.exp(logs)
+    out[0, p0 == 0.0] = 1.0
+    out[T, p0 == 1.0] = 1.0
+    return out
+
+
 def likelihood_tensor(T: int, n: int) -> np.ndarray:
     """Joint outcome likelihoods, shape (T+1, T+1, 2**n): [t0z, t0x, k]."""
-    p0z, p0x = _prob0_tables(n)
-    pz = _binomial_pmf_rows(T, p0z, np.empty((T + 1, p0z.size)))
-    px = _binomial_pmf_rows(T, p0x, np.empty((T + 1, p0x.size)))
+    pz, px = (binomial_pmf_rows_broadcast(T, p0) for p0 in _prob0_tables(n))
     return pz[:, None, :] * px[None, :, :]
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    binomial_pmf_rows_broadcast,
     bloch_sums_full_grid,
     estimate_tables_tensor,
     information_gain_loop,
@@ -101,6 +102,54 @@ def test_likelihood_log_space_path_matches_direct():
                     * math.comb(T, b) * p0x[k] ** b * (1 - p0x[k]) ** (T - b)
                 )
                 assert pz[a, k] * px[b, k] == pytest.approx(direct, rel=1e-10, abs=1e-300)
+
+
+# both sides of LOG_SPACE_T, the inversion tables' T = 60 edge, and T
+# whose rows span many blocks at every n
+PMF_ORACLE_TS = [*range(41), 59, 60, 61, 64, 100, 257, 1000]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10, 12, 13, 14])
+def test_blocked_pmf_rows_match_broadcast_oracle(n):
+    # each block's exponents take numpy's power through the same loop as one
+    # broadcast over all rows, so every entry is the same double
+    width = 1 << n
+    step = max(2, bayes.PMF_BLOCK // width)
+    for p0 in bayes._prob0_tables(n):
+        for T in PMF_ORACLE_TS:
+            out = bayes._binomial_pmf_rows(T, p0, np.empty((T + 1, width)))
+            assert np.array_equal(out, binomial_pmf_rows_broadcast(T, p0)), (T, n)
+    # from n = 10 on, some T's rows split into blocks with one row left
+    # over, which the block before it takes
+    assert n < 10 or any(T + 1 > step and (T + 1) % step == 1 for T in PMF_ORACLE_TS), n
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8, 9, 16, 17, 18, 65])
+def test_row_blocks_cover_the_rows_in_blocks_of_two_or_more(rows):
+    blocks = bayes._row_blocks(rows, bayes.PMF_BLOCK // 8)
+    assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+    sizes = [b.stop - b.start for b in blocks]
+    assert all(2 <= size <= 9 for size in sizes) or sizes == [1]
+    assert all(size == 8 for size in sizes[:-1])
+
+
+@pytest.mark.parametrize("T", [12, 64])
+def test_likelihood_grid_build_memory_ceiling(T):
+    # the grid and one block: the block's temporary (PMF_BLOCK doubles,
+    # 8 rows at n = 12) and, within as much again, numpy's cast buffers and
+    # the per-key rows.  A broadcast build holds a whole table besides
+    # (1.70x the grid at T = 12, on the linear branch; 2.05x at T = 64, in
+    # log space)
+    n = 12
+    bayes._prob0_tables(n)
+    bayes._likelihood_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        grid = bayes._likelihood_grid(T, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.nbytes + 2 * bayes.PMF_BLOCK * 8
 
 
 def test_evidence_frozen_value():

@@ -1112,8 +1112,8 @@ def traced_peak(argv, tmp_path):
 def test_figure1_memory_ceiling(tmp_path):
     # one posterior grid of 4096 keys at 8 B a cell of its five columns (it
     # holds 13 B a row: uint8 T, t0z and t0x, the shared uint16 keys and the
-    # float64 posteriors) and its unnormalized row, the two cached
-    # per-basis likelihood tables (T = 8 and 9), and one chunk of formatted
+    # float64 posteriors) and its unnormalized row, the likelihood tables of
+    # T = 8, cached while those of T = 9 are built, and one chunk of formatted
     # cells at 128 B each; a builder that holds all 75 grids needs more
     # (2.85 MB of the 4.06 MB bound when measured, 6.8 MB for whole columns)
     n = 12
@@ -1129,27 +1129,31 @@ def test_figure1_memory_ceiling(tmp_path):
 def test_figure3_memory_ceiling(tmp_path):
     # one T's rows (uint8 T, uint16 keys, float64 success) and the success
     # sum's per-key temporaries, 10 rows of 8 B; the likelihood tables of
-    # T = 15 and 16, cached, and the half table that building one holds;
-    # and one chunk of formatted cells at 128 B each.  16 T's rows, or a
-    # cached table for each T, need more (3.75 MB of the 4.62 MB bound when
-    # measured, 9.7 MB with a table cached for each T)
+    # T = 16, the only key grid held, since the small outcome grid read
+    # before it evicts the grid of T = 15; and one chunk of formatted cells
+    # at 128 B each.  16 T's rows, or a second key grid, need more (2.03 MB
+    # of the 3.01 MB bound when measured; 3.12 MB with two grids cached and
+    # whole-table temporaries in each build)
     n, T = 12, 16
     size = 1 << n
     peak, rows = traced_peak(["figure", "--id", "3", "--n", str(n), "--T", f"1-{T}"], tmp_path)
     assert rows == T * size
     row_bytes = 10 * 8 * size
-    likelihood_bytes = (2 * (T + T + 1) + (T + 1)) * size * 8
+    likelihood_bytes = 2 * (T + 1) * size * 8
     chunk_bytes = CHUNK_ROWS * 3 * 128
     assert peak <= row_bytes + likelihood_bytes + chunk_bytes
 
 
-@pytest.mark.parametrize("argv", [["figure", "--id", "2", "--n", "10"],
-                                  ["figure", "--id", "3", "--n", "10", "--T", "1-16"]])
-def test_sweeps_keep_the_two_grids_one_T_reads(argv, tmp_path):
-    # a T reads its key grid and its outcome grid; no grid of a T passed stays
+@pytest.mark.parametrize("argv, grids", [(["figure", "--id", "2", "--n", "10"], 8),
+                                         (["figure", "--id", "3", "--n", "10", "--T", "1-16"], 32)])
+def test_sweeps_build_each_grid_once_and_keep_the_last(argv, grids, tmp_path):
+    # figure 2 reads one grid per T; figure 3 reads a T's outcome grid
+    # (2**6 keys or fewer) and then its key grid.  A one-grid cache builds
+    # none of them twice, and keeps no grid of a T passed
     bayes._likelihood_grid.cache_clear()
     assert main(argv + ["--out", str(tmp_path / "table.csv")]) == 0
-    assert bayes._likelihood_grid.cache_info().currsize <= 2
+    info = bayes._likelihood_grid.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (grids, 0, 1)
 
 
 SCHEMAS = {

@@ -170,10 +170,7 @@ def test_integer_core_matches_qubit_oracle(n, s, data):
 def test_cipher_state_views():
     cipher = encrypt(Codeword((1, 0, 1)), PrivateKey((3, 7, 12), 4))
     assert cipher.units == (3 ^ 8, 7, 12 ^ 8) and cipher.n == 4
-    assert len(cipher) == 3 and repr(cipher) == "CipherState(units=(11, 7, 4), n=4)"
-    same = CipherState((11, 7, 4), 4)
-    assert same == cipher and hash(same) == hash(cipher)
-    assert cipher != CipherState((11, 7, 4), 5)
+    assert len(cipher) == 3
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.bool_, np.int64, np.float64])
@@ -188,16 +185,6 @@ def test_encrypt_numpy_bits_match_qubit_oracle(dtype, n):
     cipher = encrypt(codeword, key)
     assert tuple((c, n) for c in cipher.units) == encrypt_qubits(codeword, key)
     assert decrypt(cipher, key, ProtocolParams(n=n, N=4, T=1, s=4)) == ((1, 0, 1, 1), 1)
-
-
-def test_cipher_state_is_immutable():
-    cipher = encrypt(Codeword((1, 0)), PrivateKey((3, 7), 4))
-    for name in ("units", "n"):
-        with pytest.raises(AttributeError):
-            setattr(cipher, name, None)
-        with pytest.raises(AttributeError):
-            delattr(cipher, name)
-    assert cipher.units == (3 ^ 8, 7) and cipher == CipherState((3 ^ 8, 7), 4)
 
 
 # (record, its repr, its fields in order, an unequal record of the same class)

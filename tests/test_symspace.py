@@ -428,6 +428,24 @@ def test_entropy_bounds_check_builds_one_component_table_per_tau():
     assert symmetric_state_components.cache_info().misses <= 63
 
 
+def test_symspace_checks_hold_one_component_table():
+    # check-all's three operator checks leave at most the last component
+    # table they built (tau = 64 on 2**7 keys, 66.6 KB); a cache of every
+    # tau's table held 63 of them (960 KiB) into the checks after
+    symmetric_state_components.cache_clear()
+    tracemalloc.start()
+    try:
+        for check in (cli._check_parity_zeros, cli._check_binomial_spectrum, cli._check_entropy_bounds):
+            assert check()[0]
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # array buffers only: a few KB of small Python objects made on the way
+    # (a first call's caches) stay too
+    held = snapshot.filter_traces([tracemalloc.Filter(True, "*/qpke/symspace.py")]).traces
+    assert sum(trace.size for trace in held if trace.size >= 1024) <= 70_000
+
+
 def test_prior_memory_ceiling_at_largest_resolution():
     # the prior of 64 copies is taken over 2**7 keys at any n; the full
     # 2**20-key grid needs a 545 MB component array

@@ -37,6 +37,10 @@ count, and exits 1 if any differ, else 0.  The corpus:
 * the same figures with ``--format json``, figure 1 at n = 1..12 and figure 3
   at n = 1..6, since their array columns reach the JSON writer through
   ``tolist()``;
+* figures 3-5 at T past ``LOG_SPACE_T`` = 30, where the likelihood tables
+  are built in log space: ``figure --id 3 --n 12 --T 30,31,32,61,64``,
+  ``figure --id 3 --n 14 --T 31,33``, ``figure --id 4 --n 12 --T 29-33,64``
+  and ``figure --id 5 --n 12 --T 31,64 --s 3``;
 * every argv that ``tests/test_cli.py`` writes out as one list of string
   literals (most of its usage errors among them), and every ``--help``.
 
@@ -115,6 +119,10 @@ def corpus() -> list[list[str]]:
     argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16"] for n in range(1, 15)]
     argvs += [["figure", "--id", "1", "--n", str(n), "--format", "json"] for n in range(1, 13)]
     argvs += [["figure", "--id", "3", "--n", str(n), "--T", "0-16", "--format", "json"] for n in range(1, 7)]
+    argvs.append(["figure", "--id", "3", "--n", "12", "--T", "30,31,32,61,64"])
+    argvs.append(["figure", "--id", "3", "--n", "14", "--T", "31,33"])
+    argvs.append(["figure", "--id", "4", "--n", "12", "--T", "29-33,64"])
+    argvs.append(["figure", "--id", "5", "--n", "12", "--T", "31,64", "--s", "3"])
     return argvs
 
 
