@@ -4,14 +4,15 @@ Trials are vectorized in fixed-size batches; each batch draws its generator
 from a counter-based stream (Philox) spawned off the master seed, so results
 are reproducible bit-for-bit and independent of batch execution order.
 
-The projective attack's binomial measurement counts come from numpy's own
-sequential-search inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988)
-run over terms tabulated once per (T, n, basis); the draws are identical to
-``Generator.binomial`` and use the same stream positions.  The search takes
-one uniform per key with P("0" | k) != 0, so once the keys are drawn the
-length of each basis's count fill is known, and both fills are read block
-by block from Philox cursors opened at their stream offsets.  A cipher qubit
-is its integer cipher unit c = k XOR (w << (n-1)), as in
+The projective attack's binomial measurement counts are the draws of
+``Generator.binomial``, at its stream positions.  Where T <= 60 and a batch
+covers the key range, they come from numpy's own sequential-search
+inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988) run over terms
+tabulated once per (T, n, basis); numpy itself draws them otherwise.  The
+search takes one uniform per key with P("0" | k) != 0, so once the keys are
+drawn the length of each basis's count fill is known, and both fills are
+read block by block from Philox cursors opened at their stream offsets.
+A cipher qubit is its integer cipher unit c = k XOR (w << (n-1)), as in
 :func:`qpke.protocol.encrypt`, and its Born probability in the estimated
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
 sin(c*theta) U_x, is gathered from cached key and cell tables.
@@ -131,18 +132,17 @@ def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_keys(rng: np.random.Generator, n: int, shape: tuple) -> np.ndarray:
-    """Keys uniform on Z_{2**n}, of ``shape``, in the smallest unsigned dtype that holds them.
+def _draw_keys(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``size`` keys uniform on Z_{2**n}, flat, in the smallest unsigned dtype that holds them.
 
     ``integers`` draws them as int64, ``BATCH_SIZE`` at a time.  Each key is
     one ``next_uint32`` (one ``next_uint64`` above n = 32), with no rejection
     for a power-of-two range, so the chunks hold the keys of one whole draw
     and leave the stream where it would.
     """
-    keys = np.empty(shape, np.min_scalar_type((1 << n) - 1))
-    flat = keys.reshape(-1)
-    for start in range(0, flat.size, BATCH_SIZE):
-        chunk = flat[start:start + BATCH_SIZE]
+    keys = np.empty(size, np.min_scalar_type((1 << n) - 1))
+    for start in range(0, size, BATCH_SIZE):
+        chunk = keys[start:start + BATCH_SIZE]
         chunk[...] = rng.integers(0, 1 << n, size=chunk.size)
     return keys
 
@@ -250,7 +250,7 @@ def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
 
 
 def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndarray) -> bool:
-    """Fill ``x`` with the inversion-search counts of the key block ``keys``; False where numpy would redraw.
+    """Fill ``x`` with the inversion-search counts of the intp key block ``keys``; False where numpy would redraw.
 
     numpy consumes one uniform per element with p0 > 0 (none where
     p0 == 0), so one ``rng.random`` fill feeds a vectorized search over the
@@ -260,10 +260,7 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
     ``BATCH_SIZE`` were mapped and faulted in afresh, block after block).
     """
     terms, fold, zero, bound, min_bound = table
-    # take converts indices of any dtype but intp into a temporary of its
-    # own, so narrow keys are widened once per block (intp keys are used as
-    # they are)
-    block_keys = keys = keys.astype(np.intp, copy=False)
+    block_keys = keys
     drawn = ~zero.take(keys)
     u = np.zeros(keys.size)
     u[drawn] = rng.random(np.count_nonzero(drawn))
@@ -303,32 +300,19 @@ def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndar
 
 
 def _binomial_counts(rng: np.random.Generator, T: int, n: int, basis: int, k: np.ndarray) -> np.ndarray:
-    """``rng.binomial(T, p0[k])`` for one basis's P("0" | k): same values, same stream use.
+    """``rng.binomial(T, p0[k])`` for one basis's P("0" | k) over the flat keys ``k``, drawn by numpy.
 
-    The counts come in the smallest unsigned dtype that holds T.  The
-    search (:func:`_search`) runs in blocks of ``BLOCK_SIZE`` elements, so
-    its temporaries stay one block in size.  numpy itself draws for a batch
-    smaller than the key range (where the table would cost more than it
-    saves), for a (T, n) that reaches its BTPE path, and, after the
-    generator is rewound to its state before the first block, for a batch
-    in which some search would redraw.  It draws in the same blocks, from
-    each block's gathered p0: ``Generator.binomial`` takes its draws
-    element by element from one stream, so the blocks give the values and
-    leave the stream where one whole-batch call does.
+    The counts come in the smallest unsigned dtype that holds T.  They are
+    drawn in blocks of ``BLOCK_SIZE`` keys, from each block's gathered p0:
+    ``Generator.binomial`` takes its draws element by element from one
+    stream, so the blocks give the values and leave the stream where one
+    whole-batch call does.
     """
-    keys = k.ravel()
-    x = np.empty(keys.size, np.min_scalar_type(T))
-    blocks = range(0, keys.size, BLOCK_SIZE)
-    table = _inversion_table(T, n, basis) if k.size >= 1 << n else None
-    if table is not None:
-        state = rng.bit_generator.state
-        if all(_search(rng, table, keys[i:i + BLOCK_SIZE], x[i:i + BLOCK_SIZE]) for i in blocks):
-            return x.reshape(k.shape)
-        rng.bit_generator.state = state
+    x = np.empty(k.size, np.min_scalar_type(T))
     p0 = bayes._prob0_tables(n)[basis]
-    for i in blocks:
-        x[i:i + BLOCK_SIZE] = rng.binomial(T, p0.take(keys[i:i + BLOCK_SIZE]))
-    return x.reshape(k.shape)
+    for i in range(0, k.size, BLOCK_SIZE):
+        x[i:i + BLOCK_SIZE] = rng.binomial(T, p0.take(k[i:i + BLOCK_SIZE]))
+    return x
 
 
 def _cipher_units(k: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -355,13 +339,12 @@ def _bayes_batch(params: ProtocolParams, rng: np.random.Generator, count: int) -
 
     Where the batch covers the key range and both bases are tabulated
     (:func:`_inversion_table`), the counts are searched in the Born pass.
-    If a search would redraw, the generator is rewound to its state after
-    the keys and the whole batch reruns with its counts from
-    :func:`_binomial_counts`, as every other batch runs: the flags and the
-    stream position are those of the sequential draws either way.
+    Every other batch, and the rerun from the state after the keys of one
+    whose search would redraw, has numpy draw both bases' counts
+    (:func:`_binomial_counts`): the flags and stream position are the same.
     """
     T, n = params.T, params.n
-    k = _draw_keys(rng, n, (count, params.s)).ravel()
+    k = _draw_keys(rng, n, count * params.s)
     tables = [_inversion_table(T, n, basis) for basis in (0, 1)] if k.size >= 1 << n else [None]
     if None not in tables:
         state = rng.bit_generator.state
@@ -461,7 +444,7 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     fills by scripting the cursors.
     """
     n, s = params.n, params.s
-    k = _draw_keys(rng, n, (count, s)).ravel()
+    k = _draw_keys(rng, n, count * s)
     w = _draw_codewords(count, s, rng)
     # the codeword bits flip the cipher qubits, then hold each qubit's error
     errors = w.view(bool)

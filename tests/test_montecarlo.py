@@ -209,14 +209,14 @@ def test_chunked_binomial_fallback_matches_one_draw(T):
 
 @pytest.mark.parametrize("n", [1, 8, 9, 16, 17, 32, 33, 63])
 def test_chunked_narrow_keys_match_one_int64_draw(n):
-    # chunks of BATCH_SIZE int64 keys, the last one short, held in the
+    # chunks of BATCH_SIZE int64 keys, the last one short, held flat in the
     # smallest unsigned dtype: the keys and the stream position (the
-    # buffered 32-bit half included) of one whole draw
+    # buffered 32-bit half included) of one whole draw of a batch's shape
     shape = (montecarlo.BATCH_SIZE // 3 + 5, 7)
     fast, direct = philox(n), philox(n)
-    keys = montecarlo._draw_keys(fast, n, shape)
+    keys = montecarlo._draw_keys(fast, n, shape[0] * shape[1])
     assert keys.dtype == np.min_scalar_type((1 << n) - 1)
-    assert np.array_equal(keys, direct.integers(0, 1 << n, size=shape))
+    assert np.array_equal(keys, direct.integers(0, 1 << n, size=shape).ravel())
     assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
     assert fast.random() == direct.random()
 
@@ -277,7 +277,9 @@ def batch_shapes(draw):
 @settings(max_examples=60, deadline=None)
 @given(batch_shapes(), st.integers(0, 2**32 - 1))
 @example((6, 2, 4, 400), 1)  # 3 % of the T = 2 outcome pairs take the fair coin
-@example((1, 200, 3, 40), 2)  # the z basis is tabulated, the x basis goes to BTPE
+# at n = 1 only the z basis is tabulated, so numpy draws both bases' counts
+@example((1, 200, 3, 40), 2)
+@example((1, 61, 3, 2 * montecarlo.BLOCK_SIZE // 3 + 5), 12)  # over three blocks
 # the oracle draws its Born uniforms in one whole-batch fill: count * s one
 # below, at and one past a flat block, and past three with a short last
 # block, with blocks that end mid-row where s does not divide BLOCK_SIZE
@@ -462,77 +464,63 @@ SEARCH_BLOCK_EDGES += [2 * montecarlo.BLOCK_SIZE + 1, 2 * montecarlo.BATCH_SIZE 
     st.integers(0, 2**32 - 1),
     st.one_of(st.integers(0, 300), st.sampled_from(SEARCH_BLOCK_EDGES)),
 )
-def test_binomial_counts_match_generator(n, T, basis, seed, size):
+def test_search_matches_generator(n, T, basis, seed, size):
     # size is either the keys drawn past the 2**n key range or the total
-    # key count at a block edge
+    # key count at a block edge; where the basis is tabulated the search
+    # runs block by block, elsewhere numpy draws (_binomial_counts)
     structural = np.tile(structural_keys(n), 2)
     drawn_size = (1 << n) + size if size <= 300 else size - structural.size
     drawn = np.random.default_rng(seed).integers(0, 1 << n, size=drawn_size)
     k = np.concatenate([structural, drawn])
     p0 = bayes._prob0_tables(n)[basis]
     fast, direct = philox(seed), philox(seed)
-    counts = montecarlo._binomial_counts(fast, T, n, basis, k)
+    table = montecarlo._inversion_table(T, n, basis)
+    if table is None:
+        counts = montecarlo._binomial_counts(fast, T, n, basis, k)
+    else:
+        counts = np.empty(k.size, np.min_scalar_type(T))
+        for i in range(0, k.size, montecarlo.BLOCK_SIZE):  # as a batch searches: block by block, one stream
+            b = slice(i, i + montecarlo.BLOCK_SIZE)
+            assert montecarlo._search(fast, table, k[b], counts[b])
     assert counts.dtype == np.min_scalar_type(T)
     assert np.array_equal(counts, direct.binomial(T, p0[k]))
     assert fast.random() == direct.random()
 
 
-class CountingGenerator(np.random.Generator):
-    """Generator that counts its ``binomial`` calls."""
-
-    binomial_calls = 0
-
-    def binomial(self, *args, **kwargs):
-        self.binomial_calls += 1
-        return super().binomial(*args, **kwargs)
-
-
 @pytest.mark.parametrize("patch", ["bound", "terms"])
-def test_binomial_counts_rewinds_before_numpy_redraw(patch):
+def test_search_reports_a_numpy_redraw(patch):
     # a search that would pass numpy's redraw bound (patched to 0) or run
-    # past T (all terms 0) must hand the batch to numpy from the same
-    # stream position
+    # past T (all terms 0) returns False, so that its batch reruns with
+    # numpy's draws; the unpatched table searches the same keys through
     T, n = 6, 8
-    terms, fold, zero, bound, min_bound = montecarlo._inversion_table(T, n, 0)
+    terms, fold, zero, bound, min_bound = table = montecarlo._inversion_table(T, n, 0)
     if patch == "bound":
         bound, min_bound = np.zeros_like(bound), 0
     else:
         terms = np.zeros_like(terms)
-    table = (terms, fold, zero, bound, min_bound)
     k = np.random.default_rng(3).integers(0, 1 << n, size=4 << n)
     k[:2] = structural_keys(n)[:2]
-    fast, direct = CountingGenerator(np.random.Philox(9)), philox(9)
-    with mock.patch.object(montecarlo, "_inversion_table", lambda *key: table):
-        counts = montecarlo._binomial_counts(fast, T, n, 0, k)
-    assert fast.binomial_calls == 1
-    assert np.array_equal(counts, direct.binomial(T, bayes._prob0_tables(n)[0][k]))
-    assert fast.random() == direct.random()
+    x = np.empty(k.size, np.min_scalar_type(T))
+    assert montecarlo._search(philox(9), table, k, x)
+    assert not montecarlo._search(philox(9), (terms, fold, zero, bound, min_bound), k, x)
 
 
-def test_binomial_counts_rewinds_when_a_later_block_redraws():
-    # only the second search block holds the key whose redraw bound is
-    # patched to 0: the first block's search passes on its own, and the
-    # whole batch still goes to numpy from the stream position before the
-    # first block's draws
-    T, n = 6, 8
-    terms, fold, zero, bound, _ = montecarlo._inversion_table(T, n, 0)
-    key = int(np.argmin(terms[0]))  # the key least likely to stop at a count of 0
-    bound = bound.copy()
-    bound[key] = 0
-    table = (terms, fold, zero, bound, 0)
-    keys = np.random.default_rng(4).integers(0, 1 << n, size=montecarlo.BLOCK_SIZE + 200)
-    first = keys[:montecarlo.BLOCK_SIZE]
-    first[first == key] = key - 1
-    keys[-100:] = key
-    p0 = bayes._prob0_tables(n)[0]
-    alone, fast, direct = CountingGenerator(np.random.Philox(9)), CountingGenerator(np.random.Philox(9)), philox(9)
-    with mock.patch.object(montecarlo, "_inversion_table", lambda *_: table):
-        assert np.array_equal(montecarlo._binomial_counts(alone, T, n, 0, first), philox(9).binomial(T, p0[first]))
-        counts = montecarlo._binomial_counts(fast, T, n, 0, keys)
-    assert alone.binomial_calls == 0
-    # the fallback draws in the search's blocks, one call each
-    assert fast.binomial_calls == 2
-    assert np.array_equal(counts, direct.binomial(T, p0[keys]))
+def test_binomial_counts_never_read_the_inversion_table():
+    # numpy draws a batch's counts at a tabulated (T, n) over more than the
+    # key range, the rerun of a batch whose search would redraw, without
+    # looking for a table: the values and stream position of one whole draw
+    T, n = 6, 10
+    k = np.random.default_rng(5).integers(0, 1 << n, size=montecarlo.BLOCK_SIZE + 7).astype(np.uint16)
+    assert None not in [montecarlo._inversion_table(T, n, basis) for basis in (0, 1)]
+    fast, direct = philox(5), philox(5)
+
+    def no_table(*key):
+        raise AssertionError(f"_inversion_table{key} read")
+
+    with mock.patch.object(montecarlo, "_inversion_table", no_table):
+        for basis in (0, 1):
+            counts = montecarlo._binomial_counts(fast, T, n, basis, k)
+            assert np.array_equal(counts, direct.binomial(T, bayes._prob0_tables(n)[basis][k]))
     assert fast.random() == direct.random()
 
 

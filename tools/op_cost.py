@@ -27,6 +27,13 @@ this tree's median against the other's, and the pairs each tree won (the
 lower CPU time).  Per workload it prints the sum of the median CPU seconds
 of its pass, repeats included.  An argv whose exit codes differ between the
 trees is marked, and the tool then exits 1.
+
+The CPU seconds are bare: nothing corrects them for the host's speed,
+which drifts (perfbench's ``speed.py`` measures it).  Ten pairs have shown
+a ±10 % change at 9:1 on code a change did not touch, and one argv's median
+from the same tree read 0.75 s and 1.09 s in two runs about 20 minutes
+apart.  A CPU verdict from this tool needs more pairs, or perfbench's
+records, before it is quoted.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ count, and exits 1 if any differ, else 0.  The corpus:
   campaigns at the edges of the count paths: count * s one below and at
   2^n for n = 10 and 13 (below it numpy draws the counts, at it they are
   searched block by block), T = 60 and 61 at n = 12 over two batches (the
-  last T whose counts are searched, the first that reaches BTPE), and
-  T = 16, s = 432 with 4,096 trials;
+  last T whose counts are searched, the first that reaches BTPE),
+  T = 16, s = 432 with 4,096 trials, and T = 61, 64 and 200 at n = 1,
+  s = 3 with 70,000 trials (two batches), where the z basis is tabulated
+  and the x basis is not, so numpy draws both bases' counts;
 * ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
   with ``--format json``, which prints ``entropy_bits`` to its last digit;
 * ``security`` at epsilon = 2^-40 over T = 1..20,000, codeword lengths in
@@ -112,6 +114,7 @@ def corpus() -> list[list[str]]:
     argvs += [campaign("bayes-projective", n, 4, 1, (1 << n) + d) for n in (10, 13) for d in (-1, 0)]
     argvs += [campaign("bayes-projective", 12, T, 2, 70_000) for T in (60, 61)]
     argvs.append(campaign("bayes-projective", 13, 16, 432, 4096))
+    argvs += [campaign("bayes-projective", 1, T, 3, 70_000) for T in (61, 64, 200)]
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
     argvs.append(["security", "--epsilon", "9.094947017729282e-13", "--T", "1-20000"])
