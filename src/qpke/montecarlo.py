@@ -29,23 +29,26 @@ Both attacks run in one shape: after the keys and codeword bits, one pass
 over flat blocks of ``BLOCK_SIZE`` elements XORs each qubit's error into
 its codeword bit, and one parity reduction over the rows gives the success
 flags.  The bayes batch searches its counts in that pass and draws its Born
-uniforms block by block; the symmetry test reads its three uniform fills
-(basis, public outcome, cipher outcome) from cursors.
+uniforms block by block; the symmetry test replays each block's keys and
+reads its three uniform fills (basis, public outcome, cipher outcome) from
+cursors.
 
-Each batch owns its arrays: the ones that outlive a block (keys and
-codeword bits) are plain arrays of the function that fills them.  Keys (as
-int64) and codeword bits (as int8) are drawn into them a chunk at a time,
-and keys are held in the smallest unsigned dtype that holds 2**n - 1.
-Every other array is a numpy temporary of one ``BLOCK_SIZE`` block or one
-draw chunk.  So at n <= 16 a batch holds 3 B per qubit while it runs, and
-frees them when it returns: 85 MB for a 65,536-trial batch at s = 432,
-235 MB at s = 1195.  Beside them it allocates at most ~0.44 MiB (symmetry
-test) and ~0.64 MiB (bayes) at any codeword length (the block
-temporaries).  A bayes batch holds two count arrays more, 5 B per qubit,
-where numpy draws its counts first, in the same blocks and straight into
-the narrow count arrays: at T > 60, where some key's count takes numpy's
-BTPE path (392 MB for a 65,536-trial batch at T = 64, s = 1195), in a
-batch smaller than the key range, and after a search that would redraw.
+Each batch owns its arrays.  The ones that outlive a block are plain
+arrays of the function that fills them: the codeword bits (int8) and, in a
+bayes batch, the keys, since its count fill lengths need every key before
+the pass.  Both are drawn a chunk at a time; keys are drawn as int64 and
+held in the smallest unsigned dtype that holds 2**n - 1.  Every other
+array is a numpy temporary of one ``BLOCK_SIZE`` block or one draw chunk.
+So a symmetry-test batch holds 1 B per qubit while it runs, and a bayes
+batch 3 B at n <= 16, and each frees them when it returns: 28 and 85 MB
+for a 65,536-trial batch at s = 432, 78 and 235 MB at s = 1195.  Beside
+them it allocates at most ~0.44 MiB (symmetry test) and ~0.64 MiB (bayes)
+at any codeword length (the block temporaries).  A bayes batch holds two
+count arrays more, 5 B per qubit, where numpy draws its counts first, in
+the same blocks and straight into the narrow count arrays: at T > 60,
+where some key's count takes numpy's BTPE path (392 MB for a 65,536-trial
+batch at T = 64, s = 1195), in a batch smaller than the key range, and
+after a search that would redraw.
 """
 
 from __future__ import annotations
@@ -182,6 +185,30 @@ def _cursors(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Gener
     return [np.random.Generator(_cursor(state, start)) for start in starts]
 
 
+def _key_cursor(rng: np.random.Generator, n: int, size: int) -> np.random.Generator:
+    """A generator whose draws of keys, block by block, are ``rng.integers(0, 2**n, size)``; ``rng`` moves past them.
+
+    Each key is one ``next_uint32`` (one ``next_uint64`` above n = 32), as
+    in :func:`_draw_keys`.  Above n = 32 ``rng`` skips ``size`` raw outputs.
+    At n <= 32 a key takes a buffered high half if there is one, else the
+    low half of the next raw output, whose high half is buffered; ``rng``
+    skips to the last raw output the keys read and draws its one or two
+    keys, so it leaves the buffered half where the whole draw would.
+    """
+    state = rng.bit_generator.state
+    keys = np.random.Generator(_cursor(state, 0))
+    if n > 32:
+        end = _cursor(state, size)
+    else:
+        lead = min(state["has_uint32"], size)
+        rest = size - lead
+        skip = max(rest - 1, 0) // 2
+        end = _cursor(dict(state, has_uint32=state["has_uint32"] - lead), skip)
+        np.random.Generator(end).integers(0, 1 << n, size=rest - 2 * skip)
+    rng.bit_generator.state = end.state
+    return keys
+
+
 def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform parity-matched codewords of uniform messages, as (count, s) int8 bits.
 
@@ -237,7 +264,8 @@ def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
         return None
     q = 1.0 - p
     terms = np.empty((T + 1, p.size))
-    terms[0] = [math.exp(T * math.log(qk)) for qk in q.tolist()]
+    # a memoryview yields Python floats, as tolist does, without a list of them
+    terms[0] = np.fromiter((math.exp(T * math.log(qk)) for qk in memoryview(q)), float, q.size)
     for j in range(1, T + 1):
         terms[j] = ((T - j + 1) * p * terms[j - 1]) / (j * q)
     mean = T * p
@@ -436,27 +464,28 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     """Simulate ``count`` runs of the pairwise symmetry test; returns success flags.
 
     Each pair's basis angle is drawn as phi = 2*pi*u, so the half offset
-    x = (k*theta - phi) / 2 keeps |x| <= pi for every n <= 63.  After the
-    keys and codewords come three whole-batch fills of uniforms in turn
-    (basis, public outcome, cipher outcome); each is read from its own
-    cursor (:func:`_cursors`), so one pass over flat blocks of
-    ``BLOCK_SIZE`` elements runs every stage.  A test pins the three
-    fills by scripting the cursors.
+    x = (k*theta - phi) / 2 keeps |x| <= pi for every n <= 63.  The keys
+    come first, then the codewords, then three whole-batch fills of
+    uniforms in turn (basis, public outcome, cipher outcome).  The keys are
+    replayed from a cursor at their stream offset (:func:`_key_cursor`)
+    and each fill is read from its own (:func:`_cursors`), so one pass over
+    flat blocks of ``BLOCK_SIZE`` elements draws each block's keys and runs
+    every stage, and the batch holds only its codeword bits, 1 B per
+    qubit.  A test pins the three fills by scripting the cursors.
     """
     n, s = params.n, params.s
-    k = _draw_keys(rng, n, count * s)
+    keys = _key_cursor(rng, n, count * s)
     w = _draw_codewords(count, s, rng)
     # the codeword bits flip the cipher qubits, then hold each qubit's error
     errors = w.view(bool)
     flip = errors.ravel()
-    basis, public, cipher = _cursors(rng, [k.size] * 3)
+    basis, public, cipher = _cursors(rng, [flip.size] * 3)
 
-    for start in range(0, k.size, BLOCK_SIZE):
-        b = slice(start, start + BLOCK_SIZE)
-        kb, fb = k[b], flip[b]
-        x = kb * params.theta
+    for start in range(0, flip.size, BLOCK_SIZE):
+        fb = flip[start:start + BLOCK_SIZE]
+        x = keys.integers(0, 1 << n, size=fb.size) * params.theta
         # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
-        phi = basis.random(kb.size)
+        phi = basis.random(fb.size)
         phi *= 2.0 * math.pi
         # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
         # float32 estimate q decides all outcomes but those near a threshold
@@ -464,11 +493,11 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
         x /= 2.0
         del phi
         q = np.square(np.cos(x, dtype=np.float32))
-        public_bit = _decide(public.random(kb.size), q, x, None)
+        public_bit = _decide(public.random(fb.size), q, x, None)
         # the cipher qubit, shifted by w*pi, has the complement where w = 1
         np.subtract(fb, q, out=q)
         np.abs(q, out=q)
-        cipher_bit = _decide(cipher.random(kb.size), q, x, fb)
+        cipher_bit = _decide(cipher.random(fb.size), q, x, fb)
         # equal outcomes read as "parallel" (bit 0), unequal as
         # "antiparallel" (bit 1): the error is public ^ cipher ^ w
         fb ^= public_bit

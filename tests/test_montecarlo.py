@@ -240,6 +240,47 @@ def test_cursor_matches_sequential_fill(seed, buffer_pos, has_uint32, skip):
     assert cursor.random() == sequential.random()
 
 
+def comparable(state):
+    """A Philox ``bit_generator.state`` as a tuple, without the buffer's spent outputs, which no draw reads.
+
+    ``advance`` zeroes them, so a cursor moved by ``advance`` and a generator
+    that drew its way to the same counter differ only there.
+    """
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer_pos"],
+            state["buffer"][state["buffer_pos"]:].tolist(), state["has_uint32"], state["uinteger"])
+
+
+KEY_BLOCK_EDGES = [m * montecarlo.BLOCK_SIZE + d for m in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 63), st.integers(0, 2**32 - 1), st.booleans(),
+       st.one_of(st.sampled_from([0, 1, *KEY_BLOCK_EDGES]),
+                 st.integers(0, 3 * montecarlo.BLOCK_SIZE // 2).map(lambda half: 2 * half + 1),
+                 st.integers(0, 3 * montecarlo.BLOCK_SIZE)))
+@example(32, 1, True, 1)  # the buffered half is the only key
+@example(32, 2, True, 2)  # then one low half, whose high half is buffered
+@example(33, 3, True, montecarlo.BLOCK_SIZE + 1)  # 64-bit keys leave the half buffered
+def test_key_cursor_replays_one_key_draw(n, seed, buffered, size):
+    # keys drawn block by block from the cursor are one whole draw of size
+    # keys, and the generator moves to where that draw leaves it, with or
+    # without a buffered 32-bit half at entry, at any position in a counter
+    # step: its state (the buffered half and its value included) and its
+    # next codeword bits and doubles
+    fast, direct = philox(seed), philox(seed)
+    for rng in (fast, direct):
+        rng.random(seed % 4)
+        if buffered:
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+    keys = montecarlo._key_cursor(fast, n, size)
+    drawn = [keys.integers(0, 1 << n, size=min(montecarlo.BLOCK_SIZE, size - start))
+             for start in range(0, size, montecarlo.BLOCK_SIZE)]
+    assert np.array_equal(np.concatenate([np.empty(0, np.int64), *drawn]), direct.integers(0, 1 << n, size))
+    assert comparable(fast.bit_generator.state) == comparable(direct.bit_generator.state)
+    assert np.array_equal(fast.integers(0, 2, size=5, dtype=np.int8), direct.integers(0, 2, size=5, dtype=np.int8))
+    assert np.array_equal(fast.random(3), direct.random(3))
+
+
 @pytest.mark.parametrize("size", [1, 3, 4, 5, 1000])
 def test_cursors_read_consecutive_fills(size):
     # three cursors, of equal and of unequal sizes, fill as three whole
@@ -601,11 +642,14 @@ def held_bound(bytes_per_qubit, count, s):
     """A batch's per-qubit arrays exactly, and what it may allocate beside them.
 
     Beside them: the messages, the first error column and the success
-    flags, and the larger of one int64 chunk of keys (32 B per block
-    element) and the block temporaries of the Born stage (five float64 or
-    intp arrays) at any codeword length: 0.44 MiB (symmetry test) and
-    0.63 MiB (bayes, with its counts searched block by block at T = 4 or
-    held whole at T = 64) beyond the per-qubit arrays when measured.
+    flags, and the larger of one int64 chunk of keys and the block
+    temporaries of the Born stage (five float64 or intp arrays) at any
+    codeword length.  The bayes batch draws its keys in chunks of
+    ``BATCH_SIZE`` (32 B per block element); the symmetry batch replays
+    them one block at a time, so its int64 keys are one block among its
+    temporaries.  Measured beyond the per-qubit arrays: 0.44 MiB (symmetry
+    test) and 0.63 MiB (bayes, with its counts searched block by block at
+    T = 4 or held whole at T = 64).
     """
     return bytes_per_qubit * count * s + 2 * count + 48 * montecarlo.BLOCK_SIZE
 
@@ -667,12 +711,13 @@ def test_bayes_batch_memory_past_the_inversion_search():
 
 
 def test_symmetry_batch_memory_at_full_batch():
-    # warm batch: the uint16 keys and the codeword bits, which end up
-    # holding the errors, are 3 B per qubit; the angles, the float32 Born
-    # estimates, the uniforms, the outcomes and the decisions' scratch stay
-    # one block in size (3.44 B per qubit when measured at s = 16)
+    # warm batch: the codeword bits, which end up holding the errors, are
+    # 1 B per qubit; the keys are replayed a block at a time, and they, the
+    # angles, the float32 Born estimates, the uniforms, the outcomes and
+    # the decisions' scratch stay one block in size (1.44 B per qubit when
+    # measured at s = 16, 1.26 at s = 432)
     for s, count in FULL_BATCHES:
         params = ProtocolParams(n=13, N=s, T=1, s=s)
         montecarlo._symmetry_batch(params, philox(0), count)
         peak = lone_peak(montecarlo._symmetry_batch, params, count, 1)
-        assert peak <= held_bound(3, count, s), s
+        assert peak <= held_bound(1, count, s), s

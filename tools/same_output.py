@@ -15,7 +15,10 @@ count, and exits 1 if any differ, else 0.  The corpus:
 * ``check-all --seed 0..127``;
 * Monte Carlo campaigns at the edges of the key dtypes: symmetry tests at
   n = 1, 8, 9, 16, 17, 32, 33 and 63 and bayes campaigns at n = 8, 9 and 14,
-  each over several flat blocks and key chunks; both attacks at the paper's
+  each over several flat blocks and key chunks; symmetry tests of 40,001
+  trials at s = 5 and n = 32, 33 and 63, odd key counts at the n = 32 edge
+  (one 32-bit draw a key, the last leaving a half buffered) and above it
+  (one 64-bit draw a key); both attacks at the paper's
   s = 432 and s = 1195 (bayes at T = 64 there) with small trial counts; both
   at one trial either side of a 65,536-trial batch; bayes campaigns at
   s = 3, 5 and 7 whose last batch's count * s lies one element either side
@@ -104,6 +107,7 @@ def corpus() -> list[list[str]]:
     argvs += next(workloads.probe_rounds(1))
     argvs += [["check-all", "--seed", str(seed)] for seed in range(128)]
     argvs += [campaign("symmetry-test", n, 1, 5, 40_000) for n in (1, 8, 9, 16, 17, 32, 33, 63)]
+    argvs += [campaign("symmetry-test", n, 1, 5, 40_001) for n in (32, 33, 63)]
     argvs += [campaign("bayes-projective", n, 4, 5, 40_000) for n in (8, 9, 14)]
     argvs += [campaign(attack, 13, 4, 432, trials) for attack in ATTACKS for trials in (7, 150)]
     argvs += [campaign(attack, 13, 64, 1195, trials) for attack in ATTACKS for trials in (3, 14)]
