@@ -2,7 +2,8 @@
 
 Subcommands: ``prior``, ``figure``, ``security``, ``montecarlo``, ``check-all``.
 Each command returns its table as columns, or, for figures 1 and 3, as a
-stream of key grids, one grid of 2^n rows at a time; ``_write_rows`` writes
+stream of key grids, one grid of 2^n rows at a time, and for figure 5 as a
+stream of ``CHUNK_ROWS`` codeword lengths at a time; ``_write_rows`` writes
 it as CSV (default) or JSON, ``CHUNK_ROWS`` rows at a time.  A CSV chunk
 takes one of two paths.  Where every column is an int, uint or float array
 (figures 1 and 3), ``cells.csv_rows`` computes the ``%d`` / ``%.12g`` bytes in numpy, and
@@ -291,22 +292,24 @@ def _figure5(args):
         raise ValueError(f"T must be >= 1, got {min(args.T)}")
     from . import bayes, symmetry
 
-    pairs = [(T, s) for T in args.T for s in range(1, args.s + 1)]
     per_bit = {T: bayes.mean_success(T, args.n) for T in args.T}
-    success = [symmetry.codeword_success(per_bit[T], s) for T, s in pairs]
-    bound = [symmetry.codeword_bound(T, s) if T > 1 else "" for T, s in pairs]
-    violations = [
-        {"check": "codeword-bound", "T": T, "s": s, "success": p, "bound": b}
-        for (T, s), p, b in zip(pairs, success, bound)
-        if T > 1 and args.n >= bayes._exact_n(T) and not p <= b + 1e-10
-    ]
-    table = Table({
-        "T": [T for T, _ in pairs],
-        "s": [s for _, s in pairs],
-        "success": success,
-        "upper_bound": bound,
-    })
-    return table, violations
+    violations = []
+
+    def blocks():
+        # CHUNK_ROWS codeword lengths of one T at a time, whose violations
+        # are collected as the writer reads them
+        for T in args.T:
+            checked = T > 1 and args.n >= bayes._exact_n(T)
+            for start in range(1, args.s + 1, CHUNK_ROWS):
+                lengths = range(start, min(start + CHUNK_ROWS, args.s + 1))
+                success = [symmetry.codeword_success(per_bit[T], s) for s in lengths]
+                bound = [symmetry.codeword_bound(T, s) if T > 1 else "" for s in lengths]
+                for s, p, b in zip(lengths, success, bound):
+                    if checked and not p <= b + 1e-10:
+                        violations.append({"check": "codeword-bound", "T": T, "s": s, "success": p, "bound": b})
+                yield [[T] * len(lengths), list(lengths), success, bound]
+
+    return Table(["T", "s", "success", "upper_bound"], blocks()), violations
 
 
 def cmd_figure(args) -> tuple[Table, list[dict]]:
@@ -472,7 +475,8 @@ def _check_codeword_bound() -> tuple[bool, str]:
     import numpy as np
 
     table, violations = _figure5(argparse.Namespace(n=10, T=[2, 4, 8], s=50))
-    worst = float(np.max(np.subtract(table["success"], table["upper_bound"])))
+    success, bound = (table.fields.index(field) for field in ("success", "upper_bound"))
+    worst = float(max(np.max(np.subtract(chunk[success], chunk[bound])) for chunk in table.chunks()))
     return not violations, f"max excess over the codeword bound = {worst:.3e}"
 
 

@@ -17,13 +17,22 @@ A cipher qubit is its integer cipher unit c = k XOR (w << (n-1)), as in
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
 sin(c*theta) U_x, is gathered from cached key and cell tables.
 
-The symmetry test decides each outcome, u >= p for a Born probability
-p = cos(x)**2, from a float32 estimate of p: numpy's float32 cosine is
-SIMD, its float64 one scalar libm.  The estimate lies within 2**-20 of p,
-so only uniforms within ``P_MARGIN`` of it (~0.05 % per draw) are compared
+The symmetry test reads its keys, codeword bits and outcome uniforms
+straight from Philox's raw 64-bit outputs (``random_raw``) and gets, bit
+for bit, the draws numpy 2.x's ``Generator`` makes of them, at their stream
+positions.  A key on a
+power-of-two range is the top n bits of one 32-bit draw (of one raw output
+above n = 32), since Lemire's method never rejects there (Lemire, ACM
+TOMACS 29, 2019), and a codeword bit is the top bit of one byte of a 32-bit
+draw; a 32-bit draw is a buffered high half or a raw output's low half.  An
+outcome uniform u is (w >> 11) * 2**-53 of its raw output w.  The test
+decides each outcome, u >= p for a Born probability p = cos(x)**2, from
+float32 estimates of p (numpy's float32 cosine is SIMD, its float64 one
+scalar libm) and of u (the high half of w), so only uniforms within
+``P_MARGIN`` of p's estimate (~0.05 % per draw) are compared as doubles
 with p itself, from libm, block by block (a filtered predicate, as in
 Shewchuk, Discrete Comput. Geom. 18, 1997).  Every flag and every stream
-position is the one a float64 comparison gives.
+position is the one a float64 comparison of numpy's draws gives.
 
 Both attacks run in one shape: after the keys and codeword bits, one pass
 over flat blocks of ``BLOCK_SIZE`` elements XORs each qubit's error into
@@ -36,8 +45,8 @@ cursors.
 Each batch owns its arrays.  The ones that outlive a block are plain
 arrays of the function that fills them: the codeword bits (int8) and, in a
 bayes batch, the keys, since its count fill lengths need every key before
-the pass.  Both are drawn a chunk at a time; keys are drawn as int64 and
-held in the smallest unsigned dtype that holds 2**n - 1.  Every other
+the pass.  Both are drawn a chunk at a time; bayes keys are drawn as int64
+and held in the smallest unsigned dtype that holds 2**n - 1.  Every other
 array is a numpy temporary of one ``BLOCK_SIZE`` block or one draw chunk.
 So a symmetry-test batch holds 1 B per qubit while it runs, and a bayes
 batch 3 B at n <= 16, and each frees them when it returns: 28 and 85 MB
@@ -74,14 +83,19 @@ BATCH_SIZE = 1 << 16
 BLOCK_SIZE = 1 << 14
 
 #: half-width of the band around a threshold inside which a symmetry-test
-#: outcome is decided from numpy's float64 cosine (libm).  A drawn basis
-#: keeps |x| <= pi, where cos(float32(x))**2 in float32 is within 2**-20 of
-#: the float64 cos(x)**2: rounding x to float32 moves it by <= 2**-22 and
-#: cos**2 has slope |sin 2x| <= 1, numpy's float32 cosine and the squaring
-#: add a few units of 2**-24, and 10**7 draws of x in (-pi, pi) show at
-#: most 2**-22.0.
-#: 2**-12 keeps a 256-fold reserve and sends 2 * 2**-12, ~0.05 %, of each
-#: decision's uniforms to libm.
+#: outcome is decided from doubles: u from its raw output and p from numpy's
+#: float64 cosine (libm).  Outside it a float32 difference decides:
+#: - a drawn basis keeps |x| <= pi, where cos(float32(x))**2 in float32 is
+#:   within 2**-20 of the float64 cos(x)**2: rounding x to float32 moves it
+#:   by <= 2**-22 and cos**2 has slope |sin 2x| <= 1, numpy's float32 cosine
+#:   and the squaring add a few units of 2**-24, and 10**7 draws of x in
+#:   (-pi, pi) show at most 2**-22.0;
+#: - u's float32 estimate from its word's high half is within
+#:   2**-32 + 2**-25 of u (:func:`_uniform_estimates`);
+#: - their difference, taken in float32, adds at most 2**-25.
+#: So the difference is within 2**-20 + 2**-24 + 2**-32 of u - p, and
+#: 2**-12 keeps a more than 240-fold reserve and sends 2 * 2**-12, ~0.05 %,
+#: of each decision's uniforms to the doubles.
 P_MARGIN = 2.0 ** -12
 
 
@@ -142,6 +156,14 @@ def _draw_keys(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     one ``next_uint32`` (one ``next_uint64`` above n = 32), with no rejection
     for a power-of-two range, so the chunks hold the keys of one whole draw
     and leave the stream where it would.
+
+    They are not read from raw outputs (:func:`_keys`), as the symmetry test
+    reads its keys: that gives the same keys, but it took a 2M-trial
+    campaign at n = 14, s = 1 from 5.9k to 16k-20k minor page faults,
+    nearly all in :func:`_bayes_flags`, and 3-19 % more CPU.  Freeing a
+    512 KB int64 chunk raises glibc's mmap threshold, and that keeps the
+    search's 128 KiB block temporaries on the heap; without the chunks they
+    are mapped and faulted in afresh, block after block.
     """
     keys = np.empty(size, np.min_scalar_type((1 << n) - 1))
     for start in range(0, size, BATCH_SIZE):
@@ -151,13 +173,13 @@ def _draw_keys(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 
 def _cursor(state: dict, skip: int) -> np.random.Philox:
-    """A Philox bit generator at ``state`` (a ``bit_generator.state``) moved on by ``skip`` doubles.
+    """A Philox bit generator at ``state`` (a ``bit_generator.state``) moved on by ``skip`` raw outputs.
 
-    Each double is one raw 64-bit output, and Philox makes them four per
-    counter step (Salmon et al., SC'11).  The rest of the buffered step is
-    passed over by moving ``buffer_pos``, whole steps by ``advance`` and a
-    last part step by drawing it.  ``advance`` clears the buffered 32-bit
-    half, which no double reads, so it is put back.
+    Philox makes its raw 64-bit outputs four per counter step (Salmon et
+    al., SC'11).  The rest of the buffered step is passed over by moving
+    ``buffer_pos``, whole steps by ``advance`` and a last part step by
+    drawing it.  ``advance`` clears the buffered 32-bit half, which no raw
+    output or double reads, so it is put back.
     """
     bitgen = np.random.Philox(key=0)  # its state is replaced
     avail = len(state["buffer"]) - state["buffer_pos"]
@@ -175,9 +197,10 @@ def _cursor(state: dict, skip: int) -> np.random.Philox:
 def _cursors(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generator]:
     """Generators whose fills of ``sizes`` doubles are ``rng``'s next fills of those sizes, in turn.
 
-    ``rng`` moves past all of them at once, so the fills may be read block by
-    block in any interleaving and the stream still ends where the whole
-    fills in turn leave it.
+    A double is one raw output, so the first ``sizes`` raw outputs of their
+    bit generators are those fills' too.  ``rng`` moves past all of them at
+    once, so the fills may be read block by block in any interleaving and
+    the stream still ends where the whole fills in turn leave it.
     """
     state = rng.bit_generator.state
     starts = [0, *itertools.accumulate(sizes)]
@@ -185,18 +208,63 @@ def _cursors(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Gener
     return [np.random.Generator(_cursor(state, start)) for start in starts]
 
 
-def _key_cursor(rng: np.random.Generator, n: int, size: int) -> np.random.Generator:
-    """A generator whose draws of keys, block by block, are ``rng.integers(0, 2**n, size)``; ``rng`` moves past them.
+def _uint32s(bitgen: np.random.Philox, size: int) -> np.ndarray:
+    """``bitgen``'s next ``size`` 32-bit draws (numpy's ``next_uint32``), which leave it where they would.
 
-    Each key is one ``next_uint32`` (one ``next_uint64`` above n = 32), as
-    in :func:`_draw_keys`.  Above n = 32 ``rng`` skips ``size`` raw outputs.
-    At n <= 32 a key takes a buffered high half if there is one, else the
-    low half of the next raw output, whose high half is buffered; ``rng``
-    skips to the last raw output the keys read and draws its one or two
-    keys, so it leaves the buffered half where the whole draw would.
+    A draw takes the buffered high half of a raw output if there is one,
+    else the low half of the next raw output and buffers its high half.  So
+    the draws are a buffered half, then the uint32 view of raw outputs, low
+    half first, and an odd rest leaves its last high half buffered.
+    """
+    state = bitgen.state
+    lead = min(state["has_uint32"], size)
+    rest = size - lead
+    halves = bitgen.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
+    if lead or halves.size:
+        # numpy keeps the high half of the last raw output it drew, spent or not
+        last = int(halves[-1]) if halves.size else state["uinteger"]
+        bitgen.state = dict(bitgen.state, has_uint32=int(halves.size > rest), uinteger=last)
+    if not lead:
+        return halves[:rest]
+    words = np.empty(size, np.uint32)
+    words[0] = state["uinteger"]
+    words[1:] = halves[:rest]
+    return words
+
+
+def _keys(bitgen: np.random.Philox, n: int, size: int) -> np.ndarray:
+    """``bitgen``'s next ``size`` keys uniform on Z_{2**n}: ``integers(0, 2**n, size)``, as uint32 or uint64.
+
+    numpy draws a key on a power-of-two range by Lemire's method (Lemire,
+    ACM TOMACS 29, 2019), which never rejects there: the key is the top n
+    bits of one ``next_uint32`` (of one raw output above n = 32).
+    """
+    keys = bitgen.random_raw(size) if n > 32 else _uint32s(bitgen, size)
+    return np.right_shift(keys, 8 * keys.itemsize - n, out=keys)
+
+
+def _bits(bitgen: np.random.Philox, size: int) -> np.ndarray:
+    """``bitgen``'s next ``size`` bits: ``integers(0, 2, size, dtype=np.int8)``.
+
+    An int8 draw takes one ``next_uint32`` per four bytes, from a fresh one
+    at each call, and reads its bytes low byte first; Lemire's method makes
+    each bit the top bit of its byte.
+    """
+    bits = _uint32s(bitgen, -(-size // 4)).astype("<u4", copy=False).view(np.uint8)
+    np.right_shift(bits, 7, out=bits)
+    return bits[:size].view(np.int8)
+
+
+def _key_cursor(rng: np.random.Generator, n: int, size: int) -> np.random.Philox:
+    """A bit generator whose keys, read block by block (:func:`_keys`), are ``rng.integers(0, 2**n, size)``; ``rng`` moves past them.
+
+    Above n = 32 a key is one raw output, and ``rng`` skips ``size`` of
+    them.  At n <= 32 a key is one ``next_uint32``: ``rng`` skips to the
+    last raw output the keys read and draws its one or two keys, so it
+    leaves the buffered half where the whole draw would.
     """
     state = rng.bit_generator.state
-    keys = np.random.Generator(_cursor(state, 0))
+    keys = _cursor(state, 0)
     if n > 32:
         end = _cursor(state, size)
     else:
@@ -204,7 +272,7 @@ def _key_cursor(rng: np.random.Generator, n: int, size: int) -> np.random.Genera
         rest = size - lead
         skip = max(rest - 1, 0) // 2
         end = _cursor(dict(state, has_uint32=state["has_uint32"] - lead), skip)
-        np.random.Generator(end).integers(0, 1 << n, size=rest - 2 * skip)
+        _uint32s(end, rest - 2 * skip)
     rng.bit_generator.state = end.state
     return keys
 
@@ -212,18 +280,20 @@ def _key_cursor(rng: np.random.Generator, n: int, size: int) -> np.random.Genera
 def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform parity-matched codewords of uniform messages, as (count, s) int8 bits.
 
-    The messages come first, then the free bits, drawn as int8 in chunks of
-    about ``BATCH_SIZE`` bits.  An int8 draw takes one 32-bit word per four
-    bits and starts each call on a fresh word, so chunks of a multiple of
-    four rows give the bits and stream position of one whole draw.
+    The messages come first, then the free bits, each one
+    ``integers(0, 2, dtype=np.int8)`` draw (:func:`_bits`), the free bits in
+    chunks of about ``BATCH_SIZE``.  A draw starts each call on a fresh
+    32-bit word, so chunks of a multiple of four rows give the bits and
+    stream position of one whole draw.
     """
-    m = rng.integers(0, 2, size=count, dtype=np.int8)
+    bitgen = rng.bit_generator
+    m = _bits(bitgen, count)
     w = np.empty((count, s), np.int8)
     if s > 1:
         rows = 4 * max(1, BATCH_SIZE // (4 * (s - 1)))
         for start in range(0, count, rows):
             chunk = w[start:start + rows, :-1]
-            chunk[...] = rng.integers(0, 2, size=chunk.shape, dtype=np.int8)
+            chunk[...] = _bits(bitgen, chunk.size).reshape(chunk.shape)
     w[:, -1] = _xor_columns(w[:, :-1], m)
     return w
 
@@ -439,16 +509,30 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
     return np.logical_not(flags, out=flags)
 
 
-def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None) -> np.ndarray:
-    """The flags ``u >= p`` for p = cos(x)**2 by numpy's float64 cosine (1 - p where ``flip``).
+def _uniform_estimates(words: np.ndarray) -> np.ndarray:
+    """float32 estimates of the uniforms (words >> 11) * 2**-53 that the raw outputs ``words`` give as doubles.
 
-    All arrays are flat blocks.  ``q`` is p's float32 estimate, within
-    2**-20 of p for |x| <= pi (``P_MARGIN``), and u - q is taken in float32
-    (another 2**-24 at most).  So a uniform whose difference from q is at
-    least ``P_MARGIN`` lies on the same side of p as of q, and the rest are
-    compared with p itself, computed as in a full-batch float64 stage.
+    An estimate is a word's high 32 bits h as float32, times 2**-32.  The
+    double lies in [h, h + 1) * 2**-32, and rounding h to float32 moves it
+    by at most 2**-25 (half a float32 unit below 1), so the estimate is
+    within 2**-32 + 2**-25 of the double.
     """
-    d = np.subtract(u, q, dtype=np.float32)
+    high = words.astype("<u8", copy=False).view("<u4")[1::2]
+    return np.multiply(high, np.float32(2.0 ** -32), dtype=np.float32)
+
+
+def _decide(words: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None) -> np.ndarray:
+    """The flags ``u >= p`` for the doubles u of the raw outputs ``words`` and p = cos(x)**2 by numpy's float64 cosine (1 - p where ``flip``).
+
+    All arrays are flat blocks.  ``q`` is p's float32 estimate and u's is
+    read from the words' high halves (:func:`_uniform_estimates`); their
+    difference, taken in float32, is within ``P_MARGIN`` of u - p.  So a
+    word whose difference is at least ``P_MARGIN`` lies on the same side of
+    p as of q, and for the rest u and p are formed as doubles, u as
+    ``random`` forms it and p as in a full-batch float64 stage.
+    """
+    d = _uniform_estimates(words)
+    d -= q
     flags = d >= 0.0
     np.abs(d, out=d)
     near = np.flatnonzero(~(d >= P_MARGIN))
@@ -456,7 +540,7 @@ def _decide(u: np.ndarray, q: np.ndarray, x: np.ndarray, flip: np.ndarray | None
     if flip is not None:
         f = flip[near]
         p[f] = 1.0 - p[f]
-    flags[near] = u[near] >= p
+    flags[near] = (words[near] >> 11) * 2.0 ** -53 >= p
     return flags
 
 
@@ -468,10 +552,16 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     come first, then the codewords, then three whole-batch fills of
     uniforms in turn (basis, public outcome, cipher outcome).  The keys are
     replayed from a cursor at their stream offset (:func:`_key_cursor`)
-    and each fill is read from its own (:func:`_cursors`), so one pass over
-    flat blocks of ``BLOCK_SIZE`` elements draws each block's keys and runs
-    every stage, and the batch holds only its codeword bits, 1 B per
-    qubit.  A test pins the three fills by scripting the cursors.
+    and each fill is read from its own (:func:`_cursors`), the outcome
+    fills as raw outputs (:func:`_decide`), so one pass over flat blocks of
+    ``BLOCK_SIZE`` elements reads each block's keys and runs every stage,
+    and the batch holds only its codeword bits, 1 B per qubit.  A test pins
+    the three fills by scripting the cursors.
+
+    The basis fill is read as doubles: x needs u as a double, which
+    ``random`` forms in the one pass that draws it, and a raw read holds one
+    more block array while it forms u, which made a 1.9M-trial campaign at
+    n = 14, s = 3 fault ~110 pages a batch (glibc trims the heap it grows).
     """
     n, s = params.n, params.s
     keys = _key_cursor(rng, n, count * s)
@@ -480,24 +570,25 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     errors = w.view(bool)
     flip = errors.ravel()
     basis, public, cipher = _cursors(rng, [flip.size] * 3)
+    public, cipher = public.bit_generator, cipher.bit_generator
 
     for start in range(0, flip.size, BLOCK_SIZE):
         fb = flip[start:start + BLOCK_SIZE]
-        x = keys.integers(0, 1 << n, size=fb.size) * params.theta
-        # uniform(0, 2*pi) returns 0 + 2*pi * next_double: these doubles
-        phi = basis.random(fb.size)
-        phi *= 2.0 * math.pi
+        # uniform(0, 2*pi) returns 2*pi * u for a double u.  Halving is
+        # exact, so k*(theta/2) - pi*u is the double (k*theta - 2*pi*u) / 2
+        x = _keys(keys, n, fb.size) * (params.theta / 2.0)
+        half_phi = basis.random(fb.size)
+        half_phi *= math.pi
+        x -= half_phi
+        del half_phi
         # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
         # float32 estimate q decides all outcomes but those near a threshold
-        x -= phi
-        x /= 2.0
-        del phi
         q = np.square(np.cos(x, dtype=np.float32))
-        public_bit = _decide(public.random(fb.size), q, x, None)
+        public_bit = _decide(public.random_raw(fb.size), q, x, None)
         # the cipher qubit, shifted by w*pi, has the complement where w = 1
         np.subtract(fb, q, out=q)
         np.abs(q, out=q)
-        cipher_bit = _decide(cipher.random(fb.size), q, x, fb)
+        cipher_bit = _decide(cipher.random_raw(fb.size), q, x, fb)
         # equal outcomes read as "parallel" (bit 0), unequal as
         # "antiparallel" (bit 1): the error is public ^ cipher ^ w
         fb ^= public_bit

@@ -1144,6 +1144,18 @@ def test_figure3_memory_ceiling(tmp_path):
     assert peak <= row_bytes + likelihood_bytes + chunk_bytes
 
 
+def test_figure5_memory_ceiling(tmp_path):
+    # one block of CHUNK_ROWS codeword lengths as Python lists, at 64 B a
+    # cell of its four columns, and one chunk of formatted cells at 128 B
+    # each, at any --s; all 400,000 rows as lists need some 60 MB (2.1 MB of
+    # the 3.1 MB bound when measured)
+    peak, rows = traced_peak(["figure", "--id", "5", "--T", "4,8", "--s", "200000"], tmp_path)
+    assert rows == 2 * 200_000
+    block_bytes = CHUNK_ROWS * 4 * 64
+    chunk_bytes = CHUNK_ROWS * 4 * 128
+    assert peak <= block_bytes + chunk_bytes
+
+
 @pytest.mark.parametrize("argv, grids", [(["figure", "--id", "2", "--n", "10"], 8),
                                          (["figure", "--id", "3", "--n", "10", "--T", "1-16"], 32)])
 def test_sweeps_build_each_grid_once_and_keep_the_last(argv, grids, tmp_path):

@@ -273,12 +273,44 @@ def test_key_cursor_replays_one_key_draw(n, seed, buffered, size):
         if buffered:
             rng.integers(0, 1 << 32, dtype=np.uint32)
     keys = montecarlo._key_cursor(fast, n, size)
-    drawn = [keys.integers(0, 1 << n, size=min(montecarlo.BLOCK_SIZE, size - start))
+    drawn = [montecarlo._keys(keys, n, min(montecarlo.BLOCK_SIZE, size - start))
              for start in range(0, size, montecarlo.BLOCK_SIZE)]
     assert np.array_equal(np.concatenate([np.empty(0, np.int64), *drawn]), direct.integers(0, 1 << n, size))
     assert comparable(fast.bit_generator.state) == comparable(direct.bit_generator.state)
     assert np.array_equal(fast.integers(0, 2, size=5, dtype=np.int8), direct.integers(0, 2, size=5, dtype=np.int8))
     assert np.array_equal(fast.random(3), direct.random(3))
+
+
+READER_SIZES = [0, 1, montecarlo.BLOCK_SIZE - 1, montecarlo.BLOCK_SIZE, montecarlo.BLOCK_SIZE + 1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 63), st.integers(0, 2**32 - 1), st.booleans(),
+       st.one_of(st.sampled_from(READER_SIZES),
+                 st.integers(0, montecarlo.BLOCK_SIZE).map(lambda half: 2 * half + 1),
+                 st.integers(0, 2 * montecarlo.BLOCK_SIZE)))
+@example(32, 1, True, 1)  # the buffered half is the only key, and the only word of the bits
+@example(1, 2, False, 5)  # five bits: two words, the second leaves its high half buffered
+@example(63, 3, True, montecarlo.BLOCK_SIZE + 1)  # raw-output keys leave the half buffered
+def test_raw_readers_match_generator_integers(n, seed, buffered, size):
+    # the key reader and the bit reader give what Generator.integers gives,
+    # with or without a buffered 32-bit half at entry, at any position in a
+    # counter step, and leave the generator where it does: its state (the
+    # buffered half and its value included) and its next draws
+    for read, draw in ((lambda bitgen: montecarlo._keys(bitgen, n, size),
+                        lambda rng: rng.integers(0, 1 << n, size)),
+                       (lambda bitgen: montecarlo._bits(bitgen, size),
+                        lambda rng: rng.integers(0, 2, size, dtype=np.int8))):
+        fast, direct = philox(seed), philox(seed)
+        for rng in (fast, direct):
+            rng.random(seed % 4)
+            if buffered:
+                rng.integers(0, 1 << 32, dtype=np.uint32)
+        assert np.array_equal(read(fast.bit_generator), draw(direct))
+        assert comparable(fast.bit_generator.state) == comparable(direct.bit_generator.state)
+        assert np.array_equal(fast.integers(0, 2, size=5, dtype=np.int8), direct.integers(0, 2, size=5, dtype=np.int8))
+        assert np.array_equal(fast.integers(0, 1 << n, size=3), direct.integers(0, 1 << n, size=3))
+        assert np.array_equal(fast.random(3), direct.random(3))
 
 
 @pytest.mark.parametrize("size", [1, 3, 4, 5, 1000])
@@ -350,34 +382,64 @@ def test_bayes_batch_matches_direct_oracle(shape, seed):
     assert fast.random() == direct.random()  # same stream position
 
 
-class ScriptedGenerator(np.random.Generator):
-    """Philox generator whose uniform draws (``random`` and ``uniform``) take the next scripted uniforms.
+class ScriptedFill:
+    """Scripted uniforms, drawn in turn as doubles (``random``) or as raw outputs (``random_raw``).
 
-    Under :func:`scripted_cursors` its ``cursors`` stand in for
-    ``montecarlo._cursors``: each cursor takes the next ``size`` of them.
+    numpy's double of a raw output w is (w >> 11) * 2**-53, so every
+    scripted uniform must be a multiple m * 2**-53 in [0, 1), and its raw
+    output is m << 11.  A fill stands in for a cursor that
+    ``montecarlo._cursors`` opens, and for that cursor's bit generator.
     """
 
-    def __init__(self, seed, uniforms):
-        super().__init__(np.random.Philox(seed))
-        self.uniforms = np.concatenate([np.ravel(a) for a in uniforms])
-        self.opened = []
+    def __init__(self, uniforms):
+        uniforms = np.concatenate([np.ravel(a) for a in uniforms])
+        m = uniforms * 2.0 ** 53
+        assert np.all((uniforms >= 0.0) & (uniforms < 1.0) & (m == np.floor(m))), "a uniform off the 2**-53 grid"
+        self.words = m.astype(np.uint64) << np.uint64(11)
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        assert size <= self.words.size, "the script ran out of uniforms"
+        words, self.words = self.words[:size], self.words[size:]
+        return words
 
     def random(self, size=None, dtype=np.float64, out=None):
         if out is None:
             out = np.empty(() if size is None else size, dtype)
-        assert out.size <= self.uniforms.size, "the script ran out of uniforms"
-        out.flat = self.uniforms[:out.size]
-        self.uniforms = self.uniforms[out.size:]
+        out.flat = (self.random_raw(out.size) >> 11) * 2.0 ** -53
         return out
 
+    def consumed(self):
+        return self.words.size == 0
+
+
+class ScriptedGenerator(np.random.Generator):
+    """Philox generator whose uniform draws (``random`` and ``uniform``) take the next scripted uniforms (a :class:`ScriptedFill`).
+
+    Under :func:`scripted_cursors` its ``cursors`` stand in for
+    ``montecarlo._cursors``: each cursor is a fill of the next ``size`` of
+    them.
+    """
+
+    def __init__(self, seed, uniforms):
+        super().__init__(np.random.Philox(seed))
+        self.script = ScriptedFill(uniforms)
+        self.opened = []
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.script.random(size, dtype, out)
+
     def cursors(self, sizes):
-        opened = [ScriptedGenerator(0, [self.random(size)]) for size in sizes]
+        opened = [ScriptedFill([self.random(size)]) for size in sizes]
         self.opened += opened
         return opened
 
     def consumed(self):
         """Whether every scripted uniform was drawn, those handed to cursors included."""
-        return self.uniforms.size == 0 and all(cursor.consumed() for cursor in self.opened)
+        return self.script.consumed() and all(cursor.consumed() for cursor in self.opened)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         # numpy's uniform is low + (high - low) * next_double
@@ -442,11 +504,27 @@ def test_float32_born_estimates_within_two_to_minus_20():
     assert np.max(np.abs(np.abs(np.subtract(1, q, dtype=np.float32)) - (1.0 - p))) <= 2.0 ** -20
 
 
+def test_float32_uniform_estimates_within_two_to_minus_24():
+    # the other premise of P_MARGIN: the float32 estimate that a raw output's
+    # high half gives lies within 2**-32 + 2**-25 of the double random()
+    # makes of it, (w >> 11) * 2**-53, at both ends of the word range too
+    words = np.concatenate([np.array([0, 1, 2**11, 2**32 - 1, 2**32, 2**63, 2**64 - 2**40, 2**64 - 1], np.uint64),
+                            np.random.default_rng(8).integers(0, 2**64, 1 << 20, dtype=np.uint64, endpoint=False)])
+    estimate = montecarlo._uniform_estimates(words)
+    assert estimate.dtype == np.float32
+    assert np.array_equal(np.random.Generator(np.random.Philox(8)).random(4),
+                          (np.random.Philox(8).random_raw(4) >> 11) * 2.0 ** -53)
+    u = (words >> 11) * 2.0 ** -53
+    assert np.max(np.abs(estimate - u)) <= 2.0 ** -32 + 2.0 ** -25
+    assert estimate[0] == 0.0 and estimate[7] == 1.0  # 2**64 - 1 rounds up to the top of the range
+
+
 @pytest.mark.parametrize("threshold", ["public", "cipher", "complement"])
 def test_symmetry_decisions_exact_between_float32_and_libm(threshold):
-    # the scripted uniforms lie strictly between each libm threshold (p, or
-    # 1 - p for the cipher qubit where w = 1) and its float32 estimate, so
-    # every outcome there is decided as u >= p only by the libm fallback
+    # the scripted uniforms, doubles that raw outputs give, lie strictly
+    # between each libm threshold (p, or 1 - p for the cipher qubit where
+    # w = 1) and its float32 estimate, so every outcome there is decided as
+    # u >= p only by the libm fallback
     params = ProtocolParams(n=10, N=1, T=1, s=1)
     count, seed = 20_000, 11
     stream = philox(seed)
@@ -461,8 +539,10 @@ def test_symmetry_decisions_exact_between_float32_and_libm(threshold):
     libm = {"public": p, "cipher": np.where(w == 1, 1.0 - p, p)}
     estimate = {"public": p32, "cipher": np.abs(np.subtract(w, p32, dtype=np.float32))}
     draw = "public" if threshold == "public" else "cipher"
-    u = (libm[draw] + estimate[draw]) / 2.0
-    cells = (u != libm[draw]) & (u != estimate[draw])
+    # the multiple of 2**-53 (a double that a raw output gives) nearest the
+    # midpoint, where it lies strictly between the two thresholds
+    u = np.round((libm[draw] + estimate[draw]) * 2.0 ** 52) * 2.0 ** -53
+    cells = (u > np.minimum(libm[draw], estimate[draw])) & (u < np.maximum(libm[draw], estimate[draw]))
     if threshold != "public":
         cells &= w == (threshold == "complement")
     cells = cells[:, 0]

@@ -21,11 +21,14 @@ themselves.  Each argv runs once per tree, untimed, before its pairs, to
 fill that cache.  So the figures leave out compiling, which perfbench pays
 in every op of a fresh checkout under ``PYTHONDONTWRITEBYTECODE``.
 
-Per distinct argv the tool prints the median user + system CPU seconds and
-the median peak RSS (``ru_maxrss``) of each tree, the relative change of
-this tree's median against the other's, and the pairs each tree won (the
-lower CPU time).  Per workload it prints the sum of the median CPU seconds
-of its pass, repeats included.  An argv whose exit codes differ between the
+Per distinct argv the tool prints the median user + system CPU seconds,
+the median peak RSS (``ru_maxrss``) and the median minor page faults
+(``ru_minflt``) of each tree, the relative change of this tree's median CPU
+time against the other's, and the pairs each tree won (the lower CPU
+time).  A child's minor faults are the rise of its launcher's ``cminflt``
+(``/proc/PID/stat``, the faults of the children it has waited for) over
+its run; without ``/proc`` they print as ``-``.  Per workload it prints the
+sum of the median CPU seconds of its pass, repeats included.  An argv whose exit codes differ between the
 trees is marked, and the tool then exits 1.
 
 The CPU seconds are bare: nothing corrects them for the host's speed,
@@ -66,12 +69,25 @@ class Launcher:
                                      cwd=workdir, text=True)
 
     def run(self, argv: list[str]) -> dict:
-        """The launcher's reply for one ``-m qpke.cli`` child: cpu_s, rss_kb and exit among others."""
+        """The launcher's reply for one ``-m qpke.cli`` child (cpu_s, rss_kb and exit among others), with its minflt."""
         request = {"cmd": [sys.executable, "-m", "qpke.cli", *argv], "timeout": OP_TIMEOUT_S,
                    "stdout": os.path.join(self.workdir, "stdout"), "stderr": os.path.join(self.workdir, "stderr")}
+        before = self.children_minflt()
         self.proc.stdin.write(json.dumps(request) + "\n")
         self.proc.stdin.flush()
-        return json.loads(self.proc.stdout.readline())
+        reply = json.loads(self.proc.stdout.readline())
+        after = self.children_minflt()
+        reply["minflt"] = None if before is None else after - before
+        return reply
+
+    def children_minflt(self) -> int | None:
+        """The minor faults of the launcher's waited-for children so far (``cminflt``), or None without ``/proc``."""
+        try:
+            stat = Path(f"/proc/{self.proc.pid}/stat").read_text()
+        except OSError:
+            return None
+        # the fields after the parenthesized command name start at the third, state
+        return int(stat.rsplit(")", 1)[1].split()[11 - 3])
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -88,6 +104,11 @@ def pinned_cpu() -> int | None:
     except OSError:
         return None
     return cpu
+
+
+def median_faults(counts: list[int | None]) -> str:
+    """The median of one tree's minor fault counts, or ``-`` where they were not read."""
+    return "-" if None in counts else f"{statistics.median(counts):.0f}"
 
 
 def measure(launchers: list[Launcher], argv: list[str]) -> list[list[dict]]:
@@ -112,7 +133,8 @@ def main() -> int:
     cpu = pinned_cpu()
     print(f"this tree {trees[0]} against {trees[1]}: {PAIRS} pairs, "
           f"{'pinned to CPU ' + str(cpu) if cpu is not None else 'not pinned'}")
-    print(f"{'argv':<62} {'cpu_s':>7} {'other':>7} {'change':>8} {'rss_mb':>7} {'other':>7} {'won':>5}")
+    print(f"{'argv':<62} {'cpu_s':>7} {'other':>7} {'change':>8} {'rss_mb':>7} {'other':>7} "
+          f"{'minflt':>7} {'other':>7} {'won':>5}")
     medians: dict[tuple, tuple[float, float]] = {}
     differ = 0
     with tempfile.TemporaryDirectory() as scratch:
@@ -123,6 +145,7 @@ def main() -> int:
                     runs = measure(launchers, argv)
                     cpu_s = [[run["cpu_s"] for run in side] for side in runs]
                     rss = [statistics.median(run["rss_kb"] for run in side) / 1024 for side in runs]
+                    faults = [median_faults([run["minflt"] for run in side]) for side in runs]
                     ours, theirs = (statistics.median(side) for side in cpu_s)
                     medians[tuple(argv)] = ours, theirs
                     won = sum(a < b for a, b in zip(*cpu_s)), sum(b < a for a, b in zip(*cpu_s))
@@ -130,7 +153,8 @@ def main() -> int:
                     differ += len(exits) > 1
                     note = f"  exit codes {sorted(exits)} differ" if len(exits) > 1 else ""
                     print(f"{' '.join(argv)[:62]:<62} {ours:7.3f} {theirs:7.3f} {ours / theirs - 1:+8.1%} "
-                          f"{rss[0]:7.2f} {rss[1]:7.2f} {won[0]:>2}:{won[1]:<2}{note}", flush=True)
+                          f"{rss[0]:7.2f} {rss[1]:7.2f} {faults[0]:>7} {faults[1]:>7} {won[0]:>2}:{won[1]:<2}{note}",
+                          flush=True)
                 ours, theirs = (sum(medians[tuple(argv)][side] for argv in ops) for side in (0, 1))
                 print(f"{group + ' pass, sum of medians':<62} {ours:7.3f} {theirs:7.3f} {ours / theirs - 1:+8.1%}",
                       flush=True)

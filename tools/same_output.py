@@ -13,12 +13,15 @@ count, and exits 1 if any differ, else 0.  The corpus:
 * every op of the first pass of each benchmark workload, and the first round
   of probe campaigns, as ``perfbench/workloads.py`` generates them for seed 1;
 * ``check-all --seed 0..127``;
-* Monte Carlo campaigns at the edges of the key dtypes: symmetry tests at
-  n = 1, 8, 9, 16, 17, 32, 33 and 63 and bayes campaigns at n = 8, 9 and 14,
-  each over several flat blocks and key chunks; symmetry tests of 40,001
-  trials at s = 5 and n = 32, 33 and 63, odd key counts at the n = 32 edge
-  (one 32-bit draw a key, the last leaving a half buffered) and above it
-  (one 64-bit draw a key); both attacks at the paper's
+* Monte Carlo campaigns at the edges of the key dtypes and of the key
+  shifts: symmetry tests at n = 1, 2, 8, 9, 16, 17, 31, 32, 33 and 63 and
+  bayes campaigns at n = 8, 9 and 14, each over several flat blocks and key
+  chunks; symmetry tests of 40,001 trials at s = 5 and n = 32, 33 and 63,
+  odd key counts at the n = 32 edge (one 32-bit draw a key, the last
+  leaving a half buffered) and above it (one 64-bit draw a key); symmetry
+  tests at s = 2 and 5 of 40,001, 40,002 and 40,003 trials, whose message
+  bits end mid-word (four bits a 32-bit draw) and leave a half buffered for
+  the free bits, or take the keys' buffered half; both attacks at the paper's
   s = 432 and s = 1195 (bayes at T = 64 there) with small trial counts; both
   at one trial either side of a 65,536-trial batch; bayes campaigns at
   s = 3, 5 and 7 whose last batch's count * s lies one element either side
@@ -46,6 +49,8 @@ count, and exits 1 if any differ, else 0.  The corpus:
   are built in log space: ``figure --id 3 --n 12 --T 30,31,32,61,64``,
   ``figure --id 3 --n 14 --T 31,33``, ``figure --id 4 --n 12 --T 29-33,64``
   and ``figure --id 5 --n 12 --T 31,64 --s 3``;
+* ``figure --id 5 --T 4,8 --s 5000``, whose rows reach the writer in blocks
+  of 4,096 codeword lengths, the last of each T a short one;
 * every argv that ``tests/test_cli.py`` writes out as one list of string
   literals (most of its usage errors among them), and every ``--help``.
 
@@ -106,8 +111,9 @@ def corpus() -> list[list[str]]:
     argvs = [op for ops in first_passes().values() for op in ops]
     argvs += next(workloads.probe_rounds(1))
     argvs += [["check-all", "--seed", str(seed)] for seed in range(128)]
-    argvs += [campaign("symmetry-test", n, 1, 5, 40_000) for n in (1, 8, 9, 16, 17, 32, 33, 63)]
+    argvs += [campaign("symmetry-test", n, 1, 5, 40_000) for n in (1, 2, 8, 9, 16, 17, 31, 32, 33, 63)]
     argvs += [campaign("symmetry-test", n, 1, 5, 40_001) for n in (32, 33, 63)]
+    argvs += [campaign("symmetry-test", 10, 1, s, trials) for s in (2, 5) for trials in (40_001, 40_002, 40_003)]
     argvs += [campaign("bayes-projective", n, 4, 5, 40_000) for n in (8, 9, 14)]
     argvs += [campaign(attack, 13, 4, 432, trials) for attack in ATTACKS for trials in (7, 150)]
     argvs += [campaign(attack, 13, 64, 1195, trials) for attack in ATTACKS for trials in (3, 14)]
@@ -130,6 +136,7 @@ def corpus() -> list[list[str]]:
     argvs.append(["figure", "--id", "3", "--n", "14", "--T", "31,33"])
     argvs.append(["figure", "--id", "4", "--n", "12", "--T", "29-33,64"])
     argvs.append(["figure", "--id", "5", "--n", "12", "--T", "31,64", "--s", "3"])
+    argvs.append(["figure", "--id", "5", "--T", "4,8", "--s", "5000"])
     return argvs
 
 
