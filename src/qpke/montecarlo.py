@@ -17,47 +17,47 @@ A cipher qubit is its integer cipher unit c = k XOR (w << (n-1)), as in
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
 sin(c*theta) U_x, is gathered from cached key and cell tables.
 
-The symmetry test reads its keys, codeword bits and outcome uniforms
-straight from Philox's raw 64-bit outputs (``random_raw``) and gets, bit
-for bit, the draws numpy 2.x's ``Generator`` makes of them, at their stream
-positions.  A key on a
-power-of-two range is the top n bits of one 32-bit draw (of one raw output
-above n = 32), since Lemire's method never rejects there (Lemire, ACM
-TOMACS 29, 2019), and a codeword bit is the top bit of one byte of a 32-bit
-draw; a 32-bit draw is a buffered high half or a raw output's low half.  An
-outcome uniform u is (w >> 11) * 2**-53 of its raw output w.  The test
-decides each outcome, u >= p for a Born probability p = cos(x)**2, from
-float32 estimates of p (numpy's float32 cosine is SIMD, its float64 one
-scalar libm) and of u (the high half of w), so only uniforms within
-``P_MARGIN`` of p's estimate (~0.05 % per draw) are compared as doubles
-with p itself, from libm, block by block (a filtered predicate, as in
-Shewchuk, Discrete Comput. Geom. 18, 1997).  Every flag and every stream
-position is the one a float64 comparison of numpy's draws gives.
+Both attacks read their keys and codeword bits straight from Philox's raw
+64-bit outputs (``random_raw``), and the symmetry test its outcome uniforms
+too, and get, bit for bit, the draws numpy 2.x's ``Generator`` makes of
+them, at their stream positions.  A key on a power-of-two range is the top
+n bits of one 32-bit draw (of one raw output above n = 32), since Lemire's
+method never rejects there (Lemire, ACM TOMACS 29, 2019), and a codeword
+bit is the top bit of one byte of a 32-bit draw; a 32-bit draw is a
+buffered high half or a raw output's low half.  An outcome uniform u is
+(w >> 11) * 2**-53 of its raw output w.  The test decides each outcome,
+u >= p for a Born probability p = cos(x)**2, from float32 estimates of p
+(numpy's float32 cosine is SIMD, its float64 one scalar libm) and of u (the
+high half of w), so only uniforms within ``P_MARGIN`` of p's estimate
+(~0.05 % per draw) are compared as doubles with p itself, from libm, block
+by block (a filtered predicate, as in Shewchuk, Discrete Comput. Geom. 18,
+1997).  Every flag and every stream position is the one a float64
+comparison of numpy's draws gives.  The binomial counts and the bayes Born
+uniforms stay numpy's own draws.
 
 Both attacks run in one shape: after the keys and codeword bits, one pass
-over flat blocks of ``BLOCK_SIZE`` elements XORs each qubit's error into
-its codeword bit, and one parity reduction over the rows gives the success
-flags.  The bayes batch searches its counts in that pass and draws its Born
-uniforms block by block; the symmetry test replays each block's keys and
-reads its three uniform fills (basis, public outcome, cipher outcome) from
-cursors.
+(:func:`_flags`) over flat blocks of ``BLOCK_SIZE`` elements runs the
+attack's block stage, which XORs each qubit's error into its codeword bit,
+and one parity reduction over the rows gives the success flags.  The bayes
+stage searches its counts and draws its Born uniforms block by block; the
+symmetry stage replays its block's keys and reads its three uniform fills
+(basis, public outcome, cipher outcome) from cursors.
 
 Each batch owns its arrays.  The ones that outlive a block are plain
 arrays of the function that fills them: the codeword bits (int8) and, in a
 bayes batch, the keys, since its count fill lengths need every key before
-the pass.  Both are drawn a chunk at a time; bayes keys are drawn as int64
-and held in the smallest unsigned dtype that holds 2**n - 1.  Every other
-array is a numpy temporary of one ``BLOCK_SIZE`` block or one draw chunk.
-So a symmetry-test batch holds 1 B per qubit while it runs, and a bayes
-batch 3 B at n <= 16, and each frees them when it returns: 28 and 85 MB
-for a 65,536-trial batch at s = 432, 78 and 235 MB at s = 1195.  Beside
-them it allocates at most ~0.44 MiB (symmetry test) and ~0.64 MiB (bayes)
-at any codeword length (the block temporaries).  A bayes batch holds two
-count arrays more, 5 B per qubit, where numpy draws its counts first, in
-the same blocks and straight into the narrow count arrays: at T > 60,
-where some key's count takes numpy's BTPE path (392 MB for a 65,536-trial
-batch at T = 64, s = 1195), in a batch smaller than the key range, and
-after a search that would redraw.
+the pass.  Both are drawn a chunk at a time, the bayes keys into the
+smallest unsigned dtype that holds 2**n - 1.  Every other array lives in
+one draw chunk or one block stage.  So a symmetry-test batch holds 1 B per
+qubit while it runs, and a bayes batch 3 B at n <= 16, and each frees them
+when it returns: 28 and 85 MB for a 65,536-trial batch at s = 432, 78 and
+235 MB at s = 1195.  Beside them it allocates at most ~0.44 MiB (symmetry
+test) and ~0.64 MiB (bayes) at any codeword length (the block
+temporaries).  A bayes batch holds two count arrays more, 5 B per qubit,
+where numpy draws its counts first, in the same blocks and straight into
+the narrow count arrays: at T > 60, where some key's count takes numpy's
+BTPE path (392 MB for a 65,536-trial batch at T = 64, s = 1195), in a
+batch smaller than the key range, and after a search that would redraw.
 """
 
 from __future__ import annotations
@@ -149,26 +149,34 @@ def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flags(w: np.ndarray, stage) -> np.ndarray | None:
+    """The success flags of the (count, s) codeword bits ``w`` once ``stage`` has XORed in each qubit's error; None if it stops.
+
+    ``stage(start, bits)`` runs on each flat block of ``BLOCK_SIZE`` qubits
+    in turn, ``start`` its first flat position: it XORs their errors into
+    ``bits`` in place, or returns False to stop.  A trial succeeds on even
+    error parity.
+    """
+    errors = w.view(bool)
+    flat = errors.ravel()
+    for start in range(0, flat.size, BLOCK_SIZE):
+        if stage(start, flat[start:start + BLOCK_SIZE]) is False:
+            return None
+    flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
+    return np.logical_not(flags, out=flags)
+
+
 def _draw_keys(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """``size`` keys uniform on Z_{2**n}, flat, in the smallest unsigned dtype that holds them.
 
-    ``integers`` draws them as int64, ``BATCH_SIZE`` at a time.  Each key is
-    one ``next_uint32`` (one ``next_uint64`` above n = 32), with no rejection
-    for a power-of-two range, so the chunks hold the keys of one whole draw
-    and leave the stream where it would.
-
-    They are not read from raw outputs (:func:`_keys`), as the symmetry test
-    reads its keys: that gives the same keys, but it took a 2M-trial
-    campaign at n = 14, s = 1 from 5.9k to 16k-20k minor page faults,
-    nearly all in :func:`_bayes_flags`, and 3-19 % more CPU.  Freeing a
-    512 KB int64 chunk raises glibc's mmap threshold, and that keeps the
-    search's 128 KiB block temporaries on the heap; without the chunks they
-    are mapped and faulted in afresh, block after block.
+    They are ``rng.integers(0, 2**n, size)``, read from raw outputs
+    (:func:`_keys`) ``BATCH_SIZE`` at a time; a chunk leaves a buffered half
+    where the next one takes it, so the stream ends where one draw leaves it.
     """
     keys = np.empty(size, np.min_scalar_type((1 << n) - 1))
     for start in range(0, size, BATCH_SIZE):
         chunk = keys[start:start + BATCH_SIZE]
-        chunk[...] = rng.integers(0, 1 << n, size=chunk.size)
+        chunk[...] = _keys(rng.bit_generator, n, chunk.size)
     return keys
 
 
@@ -458,9 +466,10 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
     """The success flags of the bayes batch of flat keys ``k``, from ``rng`` just after them; None on a redraw.
 
     Without ``tables`` both bases' counts are drawn first, into two count
-    arrays.  With both bases' tables, each block's counts are searched from
-    two cursors at the count fills, whose lengths the keys fix (one uniform
-    per key with p0 != 0), so no count array is held.
+    arrays.  With both bases' tables, the block stage of :func:`_flags`
+    searches its block's counts from two cursors at the count fills, whose
+    lengths the keys fix (one uniform per key with p0 != 0), so no count
+    array is held; a search that would redraw stops the pass.
     """
     T, n, s = params.T, params.n, params.s
     cos_unit, sin_unit = bayes._key_bloch(n)
@@ -470,27 +479,25 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
     else:
         cursors = _cursors(rng, [_search_draws(table, k) for table in tables])
     w = _draw_codewords(k.size // s, s, rng)
-    # the codeword bits flip the cipher qubits, then hold each qubit's error
-    errors = w.view(bool)
-    flip = errors.ravel()
+
     # the cipher qubit, unit c, measured in the estimated basis of its
     # outcome cell; the outcome bit is the guess of w.  Nothing else draws
     # from rng from here on, so the block fills are the doubles of one
     # whole fill
-    for start in range(0, k.size, BLOCK_SIZE):
-        b = slice(start, start + BLOCK_SIZE)
-        kb, fb = k[b], flip[b]
+    def stage(start: int, bits: np.ndarray) -> bool | None:
+        b = slice(start, start + bits.size)
+        kb = k[b]
         if tables is None:
             t0z, t0x = (c[b] for c in counts)
         else:
             kb = kb.astype(np.intp)  # for both searches and the cipher units
             t0z, t0x = np.empty((2, kb.size), np.min_scalar_type(T))
             if not (_search(cursors[0], tables[0], kb, t0z) and _search(cursors[1], tables[1], kb, t0x)):
-                return None
+                return False
         cell = t0z.astype(np.intp)
         cell *= T + 1
         cell += t0x
-        unit = _cipher_units(kb, fb, n)
+        unit = _cipher_units(kb, bits, n)
         del t0z, t0x, kb
         p_outcome0 = cos_unit.take(unit)
         p_outcome0 *= half_z.take(cell)
@@ -501,12 +508,10 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
         del term, unit
         # a vanishing Bloch estimate leaves no preferred basis: p = 1/2, and
         # the fair coin reads u < 1/2; the error is guess ^ w
-        fb ^= rng.random(fb.size) >= p_outcome0
-        fb ^= degenerate.take(cell)
-        # freed before the next block's searches, which then reuse their memory
-        del cell, p_outcome0
-    flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
-    return np.logical_not(flags, out=flags)
+        bits ^= rng.random(bits.size) >= p_outcome0
+        bits ^= degenerate.take(cell)
+
+    return _flags(w, stage)
 
 
 def _uniform_estimates(words: np.ndarray) -> np.ndarray:
@@ -553,10 +558,10 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     uniforms in turn (basis, public outcome, cipher outcome).  The keys are
     replayed from a cursor at their stream offset (:func:`_key_cursor`)
     and each fill is read from its own (:func:`_cursors`), the outcome
-    fills as raw outputs (:func:`_decide`), so one pass over flat blocks of
-    ``BLOCK_SIZE`` elements reads each block's keys and runs every stage,
-    and the batch holds only its codeword bits, 1 B per qubit.  A test pins
-    the three fills by scripting the cursors.
+    fills as raw outputs (:func:`_decide`), so the block stage of
+    :func:`_flags`' one pass reads its block's keys and uniforms, and the
+    batch holds only its codeword bits, 1 B per qubit.  A test pins the
+    three fills by scripting the cursors.
 
     The basis fill is read as doubles: x needs u as a double, which
     ``random`` forms in the one pass that draws it, and a raw read holds one
@@ -566,38 +571,31 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     n, s = params.n, params.s
     keys = _key_cursor(rng, n, count * s)
     w = _draw_codewords(count, s, rng)
-    # the codeword bits flip the cipher qubits, then hold each qubit's error
-    errors = w.view(bool)
-    flip = errors.ravel()
-    basis, public, cipher = _cursors(rng, [flip.size] * 3)
+    basis, public, cipher = _cursors(rng, [count * s] * 3)
     public, cipher = public.bit_generator, cipher.bit_generator
 
-    for start in range(0, flip.size, BLOCK_SIZE):
-        fb = flip[start:start + BLOCK_SIZE]
+    def stage(start: int, bits: np.ndarray) -> None:
         # uniform(0, 2*pi) returns 2*pi * u for a double u.  Halving is
         # exact, so k*(theta/2) - pi*u is the double (k*theta - 2*pi*u) / 2
-        x = _keys(keys, n, fb.size) * (params.theta / 2.0)
-        half_phi = basis.random(fb.size)
+        x = _keys(keys, n, bits.size) * (params.theta / 2.0)
+        half_phi = basis.random(bits.size)
         half_phi *= math.pi
         x -= half_phi
         del half_phi
         # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
         # float32 estimate q decides all outcomes but those near a threshold
         q = np.square(np.cos(x, dtype=np.float32))
-        public_bit = _decide(public.random_raw(fb.size), q, x, None)
+        public_bit = _decide(public.random_raw(bits.size), q, x, None)
         # the cipher qubit, shifted by w*pi, has the complement where w = 1
-        np.subtract(fb, q, out=q)
+        np.subtract(bits, q, out=q)
         np.abs(q, out=q)
-        cipher_bit = _decide(cipher.random_raw(fb.size), q, x, fb)
+        cipher_bit = _decide(cipher.random_raw(bits.size), q, x, bits)
         # equal outcomes read as "parallel" (bit 0), unequal as
         # "antiparallel" (bit 1): the error is public ^ cipher ^ w
-        fb ^= public_bit
-        fb ^= cipher_bit
-        # freed before the next block allocates its own, which then reuse
-        # their memory; held over, they cost ~1 page fault a block
-        del x, q, public_bit, cipher_bit
-    flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
-    return np.logical_not(flags, out=flags)
+        bits ^= public_bit
+        bits ^= cipher_bit
+
+    return _flags(w, stage)
 
 
 def analytic_success(cfg: TrialConfig) -> float:

@@ -330,6 +330,31 @@ def test_cursors_read_consecutive_fills(size):
         assert fast.random() == direct.random()
 
 
+class NoIntegers(np.random.Generator):
+    """A Philox generator whose ``integers`` raises."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a batch called Generator.integers")
+
+
+@pytest.mark.parametrize("attack", montecarlo.ATTACKS)
+@pytest.mark.parametrize("n, T, s, count", [
+    (8, 4, 5, 8_001),  # an odd count of one-byte keys, counts searched
+    (14, 4, 5, 3_277),  # an odd count of two-byte keys over two flat blocks
+    (10, 64, 3, 401),  # numpy draws the counts
+    (12, 4, 1, 100),  # a batch below the key range
+])
+def test_batches_read_keys_and_bits_from_raw_outputs(attack, n, T, s, count):
+    # both attacks take their keys and codeword bits from the one raw-output
+    # reader, never from Generator.integers: the flags and the final state
+    # (the buffered 32-bit half included) of a plain generator
+    params = ProtocolParams(n=n, N=s, T=T, s=s)
+    batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
+    raw, plain = NoIntegers(np.random.Philox(count)), philox(count)
+    assert np.array_equal(batch(params, raw, count), batch(params, plain, count))
+    assert comparable(raw.bit_generator.state) == comparable(plain.bit_generator.state)
+
+
 # T values past 60 reach numpy's BTPE sampler for some keys
 binomial_T = st.one_of(st.integers(1, 16), st.sampled_from([61, 64, 70, 200]))
 
@@ -722,11 +747,11 @@ def held_bound(bytes_per_qubit, count, s):
     """A batch's per-qubit arrays exactly, and what it may allocate beside them.
 
     Beside them: the messages, the first error column and the success
-    flags, and the larger of one int64 chunk of keys and the block
-    temporaries of the Born stage (five float64 or intp arrays) at any
-    codeword length.  The bayes batch draws its keys in chunks of
-    ``BATCH_SIZE`` (32 B per block element); the symmetry batch replays
-    them one block at a time, so its int64 keys are one block among its
+    flags, and the larger of one chunk of keys and the block temporaries
+    of the Born stage (five float64 or intp arrays) at any codeword length.
+    The bayes batch reads its keys in chunks of ``BATCH_SIZE`` 32-bit
+    draws, as raw outputs (16 B per block element); the symmetry batch
+    replays them one block at a time, so its keys are one block among its
     temporaries.  Measured beyond the per-qubit arrays: 0.44 MiB (symmetry
     test) and 0.63 MiB (bayes, with its counts searched block by block at
     T = 4 or held whole at T = 64).

@@ -8,7 +8,9 @@ once with OTHER_SRC first on ``PYTHONPATH``; every argv that writes a table
 runs once more with ``--out FILE``.  An argv that the corpus lists twice
 runs once, at its first place.  The tool prints each argv whose stdout,
 stderr, ``--out`` bytes or exit code differ between the two trees, then a
-count, and exits 1 if any differ, else 0.  The corpus:
+count, and exits 1 if any differ, else 0.  A run still going after
+``RUN_TIMEOUT_S`` is killed, and its argv counts as differing (``timeout``).
+The corpus:
 
 * every op of the first pass of each benchmark workload, and the first round
   of probe campaigns, as ``perfbench/workloads.py`` generates them for seed 1;
@@ -16,7 +18,9 @@ count, and exits 1 if any differ, else 0.  The corpus:
 * Monte Carlo campaigns at the edges of the key dtypes and of the key
   shifts: symmetry tests at n = 1, 2, 8, 9, 16, 17, 31, 32, 33 and 63 and
   bayes campaigns at n = 8, 9 and 14, each over several flat blocks and key
-  chunks; symmetry tests of 40,001 trials at s = 5 and n = 32, 33 and 63,
+  chunks; bayes campaigns of 40,001 trials at s = 5 and n = 8, 9 and 14,
+  odd counts of one- and two-byte keys on the count search's path, whose
+  raw key read leaves a half buffered for the message bits; symmetry tests of 40,001 trials at s = 5 and n = 32, 33 and 63,
   odd key counts at the n = 32 edge (one 32-bit draw a key, the last
   leaving a half buffered) and above it (one 64-bit draw a key); symmetry
   tests at s = 2 and 5 of 40,001, 40,002 and 40,003 trials, whose message
@@ -77,6 +81,7 @@ from run import THREAD_ENV  # noqa: E402
 
 COMMANDS = ("prior", "figure", "security", "montecarlo", "check-all")
 ATTACKS = ("bayes-projective", "symmetry-test")
+RUN_TIMEOUT_S = 300.0
 
 
 def cli_test_argvs() -> list[list[str]]:
@@ -114,7 +119,7 @@ def corpus() -> list[list[str]]:
     argvs += [campaign("symmetry-test", n, 1, 5, 40_000) for n in (1, 2, 8, 9, 16, 17, 31, 32, 33, 63)]
     argvs += [campaign("symmetry-test", n, 1, 5, 40_001) for n in (32, 33, 63)]
     argvs += [campaign("symmetry-test", 10, 1, s, trials) for s in (2, 5) for trials in (40_001, 40_002, 40_003)]
-    argvs += [campaign("bayes-projective", n, 4, 5, 40_000) for n in (8, 9, 14)]
+    argvs += [campaign("bayes-projective", n, 4, 5, trials) for trials in (40_000, 40_001) for n in (8, 9, 14)]
     argvs += [campaign(attack, 13, 4, 432, trials) for attack in ATTACKS for trials in (7, 150)]
     argvs += [campaign(attack, 13, 64, 1195, trials) for attack in ATTACKS for trials in (3, 14)]
     argvs += [campaign(attack, 10, 4, 2, trials) for attack in ATTACKS for trials in (65_535, 65_537)]
@@ -140,19 +145,29 @@ def corpus() -> list[list[str]]:
     return argvs
 
 
-def run(src: str, argv: list[str], workdir: str) -> tuple:
-    """Exit code, stdout, stderr and ``--out`` bytes (None without ``--out``) of one fresh ``qpke`` process."""
+def run(src: str, argv: list[str], workdir: str) -> tuple | None:
+    """Exit code, stdout, stderr and ``--out`` bytes (None without ``--out``) of one fresh ``qpke`` process.
+
+    None if it runs past ``RUN_TIMEOUT_S``; it is killed then.
+    """
     os.makedirs(workdir)
     env = dict(os.environ, PYTHONPATH=src, **THREAD_ENV)
-    proc = subprocess.run([sys.executable, "-m", "qpke.cli", *argv], cwd=workdir, env=env, capture_output=True)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qpke.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     out = Path(workdir, "table.out")
     return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
 
 
-def differences(trees: list[str], argv: list[str], workdir: str) -> list[str]:
-    """What differs between the runs of ``argv`` on the two ``trees``."""
+def differences(trees: list[str], argv: list[str], workdir: str) -> str:
+    """What differs between the runs of ``argv`` on the two ``trees`` ("" if nothing), or "timeout"."""
     ours, theirs = (run(src, argv, os.path.join(workdir, str(side))) for side, src in enumerate(trees))
-    return [name for name, a, b in zip(("exit code", "stdout", "stderr", "--out bytes"), ours, theirs) if a != b]
+    if ours is None or theirs is None:
+        return "timeout"
+    parts = [name for name, a, b in zip(("exit code", "stdout", "stderr", "--out bytes"), ours, theirs) if a != b]
+    return f"{', '.join(parts)} differ" if parts else ""
 
 
 def main() -> int:
@@ -168,10 +183,10 @@ def main() -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as scratch, ThreadPoolExecutor(max_workers=2) as pool:
         workdirs = [os.path.join(scratch, str(i)) for i in range(len(argvs))]
-        for argv, parts in zip(argvs, pool.map(differences, [trees] * len(argvs), argvs, workdirs)):
-            if parts:
+        for argv, what in zip(argvs, pool.map(differences, [trees] * len(argvs), argvs, workdirs)):
+            if what:
                 differ += 1
-                print(f"{' '.join(argv)}: {', '.join(parts)} differ", flush=True)
+                print(f"{' '.join(argv)}: {what}", flush=True)
     print(f"{len(argvs)} argv compared, {differ} differ")
     return 1 if differ else 0
 
