@@ -35,29 +35,26 @@ by block (a filtered predicate, as in Shewchuk, Discrete Comput. Geom. 18,
 comparison of numpy's draws gives.  The binomial counts and the bayes Born
 uniforms stay numpy's own draws.
 
-Both attacks run in one shape: after the keys and codeword bits, one pass
-(:func:`_flags`) over flat blocks of ``BLOCK_SIZE`` elements runs the
-attack's block stage, which XORs each qubit's error into its codeword bit,
-and one parity reduction over the rows gives the success flags.  The bayes
-stage searches its counts and draws its Born uniforms block by block; the
-symmetry stage replays its block's keys and reads its three uniform fills
-(basis, public outcome, cipher outcome) from cursors.
+Both attacks run in one shape: one pass (:func:`_flags`) over blocks of
+whole rows, about ``BLOCK_SIZE`` qubits each, reads a block's codeword bits
+from two cursors, runs the attack's block stage, which XORs each qubit's
+error into its codeword bit, and takes the success flags from the rows'
+parities.  The bayes stage searches its counts and draws its Born uniforms
+block by block; the symmetry stage replays its block's keys and reads its
+three uniform fills (basis, public outcome, cipher outcome) from cursors.
 
-Each batch owns its arrays.  The ones that outlive a block are plain
-arrays of the function that fills them: the codeword bits (int8) and, in a
-bayes batch, the keys, since its count fill lengths need every key before
-the pass.  Both are drawn a chunk at a time, the bayes keys into the
-smallest unsigned dtype that holds 2**n - 1.  Every other array lives in
-one draw chunk or one block stage.  So a symmetry-test batch holds 1 B per
-qubit while it runs, and a bayes batch 3 B at n <= 16, and each frees them
-when it returns: 28 and 85 MB for a 65,536-trial batch at s = 432, 78 and
-235 MB at s = 1195.  Beside them it allocates at most ~0.44 MiB (symmetry
-test) and ~0.64 MiB (bayes) at any codeword length (the block
-temporaries).  A bayes batch holds two count arrays more, 5 B per qubit,
-where numpy draws its counts first, in the same blocks and straight into
-the narrow count arrays: at T > 60, where some key's count takes numpy's
-BTPE path (392 MB for a 65,536-trial batch at T = 64, s = 1195), in a
-batch smaller than the key range, and after a search that would redraw.
+Each batch owns its arrays.  The one per-qubit array that outlives a block
+is a bayes batch's keys, since its count fill lengths need every key before
+the pass, drawn a chunk at a time into the smallest unsigned dtype that
+holds 2**n - 1: 2 B per qubit at n <= 16 (157 MB for a 65,536-trial batch
+at s = 1195).  A symmetry-test batch holds none.  Beside them a batch
+allocates its success flags and at most ~0.5 MiB (symmetry test) or
+~0.7 MiB (bayes) of block temporaries while s <= ``BLOCK_SIZE`` / 4.  A
+bayes batch holds two count arrays more, 4 B per qubit in all, where numpy
+draws its counts first, in the same blocks and straight into the narrow
+count arrays: at T > 60, where some key's count takes numpy's BTPE path
+(313 MB at T = 64, s = 1195), in a batch smaller than the key range, and
+after a search that would redraw.
 """
 
 from __future__ import annotations
@@ -135,53 +132,54 @@ class EstimateWithError(_Record):
             raise ValueError(f"standard error must be >= 0, got {self.std_error}")
 
 
-def _xor_columns(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """XOR every column of the (rows, s) bit array ``bits`` into ``out`` (rows,), in place.
+def _parities(bits: np.ndarray) -> np.ndarray:
+    """Row parities of the (rows, s) uint8 0/1 array ``bits``: its product with ones in uint8, whose wrap at 256 keeps the low bit."""
+    sums = np.einsum("ij->i", bits)
+    return np.bitwise_and(sums, 1, out=sums)
 
-    Each batch calls it twice over all its rows: once for the codeword
-    parity and once for the parity of the errors.  Over 65,536 rows, column
-    by column is ~13x faster than ``np.bitwise_xor.reduce`` at s = 2 and
-    ~3x at s = 16; over 4096 rows it is even at s = 432 and ~2.5x slower
-    at s = 1195 (15 ms).
+
+def _flags(cursors: tuple[_Draws, _Draws], count: int, s: int, stage) -> np.ndarray | None:
+    """The success flags of ``count`` codewords read from ``cursors`` (:func:`_codeword_cursors`) once ``stage`` has XORed in each qubit's error; None if it stops.
+
+    A block is 4 * (``BLOCK_SIZE`` // 4s) rows, at least four, so its reads
+    end on whole 32-bit draws (:func:`_bits`) and add up to one draw of
+    messages and one of free bits; a row's last bit makes its parity its
+    message.  ``stage(start, bits)`` XORs the errors of each block's flat
+    bits (bool, ``start`` the flat position of the first) into them, or
+    returns False to stop.  A trial succeeds on even error parity.
     """
-    for j in range(bits.shape[1]):
-        out ^= bits[:, j]
-    return out
-
-
-def _flags(w: np.ndarray, stage) -> np.ndarray | None:
-    """The success flags of the (count, s) codeword bits ``w`` once ``stage`` has XORed in each qubit's error; None if it stops.
-
-    ``stage(start, bits)`` runs on each flat block of ``BLOCK_SIZE`` qubits
-    in turn, ``start`` its first flat position: it XORs their errors into
-    ``bits`` in place, or returns False to stop.  A trial succeeds on even
-    error parity.
-    """
-    errors = w.view(bool)
-    flat = errors.ravel()
-    for start in range(0, flat.size, BLOCK_SIZE):
-        if stage(start, flat[start:start + BLOCK_SIZE]) is False:
+    messages, free = cursors
+    rows = 4 * max(1, BLOCK_SIZE // (4 * s))
+    flags = np.empty(count, bool)
+    for r0 in range(0, count, rows):
+        m = _bits(messages, min(rows, count - r0))
+        w = np.empty((m.size, s), np.uint8)
+        w[:, :-1] = _bits(free, m.size * (s - 1)).reshape(m.size, s - 1)
+        w[:, -1] = m  # the last bit is the parity of the free bits and the message
+        w[:, -1] = _parities(w)
+        if stage(r0 * s, w.view(bool).ravel()) is False:
             return None
-    flags = _xor_columns(errors[:, 1:], errors[:, 0].copy())
-    return np.logical_not(flags, out=flags)
+        np.equal(_parities(w), 0, out=flags[r0:r0 + m.size])
+    return flags
 
 
 def _draw_keys(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """``size`` keys uniform on Z_{2**n}, flat, in the smallest unsigned dtype that holds them.
 
     They are ``rng.integers(0, 2**n, size)``, read from raw outputs
-    (:func:`_keys`) ``BATCH_SIZE`` at a time; a chunk leaves a buffered half
-    where the next one takes it, so the stream ends where one draw leaves it.
+    (:func:`_keys`) ``BATCH_SIZE`` at a time by one reader.
     """
     keys = np.empty(size, np.min_scalar_type((1 << n) - 1))
+    draws = _Draws(rng.bit_generator)
     for start in range(0, size, BATCH_SIZE):
         chunk = keys[start:start + BATCH_SIZE]
-        chunk[...] = _keys(rng.bit_generator, n, chunk.size)
+        chunk[...] = _keys(draws, n, chunk.size)
+    draws.sync()
     return keys
 
 
-def _cursor(state: dict, skip: int) -> np.random.Philox:
-    """A Philox bit generator at ``state`` (a ``bit_generator.state``) moved on by ``skip`` raw outputs.
+def _move(bitgen: np.random.Philox, state: dict, skip: int) -> np.random.Philox:
+    """Set the Philox ``bitgen`` to ``state`` (a ``bit_generator.state``) moved on by ``skip`` raw outputs; returns it.
 
     Philox makes its raw 64-bit outputs four per counter step (Salmon et
     al., SC'11).  The rest of the buffered step is passed over by moving
@@ -189,7 +187,6 @@ def _cursor(state: dict, skip: int) -> np.random.Philox:
     drawing it.  ``advance`` clears the buffered 32-bit half, which no raw
     output or double reads, so it is put back.
     """
-    bitgen = np.random.Philox(key=0)  # its state is replaced
     avail = len(state["buffer"]) - state["buffer_pos"]
     if skip <= avail:
         bitgen.state = dict(state, buffer_pos=state["buffer_pos"] + skip)
@@ -202,6 +199,11 @@ def _cursor(state: dict, skip: int) -> np.random.Philox:
     return bitgen
 
 
+def _cursor(state: dict, skip: int) -> np.random.Philox:
+    """A new Philox bit generator at ``state`` moved on by ``skip`` raw outputs."""
+    return _move(np.random.Philox(key=0), state, skip)  # its state is replaced
+
+
 def _cursors(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generator]:
     """Generators whose fills of ``sizes`` doubles are ``rng``'s next fills of those sizes, in turn.
 
@@ -212,98 +214,98 @@ def _cursors(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Gener
     """
     state = rng.bit_generator.state
     starts = [0, *itertools.accumulate(sizes)]
-    rng.bit_generator.state = _cursor(state, starts.pop()).state
+    _move(rng.bit_generator, state, starts.pop())
     return [np.random.Generator(_cursor(state, start)) for start in starts]
 
 
-def _uint32s(bitgen: np.random.Philox, size: int) -> np.ndarray:
-    """``bitgen``'s next ``size`` 32-bit draws (numpy's ``next_uint32``), which leave it where they would.
+class _Draws:
+    """numpy's 32-bit draws (``next_uint32``) from the Philox ``bitgen``, read in parts by calling it.
 
     A draw takes the buffered high half of a raw output if there is one,
-    else the low half of the next raw output and buffers its high half.  So
-    the draws are a buffered half, then the uint32 view of raw outputs, low
-    half first, and an odd rest leaves its last high half buffered.
+    else the low half of the next one and buffers its high half, which the
+    reader keeps itself, not in ``bitgen.state``, until :meth:`sync`.
     """
-    state = bitgen.state
-    lead = min(state["has_uint32"], size)
-    rest = size - lead
-    halves = bitgen.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
-    if lead or halves.size:
-        # numpy keeps the high half of the last raw output it drew, spent or not
-        last = int(halves[-1]) if halves.size else state["uinteger"]
-        bitgen.state = dict(bitgen.state, has_uint32=int(halves.size > rest), uinteger=last)
-    if not lead:
-        return halves[:rest]
-    words = np.empty(size, np.uint32)
-    words[0] = state["uinteger"]
-    words[1:] = halves[:rest]
-    return words
+
+    def __init__(self, bitgen: np.random.Philox):
+        state = bitgen.state
+        self.bitgen = bitgen
+        self.half = np.full(state["has_uint32"], state["uinteger"], np.uint32)
+        self.last = state["uinteger"]
+
+    def __call__(self, size: int) -> np.ndarray:
+        if size == 0:
+            return self.half[:0]
+        rest = size - self.half.size
+        halves = self.bitgen.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
+        words = np.concatenate([self.half, halves[:rest]]) if self.half.size else halves[:rest]
+        if halves.size:
+            self.last = int(halves[-1])
+        self.half = halves[rest:].copy()
+        return words
+
+    def sync(self) -> None:
+        """Leave ``bitgen``'s state as numpy's draws do: ``uinteger`` is the high half of the last raw output drawn, spent or not."""
+        self.bitgen.state = dict(self.bitgen.state, has_uint32=self.half.size, uinteger=self.last)
 
 
-def _keys(bitgen: np.random.Philox, n: int, size: int) -> np.ndarray:
-    """``bitgen``'s next ``size`` keys uniform on Z_{2**n}: ``integers(0, 2**n, size)``, as uint32 or uint64.
+def _keys(draws: _Draws, n: int, size: int) -> np.ndarray:
+    """The next ``size`` keys uniform on Z_{2**n} of ``draws``: ``integers(0, 2**n, size)``, as uint32 or uint64.
 
     numpy draws a key on a power-of-two range by Lemire's method (Lemire,
     ACM TOMACS 29, 2019), which never rejects there: the key is the top n
     bits of one ``next_uint32`` (of one raw output above n = 32).
     """
-    keys = bitgen.random_raw(size) if n > 32 else _uint32s(bitgen, size)
+    keys = draws.bitgen.random_raw(size) if n > 32 else draws(size)
     return np.right_shift(keys, 8 * keys.itemsize - n, out=keys)
 
 
-def _bits(bitgen: np.random.Philox, size: int) -> np.ndarray:
-    """``bitgen``'s next ``size`` bits: ``integers(0, 2, size, dtype=np.int8)``.
+def _bits(draws: _Draws, size: int) -> np.ndarray:
+    """The next ``size`` bits of ``draws``: ``integers(0, 2, size, dtype=np.int8)``.
 
     An int8 draw takes one ``next_uint32`` per four bytes, from a fresh one
     at each call, and reads its bytes low byte first; Lemire's method makes
     each bit the top bit of its byte.
     """
-    bits = _uint32s(bitgen, -(-size // 4)).astype("<u4", copy=False).view(np.uint8)
+    bits = draws(-(-size // 4)).astype("<u4", copy=False).view(np.uint8)
     np.right_shift(bits, 7, out=bits)
     return bits[:size].view(np.int8)
 
 
-def _key_cursor(rng: np.random.Generator, n: int, size: int) -> np.random.Philox:
-    """A bit generator whose keys, read block by block (:func:`_keys`), are ``rng.integers(0, 2**n, size)``; ``rng`` moves past them.
+def _uint32_cursor(rng: np.random.Generator, size: int) -> _Draws:
+    """A reader whose next ``size`` 32-bit draws, read in any parts, are ``rng``'s; ``rng`` moves past them.
 
-    Above n = 32 a key is one raw output, and ``rng`` skips ``size`` of
-    them.  At n <= 32 a key is one ``next_uint32``: ``rng`` skips to the
-    last raw output the keys read and draws its one or two keys, so it
-    leaves the buffered half where the whole draw would.
+    ``rng`` draws the last raw output they read and keeps its high half, as numpy does.
     """
     state = rng.bit_generator.state
-    keys = _cursor(state, 0)
-    if n > 32:
-        end = _cursor(state, size)
-    else:
-        lead = min(state["has_uint32"], size)
-        rest = size - lead
-        skip = max(rest - 1, 0) // 2
-        end = _cursor(dict(state, has_uint32=state["has_uint32"] - lead), skip)
-        _uint32s(end, rest - 2 * skip)
-    rng.bit_generator.state = end.state
-    return keys
+    cursor = _Draws(_cursor(state, 0))
+    lead = min(state["has_uint32"], size)
+    rest = size - lead
+    end = _move(rng.bit_generator, dict(state, has_uint32=state["has_uint32"] - lead), max(-(-rest // 2) - 1, 0))
+    if rest:
+        high = int(end.random_raw()) >> 32
+        end.state = dict(end.state, has_uint32=rest % 2, uinteger=high)
+    return cursor
 
 
-def _draw_codewords(count: int, s: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform parity-matched codewords of uniform messages, as (count, s) int8 bits.
+def _key_cursor(rng: np.random.Generator, n: int, size: int) -> _Draws:
+    """A reader whose keys, read block by block (:func:`_keys`), are ``rng.integers(0, 2**n, size)``; ``rng`` moves past them.
 
-    The messages come first, then the free bits, each one
-    ``integers(0, 2, dtype=np.int8)`` draw (:func:`_bits`), the free bits in
-    chunks of about ``BATCH_SIZE``.  A draw starts each call on a fresh
-    32-bit word, so chunks of a multiple of four rows give the bits and
-    stream position of one whole draw.
+    A key is one ``next_uint32`` at n <= 32 and one raw output above.
     """
-    bitgen = rng.bit_generator
-    m = _bits(bitgen, count)
-    w = np.empty((count, s), np.int8)
-    if s > 1:
-        rows = 4 * max(1, BATCH_SIZE // (4 * (s - 1)))
-        for start in range(0, count, rows):
-            chunk = w[start:start + rows, :-1]
-            chunk[...] = _bits(bitgen, chunk.size).reshape(chunk.shape)
-    w[:, -1] = _xor_columns(w[:, :-1], m)
-    return w
+    if n <= 32:
+        return _uint32_cursor(rng, size)
+    state = rng.bit_generator.state
+    _move(rng.bit_generator, state, size)
+    return _Draws(_cursor(state, 0))
+
+
+def _codeword_cursors(rng: np.random.Generator, count: int, s: int) -> tuple[_Draws, _Draws]:
+    """Readers at ``count`` uniform messages and at their codewords' s - 1 free bits each; ``rng`` moves past both.
+
+    Each is one ``integers(0, 2, dtype=np.int8)`` draw (:func:`_bits`), one
+    32-bit draw per four bits, the messages first.
+    """
+    return _uint32_cursor(rng, -(-count // 4)), _uint32_cursor(rng, -(-count * (s - 1) // 4))
 
 
 @lru_cache(maxsize=16)
@@ -478,7 +480,7 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
         counts = [_binomial_counts(rng, T, n, basis, k) for basis in (0, 1)]
     else:
         cursors = _cursors(rng, [_search_draws(table, k) for table in tables])
-    w = _draw_codewords(k.size // s, s, rng)
+    codewords = _codeword_cursors(rng, k.size // s, s)
 
     # the cipher qubit, unit c, measured in the estimated basis of its
     # outcome cell; the outcome bit is the guess of w.  Nothing else draws
@@ -511,7 +513,7 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
         bits ^= rng.random(bits.size) >= p_outcome0
         bits ^= degenerate.take(cell)
 
-    return _flags(w, stage)
+    return _flags(codewords, k.size // s, s, stage)
 
 
 def _uniform_estimates(words: np.ndarray) -> np.ndarray:
@@ -555,13 +557,11 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     Each pair's basis angle is drawn as phi = 2*pi*u, so the half offset
     x = (k*theta - phi) / 2 keeps |x| <= pi for every n <= 63.  The keys
     come first, then the codewords, then three whole-batch fills of
-    uniforms in turn (basis, public outcome, cipher outcome).  The keys are
-    replayed from a cursor at their stream offset (:func:`_key_cursor`)
-    and each fill is read from its own (:func:`_cursors`), the outcome
-    fills as raw outputs (:func:`_decide`), so the block stage of
-    :func:`_flags`' one pass reads its block's keys and uniforms, and the
-    batch holds only its codeword bits, 1 B per qubit.  A test pins the
-    three fills by scripting the cursors.
+    uniforms in turn (basis, public outcome, cipher outcome).  Each is read
+    block by block from a cursor at its stream offset (:func:`_key_cursor`,
+    :func:`_codeword_cursors`, :func:`_cursors`), the outcome fills as raw
+    outputs (:func:`_decide`), so the batch holds no per-qubit array.  A
+    test pins the three fills by scripting the cursors.
 
     The basis fill is read as doubles: x needs u as a double, which
     ``random`` forms in the one pass that draws it, and a raw read holds one
@@ -570,7 +570,7 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     """
     n, s = params.n, params.s
     keys = _key_cursor(rng, n, count * s)
-    w = _draw_codewords(count, s, rng)
+    codewords = _codeword_cursors(rng, count, s)
     basis, public, cipher = _cursors(rng, [count * s] * 3)
     public, cipher = public.bit_generator, cipher.bit_generator
 
@@ -595,7 +595,7 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
         bits ^= public_bit
         bits ^= cipher_bit
 
-    return _flags(w, stage)
+    return _flags(codewords, count, s, stage)
 
 
 def analytic_success(cfg: TrialConfig) -> float:

@@ -36,7 +36,10 @@ cipher units.
 ``bayes_batch_direct`` and ``symmetry_batch_direct`` simulate one Monte
 Carlo batch of each attack with ``Generator.binomial`` and a separate Born
 probability per qubit; they check the library's tabulated binomial search
-and in-place probabilities draw for draw.
+and in-place probabilities draw for draw.  They draw their codewords with
+``codewords_direct``: numpy's own message and free-bit draws, whole, and a
+parity column by ``np.bitwise_xor.reduce``, which checks the library's
+block-by-block codeword reader and its row parities.
 
 ``write_row_dicts`` is the CLI's row-by-row table writer (one dict per row
 through ``csv.DictWriter``, per-cell type dispatch), and the ``*_rows``
@@ -329,6 +332,15 @@ def bloch_sums_full_grid(T: int, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return est_z, est_x, norms, directed
 
 
+def codewords_direct(rng: np.random.Generator, count: int, s: int) -> np.ndarray:
+    """``count`` uniform messages, then their codewords' free bits, as (count, s) int8: the last bit of a row makes its parity its message."""
+    m = rng.integers(0, 2, count, dtype=np.int8)
+    w = np.empty((count, s), np.int8)
+    w[:, :-1] = rng.integers(0, 2, (count, s - 1), dtype=np.int8)
+    w[:, -1] = m ^ np.bitwise_xor.reduce(w[:, :-1], axis=1)
+    return w
+
+
 def bayes_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarray:
     """The projective-measurement attack batch with numpy's own binomial draws and temporaries."""
     T, n, s = params.T, params.n, params.s
@@ -340,7 +352,7 @@ def bayes_batch_direct(params, rng: np.random.Generator, count: int) -> np.ndarr
     k = rng.integers(0, 1 << n, size=(count, s))
     t0z = rng.binomial(T, p0z[k])
     t0x = rng.binomial(T, p0x[k])
-    w = montecarlo._draw_codewords(count, s, rng)
+    w = codewords_direct(rng, count, s)
 
     cipher_angle = k * theta + w * math.pi
     est = est_angle[t0z, t0x]
@@ -361,7 +373,7 @@ def symmetry_batch_direct(params, rng: np.random.Generator, count: int) -> np.nd
     theta = params.theta
 
     k = rng.integers(0, 1 << n, size=(count, s))
-    w = montecarlo._draw_codewords(count, s, rng)
+    w = codewords_direct(rng, count, s)
     public_angle = k * theta
     phi = rng.uniform(0.0, 2.0 * math.pi, size=(count, s))
 

@@ -157,6 +157,29 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def read_codewords(rng, count, s):
+    """The (count, s) codeword bits that a batch's pass reads from ``rng``, block by block, as int8.
+
+    The stage records each block's bits and XORs in no error, so every
+    flag must be the row's even parity, as ``np.bitwise_xor.reduce`` finds it.
+    """
+    blocks = []
+
+    def stage(start, bits):
+        assert start == sum(block.size for block in blocks)
+        blocks.append(bits.view(np.int8).copy())
+
+    flags = montecarlo._flags(montecarlo._codeword_cursors(rng, count, s), count, s, stage)
+    w = np.concatenate([np.empty(0, np.int8), *blocks]).reshape(count, s)
+    assert np.array_equal(flags, np.bitwise_xor.reduce(w, axis=1) == 0)
+    return w
+
+
+def block_rows(s):
+    """Rows in one block of the pass at codeword length s."""
+    return 4 * max(1, montecarlo.BLOCK_SIZE // (4 * s))
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_draw_codewords_law(s):
     # the message is drawn first and is each row's parity, the free bits are
@@ -165,7 +188,7 @@ def test_draw_codewords_law(s):
     # tail (at dof 1 that is z**2 < 9; dof + 3*sqrt(2*dof) is a 2.3-sigma
     # bound there), on a frozen seed
     rows = 100_000
-    w = montecarlo._draw_codewords(rows, s, philox(2024))
+    w = read_codewords(philox(2024), rows, s)
     replay = philox(2024)
     message = replay.integers(0, 2, size=rows, dtype=np.int8)
     assert np.array_equal(np.bitwise_xor.reduce(w, axis=1), message)
@@ -178,16 +201,67 @@ def test_draw_codewords_law(s):
 
 @pytest.mark.parametrize("s", [2, 5, 1195])
 def test_chunked_codewords_match_one_draw(s):
-    # two chunks of rows and one row more: the bits and the stream position
+    # two blocks of rows and one row more: the bits and the stream position
     # (the buffered 32-bit half included) of one whole draw
-    count = 8 * (montecarlo.BATCH_SIZE // (4 * (s - 1))) + 1
+    count = 2 * block_rows(s) + 1
     fast, direct = philox(s), philox(s)
-    w = montecarlo._draw_codewords(count, s, fast)
+    w = read_codewords(fast, count, s)
     message = direct.integers(0, 2, size=count, dtype=np.int8)
     assert np.array_equal(w[:, :-1], direct.integers(0, 2, size=(count, s - 1), dtype=np.int8))
     assert np.array_equal(np.bitwise_xor.reduce(w, axis=1), message)
     assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
     assert fast.random() == direct.random()
+
+
+# codeword lengths at the edges of the bit reads: one bit, whole and part
+# 32-bit draws, the paper's s = 1195 and one past BLOCK_SIZE / 4, where a
+# block is four rows of more than BLOCK_SIZE bits
+READER_LENGTHS = [1, 2, 3, 5, 16, 1195, montecarlo.BLOCK_SIZE // 4 + 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(READER_LENGTHS), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2**32 - 1),
+       st.sampled_from(["none", "bayes counts", "symmetry keys"]), st.booleans())
+@example(1195, 3, 2, 1, "symmetry keys", True)  # two blocks of 12 rows and three rows more
+@example(montecarlo.BLOCK_SIZE // 4 + 1, 1, 1, 2, "bayes counts", True)  # a block of four long rows, and one row
+def test_codeword_reader_matches_one_draw(s, rest, blocks, seed, before, buffered):
+    # read block by block, the codewords are one whole message draw and one
+    # whole free-bit draw, and the generator moves to where they leave it
+    # (the buffered 32-bit half included), for count = 0-3 mod 4 over whole
+    # and part blocks, after the draws a batch makes before its codewords:
+    # a bayes batch's count fills (doubles, which leave a buffered half
+    # where it was) or a symmetry test's keys (32-bit draws), with or
+    # without a buffered half at entry
+    count = 4 * (block_rows(s) // 4) * blocks + rest or 4
+    fast, direct = philox(seed), philox(seed)
+    for rng in (fast, direct):
+        if buffered:
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+    if before == "bayes counts":
+        montecarlo._cursors(fast, [seed % 7, 3])
+        direct.random(seed % 7 + 3)
+    elif before == "symmetry keys":
+        montecarlo._key_cursor(fast, 13, seed % 7)
+        direct.integers(0, 1 << 13, seed % 7)
+    w = read_codewords(fast, count, s)
+    message = direct.integers(0, 2, size=count, dtype=np.int8)
+    assert np.array_equal(w[:, :-1], direct.integers(0, 2, size=(count, s - 1), dtype=np.int8))
+    assert np.array_equal(np.bitwise_xor.reduce(w, axis=1), message)
+    assert comparable(fast.bit_generator.state) == comparable(direct.bit_generator.state)
+    assert np.array_equal(fast.integers(0, 2, size=5, dtype=np.int8), direct.integers(0, 2, size=5, dtype=np.int8))
+    assert fast.random() == direct.random()
+
+
+@pytest.mark.parametrize("s", READER_LENGTHS + [256, 257, 4096])
+def test_parities_match_xor_reduce(s):
+    # uint8 row sums wrap at 256 and keep their parity: all-ones rows of
+    # 255, 256 and 257 bits among them, and random rows
+    rows = block_rows(s)
+    bits = np.random.default_rng(s).integers(0, 2, size=(rows, s), dtype=np.uint8)
+    bits[:3] = 1
+    bits[0, 255:] = 0
+    bits[1, 256:] = 0
+    assert np.array_equal(montecarlo._parities(bits), np.bitwise_xor.reduce(bits, axis=1))
 
 
 @pytest.mark.parametrize("T", [61, 64, 4000])
@@ -297,16 +371,18 @@ def test_raw_readers_match_generator_integers(n, seed, buffered, size):
     # with or without a buffered 32-bit half at entry, at any position in a
     # counter step, and leave the generator where it does: its state (the
     # buffered half and its value included) and its next draws
-    for read, draw in ((lambda bitgen: montecarlo._keys(bitgen, n, size),
+    for read, draw in ((lambda draws: montecarlo._keys(draws, n, size),
                         lambda rng: rng.integers(0, 1 << n, size)),
-                       (lambda bitgen: montecarlo._bits(bitgen, size),
+                       (lambda draws: montecarlo._bits(draws, size),
                         lambda rng: rng.integers(0, 2, size, dtype=np.int8))):
         fast, direct = philox(seed), philox(seed)
         for rng in (fast, direct):
             rng.random(seed % 4)
             if buffered:
                 rng.integers(0, 1 << 32, dtype=np.uint32)
-        assert np.array_equal(read(fast.bit_generator), draw(direct))
+        draws = montecarlo._Draws(fast.bit_generator)
+        assert np.array_equal(read(draws), draw(direct))
+        draws.sync()
         assert comparable(fast.bit_generator.state) == comparable(direct.bit_generator.state)
         assert np.array_equal(fast.integers(0, 2, size=5, dtype=np.int8), direct.integers(0, 2, size=5, dtype=np.int8))
         assert np.array_equal(fast.integers(0, 1 << n, size=3), direct.integers(0, 1 << n, size=3))
@@ -554,7 +630,7 @@ def test_symmetry_decisions_exact_between_float32_and_libm(threshold):
     count, seed = 20_000, 11
     stream = philox(seed)
     k = stream.integers(0, 1 << params.n, size=(count, 1))
-    w = montecarlo._draw_codewords(count, 1, stream)
+    w = stream.integers(0, 2, size=(count, 1), dtype=np.int8)  # at s = 1 the codeword is the message
     # x exactly as the batch computes it from its basis uniforms
     basis = np.random.default_rng(seed + 2).random((count, 1))
     x = k * params.theta - basis * (2.0 * math.pi)
@@ -711,20 +787,23 @@ def test_bayes_batch_reruns_sequentially_when_a_later_block_redraws(basis):
 
 
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
-def test_batch_reduces_parities_in_two_calls(attack):
-    # over a batch of several blocks, one reduction gives the codeword
-    # parities and one the error parities
-    params = ProtocolParams(n=10, N=5, T=6, s=5)
-    batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
-    xor_columns, calls = montecarlo._xor_columns, []
+def test_block_parities_do_not_grow_with_s(attack):
+    # each block of rows takes its two parities (the codewords' last bits
+    # and the success flags) in two calls at any codeword length: over
+    # three blocks and a short fourth at s = 5, and at the paper's s = 1195
+    for s in (5, 1195):
+        params = ProtocolParams(n=10, N=s, T=6, s=s)
+        batch = montecarlo._bayes_batch if attack == "bayes-projective" else montecarlo._symmetry_batch
+        parities, calls = montecarlo._parities, []
 
-    def counted(bits, out):
-        calls.append(bits.shape)
-        return xor_columns(bits, out)
+        def counted(bits):
+            calls.append(bits.shape)
+            return parities(bits)
 
-    with mock.patch.object(montecarlo, "_xor_columns", counted):
-        batch(params, philox(0), 3 * montecarlo.BLOCK_SIZE // 5 + 1)
-    assert len(calls) <= 2
+        count = 3 * block_rows(s) + 1
+        with mock.patch.object(montecarlo, "_parities", counted):
+            batch(params, philox(0), count)
+        assert len(calls) == 2 * 4, s
 
 
 # the montecarlo workload's largest codewords in a full batch, and the
@@ -746,17 +825,18 @@ def lone_peak(batch, params, count, seed):
 def held_bound(bytes_per_qubit, count, s):
     """A batch's per-qubit arrays exactly, and what it may allocate beside them.
 
-    Beside them: the messages, the first error column and the success
-    flags, and the larger of one chunk of keys and the block temporaries
-    of the Born stage (five float64 or intp arrays) at any codeword length.
+    Beside them: the success flags, and the larger of one chunk of keys
+    and the block temporaries of the Born stage (five float64 or intp
+    arrays) at any codeword length; a block's codeword bits are among them.
     The bayes batch reads its keys in chunks of ``BATCH_SIZE`` 32-bit
     draws, as raw outputs (16 B per block element); the symmetry batch
     replays them one block at a time, so its keys are one block among its
-    temporaries.  Measured beyond the per-qubit arrays: 0.44 MiB (symmetry
-    test) and 0.63 MiB (bayes, with its counts searched block by block at
-    T = 4 or held whole at T = 64).
+    temporaries.  Measured beyond the per-qubit arrays: 0.52 MiB (symmetry
+    test at s = 16, 0.44 at s = 432) and 0.71 MiB (bayes at s = 16, with
+    its counts searched block by block at T = 4 or held whole at T = 64;
+    0.62 at s = 432).
     """
-    return bytes_per_qubit * count * s + 2 * count + 48 * montecarlo.BLOCK_SIZE
+    return bytes_per_qubit * count * s + count + 48 * montecarlo.BLOCK_SIZE
 
 
 @pytest.mark.parametrize("attack", montecarlo.ATTACKS)
@@ -780,11 +860,11 @@ def test_batch_memory_ceiling(attack):
 @given(st.integers(1, 63), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
 def test_cipher_units_match_encrypt(n, s, seed, narrow):
     # int64 keys, or keys of up to 32 bits held narrow as the batches hold them
-    rng = np.random.default_rng(seed)
+    rng = philox(seed)
     k = rng.integers(0, 1 << n, size=(5, s))
     if narrow and n <= 32:
         k = k.astype(np.min_scalar_type((1 << n) - 1))
-    w = montecarlo._draw_codewords(5, s, rng)
+    w = read_codewords(rng, 5, s)
     units = montecarlo._cipher_units(k, w, n)
     for row in range(5):
         key = PrivateKey(tuple(k[row].tolist()), n)
@@ -793,36 +873,36 @@ def test_cipher_units_match_encrypt(n, s, seed, narrow):
 
 def test_bayes_batch_memory_at_full_batch():
     # warm batch: both bases' counts are searched block by block from
-    # cursors, the Born-probability stage and its uniforms run in the same
-    # flat blocks and the keys are held narrow, so the uint16 keys and the
-    # codeword bits, 3 B per qubit, set the peak (3.63 B per qubit when
-    # measured at s = 16)
+    # cursors, the codeword bits are read, and the Born-probability stage
+    # and its uniforms run, in the same blocks of rows, and the keys are
+    # held narrow, so the uint16 keys, 2 B per qubit, set the peak (2.71 B
+    # per qubit when measured at s = 16, 2.37 at s = 432)
     for s, count in FULL_BATCHES:
         params = ProtocolParams(n=13, N=s, T=4, s=s)
         montecarlo._bayes_batch(params, philox(0), count)
         peak = lone_peak(montecarlo._bayes_batch, params, count, 1)
-        assert peak <= held_bound(3, count, s), s
+        assert peak <= held_bound(2, count, s), s
 
 
 def test_bayes_batch_memory_past_the_inversion_search():
     # at T = 64 numpy's own binomial draws both bases' counts, in blocks
-    # into two narrow count arrays, so a full batch holds the uint16 keys,
-    # the uint8 counts and the codeword bits, 5 B per qubit (a whole-batch
+    # into two narrow count arrays, so a full batch holds the uint16 keys
+    # and the uint8 counts, 4 B per qubit (4.71 B measured; a whole-batch
     # draw adds a float64 gather and an int64 result, 16 B per qubit)
     count, s = montecarlo.BATCH_SIZE, 16
     params = ProtocolParams(n=13, N=s, T=64, s=s)
     montecarlo._bayes_batch(params, philox(0), count)
-    assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= held_bound(5, count, s)
+    assert lone_peak(montecarlo._bayes_batch, params, count, 1) <= held_bound(4, count, s)
 
 
 def test_symmetry_batch_memory_at_full_batch():
-    # warm batch: the codeword bits, which end up holding the errors, are
-    # 1 B per qubit; the keys are replayed a block at a time, and they, the
+    # warm batch: no per-qubit array outlives a block.  The keys are
+    # replayed and the codeword bits read a block at a time, and they, the
     # angles, the float32 Born estimates, the uniforms, the outcomes and
-    # the decisions' scratch stay one block in size (1.44 B per qubit when
-    # measured at s = 16, 1.26 at s = 432)
+    # the decisions' scratch stay one block in size (0.52 B per qubit when
+    # measured at s = 16, 0.26 at s = 432)
     for s, count in FULL_BATCHES:
         params = ProtocolParams(n=13, N=s, T=1, s=s)
         montecarlo._symmetry_batch(params, philox(0), count)
         peak = lone_peak(montecarlo._symmetry_batch, params, count, 1)
-        assert peak <= held_bound(1, count, s), s
+        assert peak <= held_bound(0, count, s), s

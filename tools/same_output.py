@@ -38,7 +38,14 @@ The corpus:
   last T whose counts are searched, the first that reaches BTPE),
   T = 16, s = 432 with 4,096 trials, and T = 61, 64 and 200 at n = 1,
   s = 3 with 70,000 trials (two batches), where the z basis is tabulated
-  and the x basis is not, so numpy draws both bases' counts;
+  and the x basis is not, so numpy draws both bases' counts; and both
+  attacks at the edges of the codeword reader's blocks of rows: 40,001,
+  40,002 and 40,003 trials (1, 2 and 3 rows past a whole 32-bit draw of
+  messages) at s = 1 (one row per qubit) and s = 7 (whose blocks of 2,340
+  rows fall short of 2^14 qubits), and 5, 6 and 7 trials at s = 5000,
+  past 2^14 / 4, where a block is four rows; symmetry tests of those
+  shapes at n = 33 (one raw output a key), and bayes campaigns of them at
+  n = 1, T = 61, where numpy draws both bases' counts;
 * ``prior --tau 1-64 --n 1-20``, the whole prior domain in one table, also
   with ``--format json``, which prints ``entropy_bits`` to its last digit;
 * ``security`` at epsilon = 2^-40 over T = 1..20,000, codeword lengths in
@@ -130,6 +137,13 @@ def corpus() -> list[list[str]]:
     argvs += [campaign("bayes-projective", 12, T, 2, 70_000) for T in (60, 61)]
     argvs.append(campaign("bayes-projective", 13, 16, 432, 4096))
     argvs += [campaign("bayes-projective", 1, T, 3, 70_000) for T in (61, 64, 200)]
+    argvs += [campaign(attack, 12, 4, s, trials) for attack in ATTACKS for s in (1, 7)
+              for trials in (40_001, 40_002, 40_003)]
+    argvs += [campaign(attack, 12, 4, 5000, trials) for attack in ATTACKS for trials in (5, 6, 7)]
+    argvs += [campaign("symmetry-test", 33, 1, s, 40_003) for s in (1, 7)]
+    argvs.append(campaign("symmetry-test", 33, 1, 5000, 6))
+    argvs += [campaign("bayes-projective", 1, 61, s, 40_001) for s in (1, 7)]
+    argvs.append(campaign("bayes-projective", 1, 61, 5000, 7))
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20"])
     argvs.append(["prior", "--tau", "1-64", "--n", "1-20", "--format", "json"])
     argvs.append(["security", "--epsilon", "9.094947017729282e-13", "--T", "1-20000"])
