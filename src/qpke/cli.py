@@ -268,6 +268,9 @@ def _figure4(args):
         raise ValueError(f"T must be >= 1, got {min(args.T)}")
     from . import bayes, symmetry
 
+    # every T's range before any table is built, in list order
+    for T in args.T:
+        bayes._check_T(T)
     mean = [bayes.mean_success(T, args.n) for T in args.T]
     optimal = [symmetry.optimal_collective(T) for T in args.T]
     bound = [symmetry.bound_U(T) if T > 1 else "" for T in args.T]
@@ -292,6 +295,9 @@ def _figure5(args):
         raise ValueError(f"T must be >= 1, got {min(args.T)}")
     from . import bayes, symmetry
 
+    # every T's range before any table is built, in list order
+    for T in args.T:
+        bayes._check_T(T)
     per_bit = {T: bayes.mean_success(T, args.n) for T in args.T}
     violations = []
 

@@ -11,7 +11,7 @@ inversion (Kachitvichyanukul & Schmeiser, CACM 31, 1988) run over terms
 tabulated once per (T, n, basis); numpy itself draws them otherwise.  The
 search takes one uniform per key with P("0" | k) != 0, so once the keys are
 drawn the length of each basis's count fill is known, and both fills are
-read block by block from Philox cursors opened at their stream offsets.
+read block by block from readers opened at their stream offsets.
 A cipher qubit is its integer cipher unit c = k XOR (w << (n-1)), as in
 :func:`qpke.protocol.encrypt`, and its Born probability in the estimated
 basis U = E / (2|E|) of its outcome cell, 1/2 + cos(c*theta) U_z +
@@ -35,13 +35,24 @@ by block (a filtered predicate, as in Shewchuk, Discrete Comput. Geom. 18,
 comparison of numpy's draws gives.  The binomial counts and the bayes Born
 uniforms stay numpy's own draws.
 
+A batch states its stream layout in one call, :func:`_cursors`, which
+opens one reader per fill at the fill's stream offset and moves the batch's
+generator past them all; Philox is counter-based, so a reader can start at
+any offset (Salmon et al., SC'11).  A fill is 32-bit draws (keys at
+n <= 32, codeword bits) or raw outputs (doubles, keys above n = 32), and
+the one thing that ties them is numpy's buffered 32-bit half: a 32-bit draw
+takes a pending high half first, and a raw output or a double passes it by.
+A symmetry-test batch opens its keys, messages and free bits, then its
+basis, public and cipher fills; a bayes batch its keys, read whole, then
+its two count fills, where it searches them, and its messages and free bits.
+
 Both attacks run in one shape: one pass (:func:`_flags`) over blocks of
 whole rows, about ``BLOCK_SIZE`` qubits each, reads a block's codeword bits
-from two cursors, runs the attack's block stage, which XORs each qubit's
+from two readers, runs the attack's block stage, which XORs each qubit's
 error into its codeword bit, and takes the success flags from the rows'
 parities.  The bayes stage searches its counts and draws its Born uniforms
 block by block; the symmetry stage replays its block's keys and reads its
-three uniform fills (basis, public outcome, cipher outcome) from cursors.
+three uniform fills (basis, public outcome, cipher outcome) from readers.
 
 Each batch owns its arrays.  The one per-qubit array that outlives a block
 is a bayes batch's keys, since its count fill lengths need every key before
@@ -59,7 +70,6 @@ after a search that would redraw.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -113,8 +123,9 @@ class TrialConfig(_Record):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.attack == "bayes-projective":
-            # the attack's likelihood tables grow as 2**n; bound n before any work
+            # the attack's likelihood tables grow as 2**n and T; bound both before any draw
             bayes._check_n(self.params.n)
+            bayes._check_T(self.params.T)
 
 
 class EstimateWithError(_Record):
@@ -139,14 +150,16 @@ def _parities(bits: np.ndarray) -> np.ndarray:
 
 
 def _flags(cursors: tuple[_Draws, _Draws], count: int, s: int, stage) -> np.ndarray | None:
-    """The success flags of ``count`` codewords read from ``cursors`` (:func:`_codeword_cursors`) once ``stage`` has XORed in each qubit's error; None if it stops.
+    """The success flags of ``count`` codewords read from ``cursors`` once ``stage`` has XORed in each qubit's error; None if it stops.
 
-    A block is 4 * (``BLOCK_SIZE`` // 4s) rows, at least four, so its reads
-    end on whole 32-bit draws (:func:`_bits`) and add up to one draw of
-    messages and one of free bits; a row's last bit makes its parity its
-    message.  ``stage(start, bits)`` XORs the errors of each block's flat
-    bits (bool, ``start`` the flat position of the first) into them, or
-    returns False to stop.  A trial succeeds on even error parity.
+    ``cursors`` are readers at ``count`` messages and at their s - 1 free
+    bits each (:func:`_bit_fill`).  A block is 4 * (``BLOCK_SIZE`` // 4s)
+    rows, at least four, so its reads end on whole 32-bit draws
+    (:func:`_bits`) and add up to one draw of messages and one of free
+    bits; a row's last bit makes its parity its message.
+    ``stage(start, bits)`` XORs the errors of each block's flat bits (bool,
+    ``start`` the flat position of the first) into them, or returns False
+    to stop.  A trial succeeds on even error parity.
     """
     messages, free = cursors
     rows = 4 * max(1, BLOCK_SIZE // (4 * s))
@@ -166,71 +179,86 @@ def _flags(cursors: tuple[_Draws, _Draws], count: int, s: int, stage) -> np.ndar
 def _draw_keys(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """``size`` keys uniform on Z_{2**n}, flat, in the smallest unsigned dtype that holds them.
 
-    They are ``rng.integers(0, 2**n, size)``, read from raw outputs
-    (:func:`_keys`) ``BATCH_SIZE`` at a time by one reader.
+    They are ``rng.integers(0, 2**n, size)``, read from one reader
+    (:func:`_cursors`, :func:`_keys`) ``BATCH_SIZE`` at a time.
     """
     keys = np.empty(size, np.min_scalar_type((1 << n) - 1))
-    draws = _Draws(rng.bit_generator)
+    draws, = _cursors(rng, [_key_fill(n, size)])
     for start in range(0, size, BATCH_SIZE):
         chunk = keys[start:start + BATCH_SIZE]
         chunk[...] = _keys(draws, n, chunk.size)
-    draws.sync()
     return keys
 
 
-def _move(bitgen: np.random.Philox, state: dict, skip: int) -> np.random.Philox:
-    """Set the Philox ``bitgen`` to ``state`` (a ``bit_generator.state``) moved on by ``skip`` raw outputs; returns it.
+def _move(bitgen: np.random.Philox, state: dict, skip: int) -> dict:
+    """The Philox ``state`` (a ``bit_generator.state``) moved on by ``skip`` raw outputs, computed on ``bitgen``.
 
     Philox makes its raw 64-bit outputs four per counter step (Salmon et
     al., SC'11).  The rest of the buffered step is passed over by moving
     ``buffer_pos``, whole steps by ``advance`` and a last part step by
-    drawing it.  ``advance`` clears the buffered 32-bit half, which no raw
-    output or double reads, so it is put back.
+    drawing it, so the last output passed over is in the buffer, at
+    ``buffer_pos`` - 1, wherever ``skip`` > 0.  The buffered 32-bit half,
+    which no raw output reads, is the one of ``state``.
     """
     avail = len(state["buffer"]) - state["buffer_pos"]
     if skip <= avail:
-        bitgen.state = dict(state, buffer_pos=state["buffer_pos"] + skip)
-        return bitgen
+        return dict(state, buffer_pos=state["buffer_pos"] + skip)
     bitgen.state = dict(state, buffer_pos=len(state["buffer"]))
-    steps, rest = divmod(skip - avail, len(state["buffer"]))
+    steps, rest = divmod(skip - avail - 1, len(state["buffer"]))
     bitgen.advance(steps)
-    bitgen.random_raw(rest)
-    bitgen.state = dict(bitgen.state, has_uint32=state["has_uint32"], uinteger=state["uinteger"])
-    return bitgen
+    bitgen.random_raw(rest + 1)
+    return dict(bitgen.state, has_uint32=state["has_uint32"], uinteger=state["uinteger"])
 
 
-def _cursor(state: dict, skip: int) -> np.random.Philox:
-    """A new Philox bit generator at ``state`` moved on by ``skip`` raw outputs."""
-    return _move(np.random.Philox(key=0), state, skip)  # its state is replaced
+def _cursors(rng: np.random.Generator, fills: list[tuple[int, int]]) -> list[_Draws]:
+    """One reader per fill of ``fills``, at its stream offset: the fills are ``rng``'s next, in turn; ``rng`` moves past them all.
 
-
-def _cursors(rng: np.random.Generator, sizes: list[int]) -> list[np.random.Generator]:
-    """Generators whose fills of ``sizes`` doubles are ``rng``'s next fills of those sizes, in turn.
-
-    A double is one raw output, so the first ``sizes`` raw outputs of their
-    bit generators are those fills' too.  ``rng`` moves past all of them at
-    once, so the fills may be read block by block in any interleaving and
-    the stream still ends where the whole fills in turn leave it.
+    A fill is (size, 32), ``size`` 32-bit draws (``next_uint32``), or
+    (size, 64), ``size`` raw outputs (doubles, keys above n = 32).  The
+    readers may be read in parts in any interleaving, and ``rng`` is left
+    where the whole fills in turn leave it, its buffered 32-bit half and
+    that half's value included.  A 32-bit draw takes the buffered half if
+    there is one, else the low half of the next raw output and buffers its
+    high half; a raw output or a double passes the buffered half by.
     """
-    state = rng.bit_generator.state
-    starts = [0, *itertools.accumulate(sizes)]
-    _move(rng.bit_generator, state, starts.pop())
-    return [np.random.Generator(_cursor(state, start)) for start in starts]
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    readers = []
+    for size, bits in fills:
+        readers.append(_Draws(state))
+        lead = min(state["has_uint32"], size) if bits == 32 else 0
+        raws = size if bits == 64 else -(-(size - lead) // 2)
+        state = dict(_move(bitgen, state, raws), has_uint32=state["has_uint32"] - lead)
+        if bits == 32 and raws:
+            # numpy keeps the high half of the last raw output drawn, spent or not
+            state.update(has_uint32=(size - lead) % 2, uinteger=int(state["buffer"][state["buffer_pos"] - 1]) >> 32)
+    bitgen.state = state
+    return readers
+
+
+def _key_fill(n: int, size: int) -> tuple[int, int]:
+    """The fill of ``size`` keys on Z_{2**n} (:func:`_keys`): one 32-bit draw a key, one raw output above n = 32."""
+    return size, 32 if n <= 32 else 64
+
+
+def _bit_fill(size: int) -> tuple[int, int]:
+    """The fill of ``size`` codeword bits (:func:`_bits`): one 32-bit draw per four."""
+    return -(-size // 4), 32
 
 
 class _Draws:
-    """numpy's 32-bit draws (``next_uint32``) from the Philox ``bitgen``, read in parts by calling it.
+    """A reader at the Philox ``state``: numpy's 32-bit draws by calling it, doubles by ``random``, raw outputs by ``bitgen.random_raw``.
 
-    A draw takes the buffered high half of a raw output if there is one,
-    else the low half of the next one and buffers its high half, which the
-    reader keeps itself, not in ``bitgen.state``, until :meth:`sync`.
+    A 32-bit draw (``next_uint32``) takes the buffered high half of a raw
+    output if there is one, else the low half of the next one and buffers
+    its high half, which the reader keeps itself, not in ``bitgen.state``.
     """
 
-    def __init__(self, bitgen: np.random.Philox):
-        state = bitgen.state
-        self.bitgen = bitgen
+    def __init__(self, state: dict):
+        self.bitgen = np.random.Philox(key=0)  # its state is replaced
+        self.bitgen.state = state
         self.half = np.full(state["has_uint32"], state["uinteger"], np.uint32)
-        self.last = state["uinteger"]
+        self.random = np.random.Generator(self.bitgen).random
 
     def __call__(self, size: int) -> np.ndarray:
         if size == 0:
@@ -238,14 +266,8 @@ class _Draws:
         rest = size - self.half.size
         halves = self.bitgen.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
         words = np.concatenate([self.half, halves[:rest]]) if self.half.size else halves[:rest]
-        if halves.size:
-            self.last = int(halves[-1])
         self.half = halves[rest:].copy()
         return words
-
-    def sync(self) -> None:
-        """Leave ``bitgen``'s state as numpy's draws do: ``uinteger`` is the high half of the last raw output drawn, spent or not."""
-        self.bitgen.state = dict(self.bitgen.state, has_uint32=self.half.size, uinteger=self.last)
 
 
 def _keys(draws: _Draws, n: int, size: int) -> np.ndarray:
@@ -269,43 +291,6 @@ def _bits(draws: _Draws, size: int) -> np.ndarray:
     bits = draws(-(-size // 4)).astype("<u4", copy=False).view(np.uint8)
     np.right_shift(bits, 7, out=bits)
     return bits[:size].view(np.int8)
-
-
-def _uint32_cursor(rng: np.random.Generator, size: int) -> _Draws:
-    """A reader whose next ``size`` 32-bit draws, read in any parts, are ``rng``'s; ``rng`` moves past them.
-
-    ``rng`` draws the last raw output they read and keeps its high half, as numpy does.
-    """
-    state = rng.bit_generator.state
-    cursor = _Draws(_cursor(state, 0))
-    lead = min(state["has_uint32"], size)
-    rest = size - lead
-    end = _move(rng.bit_generator, dict(state, has_uint32=state["has_uint32"] - lead), max(-(-rest // 2) - 1, 0))
-    if rest:
-        high = int(end.random_raw()) >> 32
-        end.state = dict(end.state, has_uint32=rest % 2, uinteger=high)
-    return cursor
-
-
-def _key_cursor(rng: np.random.Generator, n: int, size: int) -> _Draws:
-    """A reader whose keys, read block by block (:func:`_keys`), are ``rng.integers(0, 2**n, size)``; ``rng`` moves past them.
-
-    A key is one ``next_uint32`` at n <= 32 and one raw output above.
-    """
-    if n <= 32:
-        return _uint32_cursor(rng, size)
-    state = rng.bit_generator.state
-    _move(rng.bit_generator, state, size)
-    return _Draws(_cursor(state, 0))
-
-
-def _codeword_cursors(rng: np.random.Generator, count: int, s: int) -> tuple[_Draws, _Draws]:
-    """Readers at ``count`` uniform messages and at their codewords' s - 1 free bits each; ``rng`` moves past both.
-
-    Each is one ``integers(0, 2, dtype=np.int8)`` draw (:func:`_bits`), one
-    32-bit draw per four bits, the messages first.
-    """
-    return _uint32_cursor(rng, -(-count // 4)), _uint32_cursor(rng, -(-count * (s - 1) // 4))
 
 
 @lru_cache(maxsize=16)
@@ -357,7 +342,7 @@ def _inversion_table(T: int, n: int, basis: int) -> tuple | None:
     return (*arrays, int(bound.min()))
 
 
-def _search(rng: np.random.Generator, table: tuple, keys: np.ndarray, x: np.ndarray) -> bool:
+def _search(rng: np.random.Generator | _Draws, table: tuple, keys: np.ndarray, x: np.ndarray) -> bool:
     """Fill ``x`` with the inversion-search counts of the intp key block ``keys``; False where numpy would redraw.
 
     numpy consumes one uniform per element with p0 > 0 (none where
@@ -469,18 +454,19 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
 
     Without ``tables`` both bases' counts are drawn first, into two count
     arrays.  With both bases' tables, the block stage of :func:`_flags`
-    searches its block's counts from two cursors at the count fills, whose
-    lengths the keys fix (one uniform per key with p0 != 0), so no count
-    array is held; a search that would redraw stops the pass.
+    searches its block's counts from two readers at the count fills (doubles),
+    whose lengths the keys fix (one uniform per key with p0 != 0), so no
+    count array is held; a search that would redraw stops the pass.  The
+    codeword fills follow.
     """
     T, n, s = params.T, params.n, params.s
+    count = k.size // s
     cos_unit, sin_unit = bayes._key_bloch(n)
     half_z, half_x, degenerate = _estimate_tables(T, n)
     if tables is None:
         counts = [_binomial_counts(rng, T, n, basis, k) for basis in (0, 1)]
-    else:
-        cursors = _cursors(rng, [_search_draws(table, k) for table in tables])
-    codewords = _codeword_cursors(rng, k.size // s, s)
+    fills = [(_search_draws(table, k), 64) for table in tables or []]
+    *searches, messages, free = _cursors(rng, [*fills, _bit_fill(count), _bit_fill(count * (s - 1))])
 
     # the cipher qubit, unit c, measured in the estimated basis of its
     # outcome cell; the outcome bit is the guess of w.  Nothing else draws
@@ -494,7 +480,7 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
         else:
             kb = kb.astype(np.intp)  # for both searches and the cipher units
             t0z, t0x = np.empty((2, kb.size), np.min_scalar_type(T))
-            if not (_search(cursors[0], tables[0], kb, t0z) and _search(cursors[1], tables[1], kb, t0x)):
+            if not (_search(searches[0], tables[0], kb, t0z) and _search(searches[1], tables[1], kb, t0x)):
                 return False
         cell = t0z.astype(np.intp)
         cell *= T + 1
@@ -513,7 +499,7 @@ def _bayes_flags(params: ProtocolParams, rng: np.random.Generator, k: np.ndarray
         bits ^= rng.random(bits.size) >= p_outcome0
         bits ^= degenerate.take(cell)
 
-    return _flags(codewords, k.size // s, s, stage)
+    return _flags((messages, free), count, s, stage)
 
 
 def _uniform_estimates(words: np.ndarray) -> np.ndarray:
@@ -556,12 +542,12 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
 
     Each pair's basis angle is drawn as phi = 2*pi*u, so the half offset
     x = (k*theta - phi) / 2 keeps |x| <= pi for every n <= 63.  The keys
-    come first, then the codewords, then three whole-batch fills of
-    uniforms in turn (basis, public outcome, cipher outcome).  Each is read
-    block by block from a cursor at its stream offset (:func:`_key_cursor`,
-    :func:`_codeword_cursors`, :func:`_cursors`), the outcome fills as raw
-    outputs (:func:`_decide`), so the batch holds no per-qubit array.  A
-    test pins the three fills by scripting the cursors.
+    come first, then the messages and free bits, then three whole-batch
+    fills of uniforms in turn (basis, public outcome, cipher outcome).
+    Each is read block by block from a reader at its stream offset
+    (:func:`_cursors`), the outcome fills as raw outputs (:func:`_decide`),
+    so the batch holds no per-qubit array.  A test pins the three uniform
+    fills by scripting the readers of the 64-bit fills.
 
     The basis fill is read as doubles: x needs u as a double, which
     ``random`` forms in the one pass that draws it, and a raw read holds one
@@ -569,10 +555,8 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
     n = 14, s = 3 fault ~110 pages a batch (glibc trims the heap it grows).
     """
     n, s = params.n, params.s
-    keys = _key_cursor(rng, n, count * s)
-    codewords = _codeword_cursors(rng, count, s)
-    basis, public, cipher = _cursors(rng, [count * s] * 3)
-    public, cipher = public.bit_generator, cipher.bit_generator
+    keys, messages, free, basis, public, cipher = _cursors(
+        rng, [_key_fill(n, count * s), _bit_fill(count), _bit_fill(count * (s - 1)), *[(count * s, 64)] * 3])
 
     def stage(start: int, bits: np.ndarray) -> None:
         # uniform(0, 2*pi) returns 2*pi * u for a double u.  Halving is
@@ -585,17 +569,17 @@ def _symmetry_batch(params: ProtocolParams, rng: np.random.Generator, count: int
         # P(outcome 0) of the public qubit in basis phi is cos(x)**2; its
         # float32 estimate q decides all outcomes but those near a threshold
         q = np.square(np.cos(x, dtype=np.float32))
-        public_bit = _decide(public.random_raw(bits.size), q, x, None)
+        public_bit = _decide(public.bitgen.random_raw(bits.size), q, x, None)
         # the cipher qubit, shifted by w*pi, has the complement where w = 1
         np.subtract(bits, q, out=q)
         np.abs(q, out=q)
-        cipher_bit = _decide(cipher.random_raw(bits.size), q, x, bits)
+        cipher_bit = _decide(cipher.bitgen.random_raw(bits.size), q, x, bits)
         # equal outcomes read as "parallel" (bit 0), unequal as
         # "antiparallel" (bit 1): the error is public ^ cipher ^ w
         bits ^= public_bit
         bits ^= cipher_bit
 
-    return _flags(codewords, count, s, stage)
+    return _flags((messages, free), count, s, stage)
 
 
 def analytic_success(cfg: TrialConfig) -> float:

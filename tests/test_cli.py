@@ -86,12 +86,18 @@ def test_bayes_montecarlo_rejects_large_n(capsys):
     ["montecarlo", "--attack", "bayes-projective", "--n", "10", "--T", "100000", "--trials", "10"],
     ["figure", "--id", "4", "--n", "20", "--T", "8192"],
     ["figure", "--id", "3", "--n", "4", "--T", "8192"],
+    ["figure", "--id", "4", "--n", "10", "--T", "300,8192,9000"],
+    ["figure", "--id", "5", "--n", "10", "--T", "300,8192,9000", "--s", "3"],
 ])
 def test_T_past_the_exact_grid_cap_is_a_usage_error(argv, capsys):
-    # rejected before any outcome table is built, with a message naming T
-    code, out, err = run_cli(argv, capsys)
+    # rejected before any likelihood grid is asked for, even one of a T in
+    # range listed first, with a message naming the first T past the cap
+    with mock.patch.object(bayes, "_likelihood_grid", wraps=bayes._likelihood_grid) as grid:
+        code, out, err = run_cli(argv, capsys)
+    assert grid.call_count == 0
     assert code == 2
-    assert err == f"error: T must be <= 8191, got {argv[argv.index('--T') + 1]}\n"
+    first = next(T for T in _parse_int_list(argv[argv.index("--T") + 1]) if T > 8191)
+    assert err == f"error: T must be <= 8191, got {first}\n"
     assert out == ""
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import tracemalloc
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,17 @@ def test_trial_config_validation():
         TrialConfig(large, "bayes-projective", 10, 0)
     # the symmetry-test attack builds no 2**n tables and keeps its range
     TrialConfig(large, "symmetry-test", 10, 0)
+
+
+def test_trial_config_bounds_T_before_any_draw():
+    # T past the exact grid cap is rejected as the campaign is set up, not
+    # after a batch has drawn its keys; n is checked first
+    params = ProtocolParams(n=10, N=1000, T=8192, s=1000)
+    with pytest.raises(ValueError, match="^T must be <= 8191, got 8192$"):
+        TrialConfig(params, "bayes-projective", 65536, 0)
+    with pytest.raises(ValueError, match="resolution exponent"):
+        TrialConfig(ProtocolParams(n=bayes.MAX_N + 1, N=1, T=8192, s=1), "bayes-projective", 10, 0)
+    TrialConfig(params, "symmetry-test", 65536, 0)
 
 
 def test_estimate_with_error_validation():
@@ -169,7 +181,8 @@ def read_codewords(rng, count, s):
         assert start == sum(block.size for block in blocks)
         blocks.append(bits.view(np.int8).copy())
 
-    flags = montecarlo._flags(montecarlo._codeword_cursors(rng, count, s), count, s, stage)
+    cursors = montecarlo._cursors(rng, [montecarlo._bit_fill(count), montecarlo._bit_fill(count * (s - 1))])
+    flags = montecarlo._flags(cursors, count, s, stage)
     w = np.concatenate([np.empty(0, np.int8), *blocks]).reshape(count, s)
     assert np.array_equal(flags, np.bitwise_xor.reduce(w, axis=1) == 0)
     return w
@@ -238,10 +251,10 @@ def test_codeword_reader_matches_one_draw(s, rest, blocks, seed, before, buffere
         if buffered:
             rng.integers(0, 1 << 32, dtype=np.uint32)
     if before == "bayes counts":
-        montecarlo._cursors(fast, [seed % 7, 3])
+        montecarlo._cursors(fast, [(seed % 7, 64), (3, 64)])
         direct.random(seed % 7 + 3)
     elif before == "symmetry keys":
-        montecarlo._key_cursor(fast, 13, seed % 7)
+        montecarlo._cursors(fast, [montecarlo._key_fill(13, seed % 7)])
         direct.integers(0, 1 << 13, seed % 7)
     w = read_codewords(fast, count, s)
     message = direct.integers(0, 2, size=count, dtype=np.int8)
@@ -295,25 +308,6 @@ def test_chunked_narrow_keys_match_one_int64_draw(n):
     assert fast.random() == direct.random()
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans(),
-       st.one_of(st.sampled_from([0, 1, 3, 4, 5]), st.integers(6, 100_000)))
-def test_cursor_matches_sequential_fill(seed, buffer_pos, has_uint32, skip):
-    # a Philox state at any buffer position, with or without a buffered
-    # 32-bit half, moved on by skip doubles gives the doubles and the 32-bit
-    # draws that follow a fill of skip doubles
-    bitgen = np.random.Philox(seed)
-    bitgen.random_raw(1 + seed % 4)  # a counter step in the buffer
-    state = dict(bitgen.state, buffer_pos=buffer_pos, has_uint32=int(has_uint32), uinteger=seed)
-    sequential = np.random.Generator(np.random.Philox(0))
-    sequential.bit_generator.state = state
-    sequential.random(skip)
-    cursor = np.random.Generator(montecarlo._cursor(state, skip))
-    assert np.array_equal(cursor.random(9), sequential.random(9))
-    assert cursor.integers(0, 1 << 32, dtype=np.uint32) == sequential.integers(0, 1 << 32, dtype=np.uint32)
-    assert cursor.random() == sequential.random()
-
-
 def comparable(state):
     """A Philox ``bit_generator.state`` as a tuple, without the buffer's spent outputs, which no draw reads.
 
@@ -322,6 +316,107 @@ def comparable(state):
     """
     return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer_pos"],
             state["buffer"][state["buffer_pos"]:].tolist(), state["has_uint32"], state["uinteger"])
+
+
+def read_in_parts(readers, fills, random):
+    """The draws of each fill from its reader, read in parts of random lengths, the parts of all fills in a random interleaving.
+
+    A 32-bit fill is read by calling its reader, a 64-bit fill as doubles
+    (``random``) or as raw outputs (``bitgen.random_raw``), part by part.
+    """
+    parts = []
+    for size, _ in fills:
+        cuts = sorted(random.sample(range(size + 1), min(3, size + 1)))
+        parts.append([b - a for a, b in zip([0, *cuts], [*cuts, size])])
+    turns = [i for i, lengths in enumerate(parts) for _ in lengths]
+    random.shuffle(turns)
+    read = [[] for _ in fills]
+    for i in turns:
+        size, reader = parts[i].pop(0), readers[i]
+        if fills[i][1] == 32:
+            read[i].append(reader(size))
+        elif random.random() < 0.5:
+            read[i].append(reader.random(size))
+        else:
+            read[i].append((reader.bitgen.random_raw(size) >> 11) * 2.0 ** -53)
+    return [np.concatenate(r) for r in read]
+
+
+def replay_fills(fast, direct, fills, random):
+    """Assert that the readers ``_cursors`` opens on ``fast`` give ``fills`` as ``direct`` draws them in turn.
+
+    The readers are read in parts in a random interleaving
+    (:func:`read_in_parts`); ``direct`` draws each fill whole, 32-bit fills
+    by ``Generator.integers`` of uint32, 64-bit ones by ``random``. Then the
+    two generators have the same state (the buffered 32-bit half and its
+    value included) and the same next draws.
+    """
+    readers = montecarlo._cursors(fast, fills)
+    expected = [direct.integers(0, 1 << 32, size, dtype=np.uint32) if bits == 32 else direct.random(size)
+                for size, bits in fills]
+    for got, want in zip(read_in_parts(readers, fills, random), expected, strict=True):
+        assert np.array_equal(got, want)
+    assert comparable(fast.bit_generator.state) == comparable(direct.bit_generator.state)
+    assert np.array_equal(fast.integers(0, 2, size=5, dtype=np.int8), direct.integers(0, 2, size=5, dtype=np.int8))
+    assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
+    assert np.array_equal(fast.random(3), direct.random(3))
+
+
+def at_buffer_position(seed, buffer_pos, buffered):
+    """Two Philox generators in one state: at ``buffer_pos`` in a counter step, with or without a buffered 32-bit half."""
+    bitgen = np.random.Philox(seed)
+    bitgen.random_raw(1 + seed % 4)  # a counter step in the buffer
+    state = dict(bitgen.state, buffer_pos=buffer_pos, has_uint32=int(buffered), uinteger=seed)
+    fast, direct = philox(0), philox(0)
+    fast.bit_generator.state = direct.bit_generator.state = state
+    return fast, direct
+
+
+# fill lengths at the edges of a buffered half and of a counter step (four
+# raw outputs), and up to three flat blocks
+FILLS = st.lists(st.tuples(st.one_of(st.integers(0, 9), st.integers(10, 3 * montecarlo.BLOCK_SIZE)),
+                           st.sampled_from([32, 64])), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FILLS, st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans(), st.randoms(use_true_random=False))
+@example([(1, 32)], 1, 1, True, Random(0))  # the buffered half is the only draw
+@example([(2, 32)], 2, 2, True, Random(0))  # then one low half, whose high half is buffered
+@example([(2, 32)], 2, 3, False, Random(0))  # two low halves' worth: the second leaves its high half buffered
+@example([(montecarlo.BLOCK_SIZE + 1, 64)], 3, 0, True, Random(0))  # raw outputs leave the half buffered
+# a bayes batch: odd keys leave a half buffered, the count fills pass it
+# by, and the messages take it
+@example([(3, 32), (5, 64), (2, 64), (1, 32), (3, 32)], 7, 2, False, Random(0))
+def test_cursors_replay_consecutive_fills(fills, seed, buffer_pos, buffered, random):
+    # from a Philox state at any buffer position, with or without a
+    # buffered 32-bit half at entry, the readers of any sequence of 32- and
+    # 64-bit fills, read in parts in any interleaving, give those fills in
+    # turn, and the generator moves to where the fills leave it
+    replay_fills(*at_buffer_position(seed, buffer_pos, buffered), fills, random)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans(),
+       st.one_of(st.sampled_from([0, 1, 3, 4, 5]), st.integers(6, 100_000)))
+def test_cursor_matches_sequential_fill(seed, buffer_pos, has_uint32, skip):
+    # a Philox state at any buffer position, with or without a buffered
+    # 32-bit half, moved on by a fill of skip doubles gives the doubles and
+    # the 32-bit draws that follow a fill of skip doubles
+    fills = [(skip, 64), (9, 64), (1, 32), (1, 64)]
+    replay_fills(*at_buffer_position(seed, buffer_pos, has_uint32), fills, Random(seed))
+
+
+@pytest.mark.parametrize("size", [1, 3, 4, 5, 1000])
+def test_cursors_read_consecutive_fills(size):
+    # three double fills, of equal and of unequal sizes, after three 32-bit
+    # draws, read in any order, are three whole fills in turn, and the
+    # generator itself moves past all three (the buffered 32-bit half
+    # included)
+    for sizes in ([size] * 3, [size, size + 5, 2 * size]):
+        fast, direct = philox(size), philox(size)
+        fast.integers(0, 1 << 32, size=3, dtype=np.uint32)
+        direct.integers(0, 1 << 32, size=3, dtype=np.uint32)
+        replay_fills(fast, direct, [(n, 64) for n in sizes], Random(size))
 
 
 KEY_BLOCK_EDGES = [m * montecarlo.BLOCK_SIZE + d for m in (1, 2, 3) for d in (-1, 0, 1)]
@@ -336,17 +431,17 @@ KEY_BLOCK_EDGES = [m * montecarlo.BLOCK_SIZE + d for m in (1, 2, 3) for d in (-1
 @example(32, 2, True, 2)  # then one low half, whose high half is buffered
 @example(33, 3, True, montecarlo.BLOCK_SIZE + 1)  # 64-bit keys leave the half buffered
 def test_key_cursor_replays_one_key_draw(n, seed, buffered, size):
-    # keys drawn block by block from the cursor are one whole draw of size
-    # keys, and the generator moves to where that draw leaves it, with or
-    # without a buffered 32-bit half at entry, at any position in a counter
-    # step: its state (the buffered half and its value included) and its
-    # next codeword bits and doubles
+    # keys drawn block by block from the reader of one key fill are one
+    # whole draw of size keys, and the generator moves to where that draw
+    # leaves it, with or without a buffered 32-bit half at entry, at any
+    # position in a counter step: its state (the buffered half and its
+    # value included) and its next codeword bits and doubles
     fast, direct = philox(seed), philox(seed)
     for rng in (fast, direct):
         rng.random(seed % 4)
         if buffered:
             rng.integers(0, 1 << 32, dtype=np.uint32)
-    keys = montecarlo._key_cursor(fast, n, size)
+    keys, = montecarlo._cursors(fast, [montecarlo._key_fill(n, size)])
     drawn = [montecarlo._keys(keys, n, min(montecarlo.BLOCK_SIZE, size - start))
              for start in range(0, size, montecarlo.BLOCK_SIZE)]
     assert np.array_equal(np.concatenate([np.empty(0, np.int64), *drawn]), direct.integers(0, 1 << n, size))
@@ -367,43 +462,26 @@ READER_SIZES = [0, 1, montecarlo.BLOCK_SIZE - 1, montecarlo.BLOCK_SIZE, montecar
 @example(1, 2, False, 5)  # five bits: two words, the second leaves its high half buffered
 @example(63, 3, True, montecarlo.BLOCK_SIZE + 1)  # raw-output keys leave the half buffered
 def test_raw_readers_match_generator_integers(n, seed, buffered, size):
-    # the key reader and the bit reader give what Generator.integers gives,
-    # with or without a buffered 32-bit half at entry, at any position in a
-    # counter step, and leave the generator where it does: its state (the
+    # the key reader and the bit reader, each opened on its fill, give what
+    # Generator.integers gives, with or without a buffered 32-bit half at
+    # entry, at any position in a counter step, and the fill moves the
+    # generator to where Generator.integers leaves it: its state (the
     # buffered half and its value included) and its next draws
-    for read, draw in ((lambda draws: montecarlo._keys(draws, n, size),
-                        lambda rng: rng.integers(0, 1 << n, size)),
-                       (lambda draws: montecarlo._bits(draws, size),
-                        lambda rng: rng.integers(0, 2, size, dtype=np.int8))):
+    for read, fill, draw in ((lambda draws: montecarlo._keys(draws, n, size), montecarlo._key_fill(n, size),
+                              lambda rng: rng.integers(0, 1 << n, size)),
+                             (lambda draws: montecarlo._bits(draws, size), montecarlo._bit_fill(size),
+                              lambda rng: rng.integers(0, 2, size, dtype=np.int8))):
         fast, direct = philox(seed), philox(seed)
         for rng in (fast, direct):
             rng.random(seed % 4)
             if buffered:
                 rng.integers(0, 1 << 32, dtype=np.uint32)
-        draws = montecarlo._Draws(fast.bit_generator)
+        draws, = montecarlo._cursors(fast, [fill])
         assert np.array_equal(read(draws), draw(direct))
-        draws.sync()
         assert comparable(fast.bit_generator.state) == comparable(direct.bit_generator.state)
         assert np.array_equal(fast.integers(0, 2, size=5, dtype=np.int8), direct.integers(0, 2, size=5, dtype=np.int8))
         assert np.array_equal(fast.integers(0, 1 << n, size=3), direct.integers(0, 1 << n, size=3))
         assert np.array_equal(fast.random(3), direct.random(3))
-
-
-@pytest.mark.parametrize("size", [1, 3, 4, 5, 1000])
-def test_cursors_read_consecutive_fills(size):
-    # three cursors, of equal and of unequal sizes, fill as three whole
-    # fills in turn, read in any order, and the generator itself moves past
-    # all three (the buffered 32-bit half included)
-    for sizes in ([size] * 3, [size, size + 5, 2 * size]):
-        fast, direct = philox(size), philox(size)
-        fast.integers(0, 1 << 32, size=3, dtype=np.uint32)
-        direct.integers(0, 1 << 32, size=3, dtype=np.uint32)
-        cursors = montecarlo._cursors(fast, sizes)
-        fills = [direct.random(n) for n in sizes]
-        for i in (2, 0, 1):
-            assert np.array_equal(cursors[i].random(sizes[i]), fills[i])
-        assert fast.integers(0, 1 << 32, dtype=np.uint32) == direct.integers(0, 1 << 32, dtype=np.uint32)
-        assert fast.random() == direct.random()
 
 
 class NoIntegers(np.random.Generator):
@@ -488,8 +566,8 @@ class ScriptedFill:
 
     numpy's double of a raw output w is (w >> 11) * 2**-53, so every
     scripted uniform must be a multiple m * 2**-53 in [0, 1), and its raw
-    output is m << 11.  A fill stands in for a cursor that
-    ``montecarlo._cursors`` opens, and for that cursor's bit generator.
+    output is m << 11.  A fill stands in for a reader of a 64-bit fill that
+    ``montecarlo._cursors`` opens, and for that reader's bit generator.
     """
 
     def __init__(self, uniforms):
@@ -499,7 +577,7 @@ class ScriptedFill:
         self.words = m.astype(np.uint64) << np.uint64(11)
 
     @property
-    def bit_generator(self):
+    def bitgen(self):
         return self
 
     def random_raw(self, size):
@@ -520,9 +598,8 @@ class ScriptedFill:
 class ScriptedGenerator(np.random.Generator):
     """Philox generator whose uniform draws (``random`` and ``uniform``) take the next scripted uniforms (a :class:`ScriptedFill`).
 
-    Under :func:`scripted_cursors` its ``cursors`` stand in for
-    ``montecarlo._cursors``: each cursor is a fill of the next ``size`` of
-    them.
+    Under :func:`scripted_cursors` each 64-bit fill that a batch opens is
+    read from the next ``size`` of them (:meth:`fill`).
     """
 
     def __init__(self, seed, uniforms):
@@ -533,13 +610,12 @@ class ScriptedGenerator(np.random.Generator):
     def random(self, size=None, dtype=np.float64, out=None):
         return self.script.random(size, dtype, out)
 
-    def cursors(self, sizes):
-        opened = [ScriptedFill([self.random(size)]) for size in sizes]
-        self.opened += opened
-        return opened
+    def fill(self, size):
+        self.opened.append(ScriptedFill([self.random(size)]))
+        return self.opened[-1]
 
     def consumed(self):
-        """Whether every scripted uniform was drawn, those handed to cursors included."""
+        """Whether every scripted uniform was drawn, those handed to fills included."""
         return self.script.consumed() and all(cursor.consumed() for cursor in self.opened)
 
     def uniform(self, low=0.0, high=1.0, size=None):
@@ -548,8 +624,18 @@ class ScriptedGenerator(np.random.Generator):
 
 
 def scripted_cursors():
-    """Let a symmetry batch open its three uniform fills on a ScriptedGenerator's script, in turn."""
-    return mock.patch.object(montecarlo, "_cursors", lambda rng, sizes: rng.cursors(sizes))
+    """Let a symmetry batch read its 64-bit fills from a ScriptedGenerator's script, in turn, and its 32-bit fills from its Philox stream.
+
+    At n <= 32 the 64-bit fills are the three uniform fills; the keys and
+    codeword bits are 32-bit draws, which the script does not touch.
+    """
+    opener = montecarlo._cursors
+
+    def cursors(rng, fills):
+        drawn = iter(opener(rng, [fill for fill in fills if fill[1] == 32]))
+        return [next(drawn) if bits == 32 else rng.fill(size) for size, bits in fills]
+
+    return mock.patch.object(montecarlo, "_cursors", cursors)
 
 
 def quarter_turn_uniforms(params, seed, count, turns):
